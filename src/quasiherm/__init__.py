@@ -53,7 +53,6 @@ from .models import (
     two_level,
 )
 from .report import (
-    RESIDUAL_KEYS,
     FamilyMemberSummary,
     VerificationReport,
     run_analyze,
@@ -129,7 +128,6 @@ __all__ = [
     "save_matrix",
     "matrix_to_payload",
     "matrix_from_payload",
-    "RESIDUAL_KEYS",
     "VerificationReport",
     "FamilyMemberSummary",
     "run_analyze",

@@ -119,6 +119,11 @@ def hermitian_eig(M, tol: Tolerances = DEFAULT_TOLERANCES):
 
 def sqrt_pd(M, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Unique positive square root of a Hermitian positive-definite matrix."""
+    return sqrt_pd_eig(M, tol)[0]
+
+
+def sqrt_pd_eig(M, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sqrt_pd` together with the ascending eigenvalues of M it was built from."""
     eigenvalues, V = hermitian_eig(M, tol)
     floor = tol.positivity_floor * max(frobenius_norm(M), ZERO_NORM_FLOOR)
     if eigenvalues[0] <= floor:
@@ -126,7 +131,24 @@ def sqrt_pd(M, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
             f"smallest eigenvalue {eigenvalues[0]:.3e} at or below floor {floor:.3e}"
         )
     root = (V * np.sqrt(eigenvalues)) @ V.conj().T
-    return hermitian_part(root)
+    return hermitian_part(root), eigenvalues
+
+
+def gate_condition(smax: float, smin: float, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """Gate the condition number smax/smin of a matrix about to be inverted.
+
+    Raises :class:`SingularTransform` when the smallest singular value is at
+    roundoff relative to the largest and :class:`IllConditioned` beyond
+    ``condition_cap``.
+    """
+    eps = np.finfo(np.float64).eps
+    if smin <= ZERO_NORM_FLOOR or smin <= eps * smax:
+        raise SingularTransform(
+            f"smallest singular value {smin:.3e} is at roundoff relative to {smax:.3e}"
+        )
+    cond = smax / smin
+    if cond > tol.condition_cap:
+        raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
 
 
 def solve(M, rhs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -140,15 +162,7 @@ def solve(M, rhs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"rhs leading dimension {b.shape[0]} != matrix dim {A.shape[0]}")
     singular_values = np.linalg.svd(A, compute_uv=False)
-    smax, smin = singular_values[0], singular_values[-1]
-    eps = np.finfo(np.float64).eps
-    if smin <= ZERO_NORM_FLOOR or smin <= eps * smax:
-        raise SingularTransform(
-            f"smallest singular value {smin:.3e} is at roundoff relative to {smax:.3e}"
-        )
-    cond = smax / smin
-    if cond > tol.condition_cap:
-        raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
+    gate_condition(singular_values[0], singular_values[-1], tol)
     return np.linalg.solve(A, b)
 
 

@@ -36,8 +36,6 @@ from .symmetry import (
     sample_positive_symmetry,
 )
 
-RESIDUAL_KEYS = FAMILY_IDENTITIES
-
 DEFAULT_MAX_DIM = 512
 
 _EXIT_CODES = {"pass": 0, "error": 1, "fail": 2}
@@ -143,6 +141,8 @@ class VerificationReport:
 def _resolve_input(source, max_dim: int):
     """Turn a path, ModelSpec, or array into (H, descriptor)."""
     if isinstance(source, ModelSpec):
+        # gate before building: a model allocates its full dim x dim matrix
+        _check_dim(source.dim, max_dim)
         H = build_model(source)
         descriptor = describe_model(source)
     elif isinstance(source, (str, Path)):
@@ -154,9 +154,13 @@ def _resolve_input(source, max_dim: int):
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         descriptor = {"source": "in-memory", "dim": int(H.shape[0])}
-    if H.shape[0] > max_dim:
-        raise ParseError(f"dimension {H.shape[0]} exceeds the configured maximum {max_dim}")
+    _check_dim(H.shape[0], max_dim)
     return H, descriptor
+
+
+def _check_dim(dim: int, max_dim: int) -> None:
+    if dim > max_dim:
+        raise ParseError(f"dimension {dim} exceeds the configured maximum {max_dim}")
 
 
 def _error_payload(exc: Exception) -> dict:

@@ -7,6 +7,24 @@ spanned, block-wise in its eigenbasis, by Hermitian matrices supported on
 the degeneracy clusters, so the positive commutant is exhausted by positive
 coefficients per cluster plus intra-cluster unitary mixers.
 
+The commutant is therefore kept as h's eigenvectors W, its eigenvalues and
+the clusters, in O(n²) memory. It is certified by one product
+R = h·W − W·Λ and one unitarity check ‖W†W − I‖_F ≤ residual_tol, which for
+square W equals the projector completeness ‖Σ_k P_k − I‖_F. Cluster k, with
+eigenvectors W_k, eigenvalue spread δ_k and residual block R_k, passes
+
+    (δ_k + 2‖R_k‖_F) / ‖h‖_F ≤ residual_tol.      (sym[cluster k])
+
+For every E = W_k·X·W_k† in that cluster's block of the commutant,
+
+    [E, h] = W_k·[X, Λ_k]·W_k† + W_k·X·R_k† − R_k·X·W_k†,
+
+and each entry of [X, Λ_k] is X_ij·(λ_j − λ_i) with |λ_j − λ_i| ≤ δ_k, so
+‖[E, h]‖_F / (‖E‖_F·‖h‖_F) is at most the certificate, up to factors
+1 + O(residual_tol) from the unitarity of W. The per-cluster bound thus
+implies the commutator check on every element of the commutant, each
+element of the explicit real basis included.
+
 For each family member the whole identity chain is verified numerically:
 
     eta'   = rho·S·rho                  (eta-form)
@@ -25,6 +43,7 @@ Each check is reported individually by name so a failure localizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +53,12 @@ from .linalg import (
     Tolerances,
     as_matrix,
     frobenius_norm,
+    gate_condition,
     haar_unitary,
     hermitian_eig,
     hermitian_part,
     solve_right,
-    sqrt_pd,
+    sqrt_pd_eig,
 )
 from .metric import MetricOperator, hermitian_equivalent, verify_pseudo_hermitian
 
@@ -62,18 +82,45 @@ FAMILY_IDENTITIES = (
 class CommutantBasis:
     """Hermitian commutant {X = X† : [X, h] = 0} of a Hermitian h.
 
-    ``basis`` spans the commutant over the reals; ``projectors`` are the
-    spectral projectors of h, one per degeneracy cluster. The real dimension
-    is the sum of squared cluster sizes.
+    Stored in h's eigenbasis: the commutant is every sum over clusters k of
+    W_k·X_k·W_k†, X_k a Hermitian block of the cluster's size and W_k the
+    cluster's columns of ``eigenvectors``. The real dimension is the sum of
+    squared cluster sizes. Each cluster has passed
+    (spread_k + 2‖h·W_k − W_k·Λ_k‖_F) / ‖h‖_F ≤ residual_tol, which bounds
+    ‖[E, h]‖ / (‖E‖·‖h‖) for every E in the cluster's block (see the module
+    docstring), so every commutant element, each ``basis`` element
+    included, commutes with h within the tolerance.
+
+    ``basis`` (a real basis: sum of d² dense n×n matrices) and
+    ``projectors`` (the spectral projectors of h, one per cluster) are
+    built on first access only.
     """
 
     h: np.ndarray
-    basis: list[np.ndarray]
-    real_dimension: int
-    projectors: list[np.ndarray]
-    clusters: list[list[int]]
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    clusters: list[list[int]]
+    real_dimension: int
+
+    @cached_property
+    def projectors(self) -> list[np.ndarray]:
+        blocks = (self.eigenvectors[:, cluster] for cluster in self.clusters)
+        return [hermitian_part(block @ block.conj().T) for block in blocks]
+
+    @cached_property
+    def basis(self) -> list[np.ndarray]:
+        basis: list[np.ndarray] = []
+        for cluster in self.clusters:
+            block = self.eigenvectors[:, cluster]
+            for a in range(len(cluster)):
+                va = block[:, a : a + 1]
+                basis.append(hermitian_part(va @ va.conj().T))
+                for b in range(a + 1, len(cluster)):
+                    vb = block[:, b : b + 1]
+                    cross = va @ vb.conj().T
+                    basis.append(hermitian_part(cross + cross.conj().T))
+                    basis.append(hermitian_part(1j * (cross - cross.conj().T)))
+        return basis
 
 
 @dataclass
@@ -82,13 +129,19 @@ class SymmetryGenerator:
 
     ``coefficients`` records, per cluster, the positive spectral values and
     the intra-cluster unitary mixer used to assemble S; together these
-    parametrize the whole positive commutant.
+    parametrize the whole positive commutant. ``eigenvalues`` s and
+    ``eigenvectors`` Q = W·blockdiag(V_k) are the same data laid out over
+    the whole space, S = Q·diag(s)·Q†, and ``h`` is the Hermitian
+    equivalent the generator commutes with.
     """
 
     matrix: np.ndarray
     sqrt: np.ndarray
     commutation_residual: float
     coefficients: list[tuple[np.ndarray, np.ndarray]]
+    h: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
 
 @dataclass
@@ -116,61 +169,39 @@ def _relative(num: float, den: float) -> float:
 def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> CommutantBasis:
     """Hermitian commutant of h, organized by the given degeneracy clusters.
 
-    In the eigenbasis of h the commutant consists of Hermitian matrices
-    supported on the diagonal blocks of each cluster; the basis returned is
-    the standard real basis of those blocks, mapped back to the original
-    basis. Raises :class:`NotHermitian` for non-Hermitian input.
+    Certifies h's eigenbasis W: ‖W†W − I‖_F within ``residual_tol``
+    (``projector completeness``) and, per cluster k, the bound on the
+    commutator of every element of the cluster's block (``sym[cluster k]``).
+    Raises :class:`NotHermitian` for non-Hermitian input.
     """
     eigenvalues, W = hermitian_eig(h, tol)
     h_mat = as_matrix(h)
     n = h_mat.shape[0]
-    norm_h = frobenius_norm(h_mat)
 
     flat = sorted(i for cluster in clusters for i in cluster)
     if flat != list(range(n)):
         raise ValueError("clusters must partition the index range of h")
+    clusters = [list(c) for c in clusters]
 
-    basis: list[np.ndarray] = []
-    projectors: list[np.ndarray] = []
-    for cluster in clusters:
-        idx = list(cluster)
-        block = W[:, idx]
-        projectors.append(hermitian_part(block @ block.conj().T))
-        for a in range(len(idx)):
-            va = block[:, a : a + 1]
-            basis.append(hermitian_part(va @ va.conj().T))
-            for b in range(a + 1, len(idx)):
-                vb = block[:, b : b + 1]
-                cross = va @ vb.conj().T
-                basis.append(hermitian_part(cross + cross.conj().T))
-                basis.append(hermitian_part(1j * (cross - cross.conj().T)))
-
-    for i, element in enumerate(basis):
-        residual = _relative(
-            frobenius_norm(element @ h_mat - h_mat @ element),
-            frobenius_norm(element) * norm_h,
-        )
-        if residual > tol.residual_tol:
-            raise ResidualExceeded(f"sym[basis {i}]", residual, tol.residual_tol)
-
-    total = np.zeros((n, n), dtype=np.complex128)
-    for k, P in enumerate(projectors):
-        total += P
-        idem = frobenius_norm(P @ P - P)
-        if idem > tol.residual_tol:
-            raise ResidualExceeded(f"projector idempotence [{k}]", idem, tol.residual_tol)
-    completeness = frobenius_norm(total - np.eye(n))
+    completeness = frobenius_norm(W.conj().T @ W - np.eye(n))
     if completeness > tol.residual_tol:
         raise ResidualExceeded("projector completeness", completeness, tol.residual_tol)
 
+    norm_h = frobenius_norm(h_mat)
+    R = h_mat @ W - W * eigenvalues
+    for k, cluster in enumerate(clusters):
+        values = eigenvalues[cluster]
+        spread = float(values.max() - values.min())
+        certificate = _relative(spread + 2.0 * frobenius_norm(R[:, cluster]), norm_h)
+        if certificate > tol.residual_tol:
+            raise ResidualExceeded(f"sym[cluster {k}]", certificate, tol.residual_tol)
+
     return CommutantBasis(
         h=h_mat,
-        basis=basis,
-        real_dimension=sum(len(c) ** 2 for c in clusters),
-        projectors=projectors,
-        clusters=[list(c) for c in clusters],
         eigenvalues=eigenvalues,
         eigenvectors=W,
+        clusters=clusters,
+        real_dimension=sum(len(c) ** 2 for c in clusters),
     )
 
 
@@ -184,7 +215,8 @@ def symmetry_from_coefficients(
 
     ``values`` gives the positive spectral coefficients per cluster and
     ``mixers`` the optional intra-cluster unitaries (identity by default).
-    S and its square root are built from the same spectral data, so the
+    With Q = W·blockdiag(V_k) and s the coefficients laid out alike,
+    S = Q·diag(s)·Q† and sigma = Q·diag(√s)·Q† take one product each, so the
     root is exact up to roundoff.
     """
     n = cb.h.shape[0]
@@ -193,8 +225,8 @@ def symmetry_from_coefficients(
     if mixers is None:
         mixers = [np.eye(len(c), dtype=np.complex128) for c in cb.clusters]
 
-    S = np.zeros((n, n), dtype=np.complex128)
-    sigma = np.zeros((n, n), dtype=np.complex128)
+    Q = np.zeros((n, n), dtype=np.complex128)
+    spectrum = np.zeros(n)
     coefficients: list[tuple[np.ndarray, np.ndarray]] = []
     for cluster, vals, mixer in zip(cb.clusters, values, mixers):
         s = np.asarray(vals, dtype=np.float64)
@@ -206,13 +238,12 @@ def symmetry_from_coefficients(
             raise NotPositiveDefinite("symmetry coefficients must be strictly positive")
         if V.shape != (d, d) or frobenius_norm(V.conj().T @ V - np.eye(d)) > tol.residual_tol:
             raise ValueError("cluster mixer must be a unitary of the cluster size")
-        block = cb.eigenvectors[:, list(cluster)] @ V
-        S += (block * s) @ block.conj().T
-        sigma += (block * np.sqrt(s)) @ block.conj().T
+        Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
+        spectrum[cluster] = s
         coefficients.append((s.copy(), V.copy()))
 
-    S = hermitian_part(S)
-    sigma = hermitian_part(sigma)
+    S = hermitian_part((Q * spectrum) @ Q.conj().T)
+    sigma = hermitian_part((Q * np.sqrt(spectrum)) @ Q.conj().T)
     commutation = _relative(
         frobenius_norm(S @ cb.h - cb.h @ S), frobenius_norm(S) * frobenius_norm(cb.h)
     )
@@ -224,6 +255,9 @@ def symmetry_from_coefficients(
         sqrt=sigma,
         commutation_residual=commutation,
         coefficients=coefficients,
+        h=cb.h,
+        eigenvalues=spectrum,
+        eigenvectors=Q,
     )
 
 
@@ -261,26 +295,28 @@ def metric_from_symmetry(
 
     Constructs rho' = sqrt(eta'), the intertwiner A = rho'·rho⁻¹, the
     unitary U = A·sigma⁻¹ and B = rho·U, and records every identity
-    residual by name. Residuals are reported, not gated: the verdict
-    belongs to the caller.
+    residual by name. h is the generator's own, the Hermitian equivalent
+    its commutant was built from; a generator of another h shows in the
+    ``sim`` and ``sym`` residuals. sigma⁻¹ = Q·diag(1/√s)·Q† comes from the
+    generator's spectral data, gated on cond(sigma) = √(s_max/s_min) as
+    every inverse application is. Residuals are reported, not gated: the
+    verdict belongs to the caller.
     """
     A_H = as_matrix(H)
     rho = metric.rho
     eta = metric.eta
     S = generator.matrix
     sigma = generator.sqrt
-
-    base = hermitian_equivalent(A_H, metric, tol)
-    h = base.h
+    h = generator.h
 
     eta_prime_raw = rho @ S @ rho
     eta_prime = hermitian_part(eta_prime_raw)
-    rho_prime = sqrt_pd(eta_prime, tol)
+    rho_prime, eta_prime_spectrum = sqrt_pd_eig(eta_prime, tol)
 
     member_metric = MetricOperator(
         eta=eta_prime,
         rho=rho_prime,
-        min_eigenvalue=float(np.linalg.eigvalsh(eta_prime)[0]),
+        min_eigenvalue=float(eta_prime_spectrum[0]),
         hermiticity_residual=_relative(
             frobenius_norm(eta_prime_raw - eta_prime_raw.conj().T), frobenius_norm(eta_prime)
         ),
@@ -289,8 +325,13 @@ def metric_from_symmetry(
     prime_pair = hermitian_equivalent(A_H, member_metric, tol)
     h_prime = prime_pair.h
 
+    root = np.sqrt(generator.eigenvalues)
+    gate_condition(float(root.max()), float(root.min()), tol)
+    Q = generator.eigenvectors
+    sigma_inv = (Q / root) @ Q.conj().T
+
     A = solve_right(rho, rho_prime, tol)
-    U = solve_right(sigma, A, tol)
+    U = A @ sigma_inv
     B = rho @ U
 
     nrm = frobenius_norm
@@ -308,9 +349,10 @@ def metric_from_symmetry(
         # A = U·sigma holds exactly by construction of U; the identity's
         # numerical content is the unitarity of U.
         "A=US": nrm(U.conj().T @ U - np.eye(n)),
-        "B-ph": _relative(nrm(B.conj().T - solve_right(sigma, sigma @ B, tol)), nrm(B)),
+        "B-ph": _relative(nrm(B.conj().T - sigma @ B @ sigma_inv), nrm(B)),
         "eta=BB": _relative(nrm(B @ B.conj().T - eta), nrm(eta)),
-        "eta-form": _relative(nrm(eta_prime - rho @ S @ rho), nrm(eta_prime)),
+        # eta_prime_raw is rho·S·rho, evaluated once
+        "eta-form": _relative(nrm(eta_prime - eta_prime_raw), nrm(eta_prime)),
         "eta-prime-3": _relative(nrm(eta_prime - sigma_rho.conj().T @ sigma_rho), nrm(eta_prime)),
     }
 

@@ -18,7 +18,8 @@ from quasiherm import (
     two_level,
 )
 from quasiherm.linalg import DEFAULT_TOLERANCES
-from quasiherm.report import RESIDUAL_KEYS, VerificationReport
+from quasiherm.report import DEFAULT_MAX_DIM, VerificationReport
+from quasiherm.symmetry import FAMILY_IDENTITIES
 
 
 def test_matrix_round_trip(tmp_path, rng):
@@ -68,7 +69,7 @@ def test_analyze_in_memory_passes():
     assert report.commutant == {"real_dimension": 2, "cluster_sizes": [1, 1]}
     assert [m.seed for m in report.family] == [0, 1, 2]
     for member in report.family:
-        assert set(member.residuals) == set(RESIDUAL_KEYS)
+        assert set(member.residuals) == set(FAMILY_IDENTITIES)
     assert max(report.all_residuals()) <= 1e-8
     eta = matrix_from_payload(report.matrices["eta"])
     npt.assert_allclose(eta, np.diag([1.6, 0.4]), atol=1e-12)
@@ -159,6 +160,17 @@ def test_dimension_cap_enforced():
     assert report.error["type"] == "ParseError"
 
 
+def test_dimension_cap_precedes_model_construction(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("build_model ran before the dimension gate")
+
+    monkeypatch.setattr("quasiherm.report.build_model", refuse)
+    spec = ModelSpec("swanson", {"alpha": 0.3, "beta": 0.5}, dim=DEFAULT_MAX_DIM + 1)
+    report = run_analyze(spec)
+    assert report.verdict == "error"
+    assert report.error["type"] == "ParseError"
+
+
 def test_missing_file_is_an_input_error(tmp_path):
     report = run_analyze(tmp_path / "nope.json")
     assert report.verdict == "error"
@@ -172,7 +184,7 @@ def test_tight_tolerance_fails_verdict():
     assert report.verdict in {"fail", "error"}
     if report.verdict == "fail":
         assert report.exit_code == 2
-        assert report.failure["identity"] in RESIDUAL_KEYS
+        assert report.failure["identity"] in FAMILY_IDENTITIES
         assert report.failure["value"] > report.failure["bound"] == 1e-16
 
 

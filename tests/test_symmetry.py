@@ -1,8 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from quasiherm import (
+    DEFAULT_TOLERANCES,
+    IllConditioned,
     NotPositiveDefinite,
     ResidualExceeded,
     cluster_degeneracies,
@@ -105,6 +110,36 @@ def test_commutant_projectors_resolve_identity():
         npt.assert_allclose(P @ P, P, atol=1e-12)
 
 
+def test_commutant_memory_is_quadratic_in_size():
+    # the eigenbasis form holds O(n²) memory; the dense basis alone is n³
+    n = 128
+    h = conjugated_diagonal(np.arange(1.0, n + 1.0), seed=1)
+    tracemalloc.start()
+    try:
+        cb = commutant_basis(h, [[i] for i in range(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cb.real_dimension == n
+    assert peak < 10 * n * n * 16
+
+
+@pytest.mark.parametrize(
+    "spectrum, clusters, name",
+    [
+        ([1.0, 1.0 + 1e-6, 3.0], [[0, 1], [2]], "sym[cluster 0]"),
+        ([0.0, 2.0, 2.0 + 1e-6], [[0], [1, 2]], "sym[cluster 1]"),
+    ],
+)
+def test_commutant_rejects_cluster_wider_than_residual_tol(spectrum, clusters, name):
+    # a spread of 1e-6 against |h|_F ~ 3 exceeds residual_tol = 1e-8
+    h = conjugated_diagonal(spectrum, seed=6)
+    with pytest.raises(ResidualExceeded) as exc_info:
+        commutant_basis(h, clusters)
+    assert exc_info.value.identity == name
+    assert exc_info.value.value > DEFAULT_TOLERANCES.residual_tol
+
+
 def test_commutant_basis_rejects_bad_partition():
     h = conjugated_diagonal([1.0, 2.0], seed=1)
     with pytest.raises(ValueError):
@@ -154,6 +189,35 @@ def test_symmetry_from_coefficients_validation():
         symmetry_from_coefficients(
             cb, [np.ones(1), np.ones(1)], mixers=[2 * np.eye(1), np.eye(1)]
         )
+
+
+def test_one_product_generator_matches_per_cluster_sum():
+    spectrum = np.array([1.0, 1.0, 1.0, 2.5, 4.0, 4.0])
+    h = conjugated_diagonal(spectrum, seed=9)
+    cb = commutant_basis(h, cluster_degeneracies(spectrum))
+    gen = sample_positive_symmetry(cb, seed=4)
+    S = np.zeros((6, 6), dtype=complex)
+    sigma = np.zeros((6, 6), dtype=complex)
+    for cluster, (s, V) in zip(cb.clusters, gen.coefficients):
+        block = cb.eigenvectors[:, cluster] @ V
+        S += (block * s) @ block.conj().T
+        sigma += (block * np.sqrt(s)) @ block.conj().T
+    npt.assert_allclose(gen.matrix, S, rtol=0, atol=1e-13)
+    npt.assert_allclose(gen.sqrt, sigma, rtol=0, atol=1e-13)
+
+
+def test_member_gates_generator_condition():
+    # cond(sigma) = sqrt(1000) ~ 31.6 exceeds a cap of 10, while rho and
+    # rho' = sqrt(rho·S·rho) both have condition 1000^(1/4) ~ 5.6: only the
+    # gate on sigma can refuse this member
+    H = np.diag([1.0, 2.0]).astype(complex)
+    metric = metric_from_T(np.diag([1.0, 1000.0**-0.25]), H=H)
+    cb = commutant_basis(H, [[0], [1]])
+    gen = symmetry_from_coefficients(cb, [np.array([1.0]), np.array([1000.0])])
+    assert metric_from_symmetry(metric, gen, H).max_residual <= 1e-12
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, condition_cap=10.0)
+    with pytest.raises(IllConditioned):
+        metric_from_symmetry(metric, gen, H, tol)
 
 
 def test_symmetry_diagonal_coefficients_give_diagonal_generator():
