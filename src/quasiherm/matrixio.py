@@ -3,12 +3,18 @@
 A matrix is a JSON document with a ``dim`` field and ``entries`` as an
 array of [re, im] pairs in row-major order. Trivially producible from any
 environment and diffable. All structural problems raise ParseError.
+
+``dumps`` writes matrix documents and reports: it returns exactly
+``json.dumps(payload, indent=2, sort_keys=True)``, but renders each list
+of finite ``[re, im]`` float pairs in one pass instead of through the
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +26,7 @@ def matrix_to_payload(M) -> dict:
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParseError(f"expected a square matrix, got shape {A.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in A.ravel()]
+    entries = np.ascontiguousarray(A).view(np.float64).reshape(-1, 2).tolist()
     return {"dim": int(A.shape[0]), "entries": entries}
 
 
@@ -70,4 +76,52 @@ def load_matrix(path) -> np.ndarray:
 def save_matrix(path, M) -> None:
     """Write a matrix document to ``path``."""
     payload = matrix_to_payload(M)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+
+
+def dumps(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte."""
+    chunks: list[str] = []
+    _emit(payload, "\n", chunks)
+    return "".join(chunks)
+
+
+def _emit(value, newline: str, chunks: list) -> None:
+    """Append ``value``'s pieces, ``newline`` holding its line's indentation."""
+    inner = newline + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        opening = "{"
+        for key in sorted(value):
+            chunks.append(f"{opening}{inner}{json.dumps(key)}: ")
+            _emit(value[key], inner, chunks)
+            opening = ","
+        chunks.append(newline + "}")
+        return
+    flat = _float_pairs(value)
+    if flat is None:
+        # json.dumps escapes newlines inside strings, so every "\n" it
+        # returns starts a line of the layout.
+        chunks.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+        return
+    deeper = inner + "  "
+    pair = f"{inner}[{deeper}%r,{deeper}%r{inner}]"
+    chunks.append("[")
+    chunks.append(",".join([pair] * len(value)) % tuple(flat))
+    chunks.append(newline + "]")
+
+
+def _float_pairs(value):
+    """The flattened items of a non-empty list of finite [float, float] lists, else None.
+
+    %r of an exact float is ``float.__repr__``, which is how json writes a
+    finite float. A finite sum proves every item finite; a sum that
+    overflows sends a finite list to json.dumps, which is slower, not wrong.
+    """
+    if type(value) is not list or not value:
+        return None
+    if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+        return None
+    flat = list(chain.from_iterable(value))
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None
+    return flat

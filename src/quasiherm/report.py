@@ -5,12 +5,16 @@ used, the certified spectrum, the constructed operators, a residual table
 keyed by identity name, and one residual table per sampled family member.
 The verdict is pass iff every recorded residual is within residual_tol.
 Reports are deterministic for identical inputs apart from the timestamp.
+
+The report's byte layout is a contract: indent 2, sorted keys, one
+``[re, im]`` pair per matrix entry in row-major order, and floats in
+shortest round-trip ``repr``. ``to_json`` equals
+``json.dumps(to_payload(), indent=2, sort_keys=True)`` byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +29,7 @@ from .errors import (
     ResidualExceeded,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix
-from .matrixio import load_matrix, matrix_to_payload
+from .matrixio import dumps, load_matrix, matrix_to_payload
 from .metric import full_pipeline
 from .models import ModelSpec, build_model, describe_model
 from .spectral import eig_decompose
@@ -110,7 +114,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True)
+        return dumps(self.to_payload())
 
     @staticmethod
     def from_payload(payload: dict) -> "VerificationReport":
@@ -258,7 +262,11 @@ def _run(
             report.verdict = "pass"
 
     if out is not None:
-        Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
+        except OSError as exc:
+            report.error = _error_payload(exc)
+            report.verdict = "error"
     return report
 
 

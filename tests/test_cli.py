@@ -126,6 +126,16 @@ def test_out_flag_writes_matching_report(tmp_path, capsys):
     assert json.loads(out.read_text()) == payload
 
 
+def test_unwritable_out_exits_one_without_traceback(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code, payload, err = run_cli(capsys, "analyze", "--model", "two_level", "--out", str(out))
+    assert code == 1
+    assert payload["verdict"] == "error"
+    assert payload["error"]["type"] == "FileNotFoundError"
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_family_subcommand(capsys):
     code, payload, _ = run_cli(
         capsys, "family", "--model", "two_level", "--c", "4", "--samples", "2"

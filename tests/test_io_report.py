@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import (
     ModelSpec,
@@ -18,6 +21,7 @@ from quasiherm import (
     two_level,
 )
 from quasiherm.linalg import DEFAULT_TOLERANCES
+from quasiherm.matrixio import dumps
 from quasiherm.report import DEFAULT_MAX_DIM, VerificationReport
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
@@ -27,6 +31,19 @@ def test_matrix_round_trip(tmp_path, rng):
     path = tmp_path / "m.json"
     save_matrix(path, M)
     npt.assert_array_equal(load_matrix(path), M)
+
+
+def test_save_matrix_writes_indented_json(tmp_path):
+    M = np.array([[1.5, -0.0 - 2j], [1e-320, 1e308j]])
+    path = tmp_path / "m.json"
+    save_matrix(path, M)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_payload(M), indent=2) + "\n"
+
+
+def test_matrix_payload_of_a_noncontiguous_matrix():
+    M = np.arange(9.0).reshape(3, 3) - 1j * np.arange(9.0).reshape(3, 3) ** 2
+    expected = [[float(z.real), float(z.imag)] for z in M.T.ravel()]
+    assert matrix_to_payload(M.T)["entries"] == expected
 
 
 def test_matrix_payload_shape():
@@ -212,3 +229,81 @@ def test_out_path_writes_report(tmp_path):
     report = run_analyze(two_level(1, 4, 0), samples=1, out=out)
     on_disk = json.loads(out.read_text())
     assert on_disk == report.to_payload()
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+     float("nan"), float("inf"), float("-inf")]
+)
+_FLOATS = st.floats() | _EDGE_FLOATS
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+_ENTRIES = (
+    st.lists(st.lists(_FINITE, min_size=2, max_size=2), max_size=20)
+    | st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=20)
+    | st.lists(st.lists(_FLOATS | st.integers() | st.booleans(), max_size=3), max_size=8)
+)
+_PAYLOADS = st.recursive(
+    _SCALARS | _ENTRIES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+_MATRIX = st.fixed_dictionaries({"dim": st.integers(0, 9), "entries": _ENTRIES})
+_DOCUMENTS = st.fixed_dictionaries(
+    {"matrices": st.dictionaries(st.text(max_size=6), _MATRIX, max_size=3), "é\n": _PAYLOADS}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS | _MATRIX | _DOCUMENTS)
+def test_dumps_is_indented_sorted_json(payload):
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _fail_report():
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=1e-13)
+    spec = ModelSpec("random_diagonalizable", {"seed": 4, "cond_bound": 100.0}, dim=8)
+    report = run_analyze(spec, tol)
+    assert report.verdict == "fail"
+    return report
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp_path: run_analyze(two_level(1, 4, 0), samples=2),
+        lambda tmp_path: run_family(two_level(1, 4, 0), samples=2),
+        lambda tmp_path: run_spectrum(two_level(1, 4, 0)),
+        lambda tmp_path: run_analyze(tmp_path / "nope.json"),
+        lambda tmp_path: _fail_report(),
+        lambda tmp_path: VerificationReport.from_payload(
+            json.loads(run_analyze(np.diag([1.0, -0.0, 3.0]), samples=1).to_json())
+        ),
+    ],
+    ids=["analyze", "family", "spectrum", "error", "fail", "restored"],
+)
+def test_to_json_is_indented_sorted_json(make, tmp_path):
+    report = make(tmp_path)
+    assert report.to_json() == json.dumps(report.to_payload(), indent=2, sort_keys=True)
+
+
+def test_to_json_peak_memory_is_linear_in_output():
+    spec = ModelSpec("random_diagonalizable", {"seed": 0, "cond_bound": 100.0}, dim=128)
+    report = run_analyze(spec, samples=2)
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
+
+
+def test_unwritable_out_is_an_error_report(tmp_path):
+    report = run_analyze(two_level(1, 4, 0), samples=1, out=tmp_path / "missing" / "r.json")
+    assert report.verdict == "error"
+    assert report.exit_code == 1
+    assert report.error["type"] == "FileNotFoundError"
