@@ -32,9 +32,6 @@ from .linalg import (
     hermiticity_defect,
     hermitize,
     polar_decompose,
-    solve,
-    solve_right,
-    sqrt_pd,
 )
 from .matrixio import load_matrix, matrix_from_payload, matrix_to_payload, save_matrix
 from .metric import (
@@ -70,7 +67,6 @@ from .symmetry import (
     metric_from_symmetry,
     sample_positive_symmetry,
     symmetry_from_coefficients,
-    verify_B_relations,
 )
 
 __version__ = "0.1.0"
@@ -95,9 +91,6 @@ __all__ = [
     "hermiticity_defect",
     "hermitize",
     "hermitian_eig",
-    "sqrt_pd",
-    "solve",
-    "solve_right",
     "polar_decompose",
     "haar_unitary",
     "SpectralData",
@@ -118,7 +111,6 @@ __all__ = [
     "sample_positive_symmetry",
     "metric_from_symmetry",
     "intertwiner_from_metrics",
-    "verify_B_relations",
     "ModelSpec",
     "two_level",
     "swanson",

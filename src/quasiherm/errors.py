@@ -16,11 +16,12 @@ class NotHermitian(QuasiHermError):
 
 
 class NotPositiveDefinite(QuasiHermError):
-    """An eigenvalue fell below the positivity floor."""
+    """A value required to be strictly positive (a symmetry coefficient) is not."""
 
 
 class SingularTransform(QuasiHermError):
-    """Matrix is numerically singular (smallest singular value at noise level)."""
+    """Matrix is numerically singular (smallest singular value at noise level
+    or below the positivity floor)."""
 
 
 class IllConditioned(QuasiHermError):

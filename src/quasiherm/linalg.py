@@ -1,11 +1,11 @@
 """Dense complex matrix kernels.
 
-Arithmetic, norms, Hermitian eigendecomposition, positive-definite square
-root, polar decomposition and linear solves, all on square complex128
-arrays. These are the primitives everything else in the package composes;
-matrix square roots and the polar factorization go through the Hermitian
-eigendecomposition (deterministic, adequate at desk scale) rather than
-iterative schemes.
+Arithmetic, norms, the Hermitian eigendecomposition and the polar
+decomposition, all on square complex128 arrays. These are the primitives
+everything else in the package composes. Every metric comes from one SVD
+of its factor M = W·Σ·V†: the metric V·Σ²·V†, its root V·Σ·V†, the root's
+inverse V·Σ⁻¹·V† and the polar unitary W·V† (:func:`polar_decompose`), so
+no inverse is applied through a linear solve.
 
 All residual checks are relative to operand norms; a matrix whose Frobenius
 norm is below ``ZERO_NORM_FLOOR`` is treated as zero and checked absolutely.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, NotHermitian, NotPositiveDefinite, SingularTransform
+from .errors import IllConditioned, NotHermitian, SingularTransform
 
 # Frobenius norms below this are indistinguishable from zero in double precision.
 ZERO_NORM_FLOOR = 1e-300
@@ -34,10 +34,16 @@ class Tolerances:
     degeneracy_cluster_tol
         Relative eigenvalue gap below which two eigenvalues share a cluster.
     positivity_floor
-        Relative eigenvalue / singular-value floor for "positive definite"
-        and "invertible".
+        Floor on the smallest singular value, relative to the Frobenius
+        norm, below which a matrix counts as singular.
     condition_cap
-        Largest acceptable condition-number estimate.
+        Largest acceptable condition number σ_max/σ_min.
+
+    ``positivity_floor`` and ``condition_cap`` act on the singular values
+    of the factor being rooted or inverted (``T``, ``sigma·rho``, ``rho``,
+    ``sigma``), never on its square ``eta``: a factor within both gates
+    yields a metric, its root and the root's inverse, although the
+    condition number of ``eta`` itself may reach the cap squared.
     """
 
     spectral_reality_tol: float = 1e-9
@@ -86,11 +92,14 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
+def relative_residual(numerator: float, denominator: float) -> float:
+    """numerator / denominator, or the numerator itself for a ~zero denominator."""
+    return numerator if denominator <= ZERO_NORM_FLOOR else numerator / denominator
+
+
 def hermiticity_defect(M: np.ndarray) -> float:
     """Relative asymmetry ||M - M†|| / ||M|| (absolute for ~zero M)."""
-    nrm = frobenius_norm(M)
-    defect = frobenius_norm(M - M.conj().T)
-    return defect if nrm <= ZERO_NORM_FLOOR else defect / nrm
+    return relative_residual(frobenius_norm(M - M.conj().T), frobenius_norm(M))
 
 
 def hermitize(M, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -117,23 +126,6 @@ def hermitian_eig(M, tol: Tolerances = DEFAULT_TOLERANCES):
     return eigenvalues, V
 
 
-def sqrt_pd(M, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Unique positive square root of a Hermitian positive-definite matrix."""
-    return sqrt_pd_eig(M, tol)[0]
-
-
-def sqrt_pd_eig(M, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sqrt_pd` together with the ascending eigenvalues of M it was built from."""
-    eigenvalues, V = hermitian_eig(M, tol)
-    floor = tol.positivity_floor * max(frobenius_norm(M), ZERO_NORM_FLOOR)
-    if eigenvalues[0] <= floor:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {eigenvalues[0]:.3e} at or below floor {floor:.3e}"
-        )
-    root = (V * np.sqrt(eigenvalues)) @ V.conj().T
-    return hermitian_part(root), eigenvalues
-
-
 def gate_condition(smax: float, smin: float, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     """Gate the condition number smax/smin of a matrix about to be inverted.
 
@@ -151,43 +143,32 @@ def gate_condition(smax: float, smin: float, tol: Tolerances = DEFAULT_TOLERANCE
         raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
 
 
-def solve(M, rhs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Solve M X = rhs with singularity and conditioning gates.
+def polar_decompose(M, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Polar factors of an invertible M from one SVD, M = W·Σ·V†.
 
-    Realizes every inverse application in the pipeline without forming an
-    explicit inverse. ``rhs`` may be a vector or a matrix.
+    Returns ``(X, rho, rho_inv, eta, singular_values)``: the unitary
+    X = W·V†, the positive root rho = V·Σ·V† of eta = M†M = V·Σ²·V†, its
+    inverse rho⁻¹ = V·Σ⁻¹·V† and the singular values, descending, so that
+    M = X·rho and cond(M) = σ_max/σ_min. The singular values are gated
+    once: :class:`SingularTransform` at or below
+    ``positivity_floor·‖M‖_F`` or at roundoff relative to σ_max, and
+    :class:`IllConditioned` beyond ``condition_cap``.
     """
     A = as_matrix(M)
-    b = np.asarray(rhs, dtype=np.complex128)
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"rhs leading dimension {b.shape[0]} != matrix dim {A.shape[0]}")
-    singular_values = np.linalg.svd(A, compute_uv=False)
-    gate_condition(singular_values[0], singular_values[-1], tol)
-    return np.linalg.solve(A, b)
-
-
-def solve_right(M, lhs, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Return lhs · M⁻¹ by solving X M = lhs (no explicit inverse)."""
-    A = as_matrix(M)
-    return solve(A.conj().T, np.asarray(lhs, dtype=np.complex128).conj().T, tol).conj().T
-
-
-def polar_decompose(T, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Polar decomposition T = U·rho of an invertible matrix.
-
-    ``rho = sqrt(T†T)`` is Hermitian positive-definite and ``U`` is unitary.
-    Raises :class:`SingularTransform` when T is numerically singular.
-    """
-    A = as_matrix(T)
-    singular_values = np.linalg.svd(A, compute_uv=False)
-    if singular_values[-1] <= tol.positivity_floor * max(frobenius_norm(A), ZERO_NORM_FLOOR):
+    W, s, Vh = np.linalg.svd(A)
+    floor = tol.positivity_floor * max(float(np.linalg.norm(s)), ZERO_NORM_FLOOR)
+    if s[-1] <= floor:
         raise SingularTransform(
-            f"smallest singular value {singular_values[-1]:.3e} below invertibility floor"
+            f"smallest singular value {s[-1]:.3e} at or below floor {floor:.3e}"
         )
-    rho = sqrt_pd(hermitian_part(A.conj().T @ A), tol)
-    # U = T rho^{-1} = (rho^{-1} T†)† since rho is Hermitian
-    U = np.linalg.solve(rho, A.conj().T).conj().T
-    return U, rho
+    gate_condition(s[0], s[-1], tol)
+    V = Vh.conj().T
+    rho, rho_inv, eta = ((V * d) @ Vh for d in (s, 1 / s, s**2))
+    for P in (rho, rho_inv, eta):
+        # hermitian_part in place: two n×n temporaries fewer per product
+        P += P.conj().T
+        P /= 2
+    return W @ Vh, rho, rho_inv, eta, s
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 The existence construction: diagonalize H with row transform T, set
 ``eta = T†T`` (Hermitian positive-definite), ``rho = sqrt(eta)``, and
-``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. Every inverse
-application goes through a linear solve; rho⁻¹ is never formed.
+``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. One SVD of T
+gives eta, rho, rho⁻¹ and the polar unitary U of ``T = U·rho``, with
+``h = U†·H_d·U`` (see :func:`~quasiherm.linalg.polar_decompose`); h is
+then formed by products.
 """
 
 from __future__ import annotations
@@ -12,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianEquivalent, NotPositiveDefinite, ResidualExceeded, SingularTransform
+from .errors import NotHermitianEquivalent, ResidualExceeded
 from .linalg import (
     DEFAULT_TOLERANCES,
-    ZERO_NORM_FLOOR,
     Tolerances,
     as_matrix,
     frobenius_norm,
     hermitian_part,
     hermiticity_defect,
     polar_decompose,
-    solve_right,
+    relative_residual,
 )
 from .spectral import SpectralData, eig_decompose
 
@@ -31,6 +32,8 @@ from .spectral import SpectralData, eig_decompose
 class MetricOperator:
     """Positive-definite metric ``eta`` with its positive square root ``rho``.
 
+    ``rho_inv`` is rho⁻¹ and ``unitary`` the polar unitary X of the factor
+    M = X·rho the metric was built from (``eta = M†M``).
     ``pseudo_hermiticity_residual`` is the certified ``H†eta - eta H``
     residual against the generating Hamiltonian (None when the metric was
     built without one).
@@ -38,8 +41,9 @@ class MetricOperator:
 
     eta: np.ndarray
     rho: np.ndarray
+    rho_inv: np.ndarray
+    unitary: np.ndarray
     min_eigenvalue: float
-    hermiticity_residual: float
     pseudo_hermiticity_residual: float | None = None
 
     @property
@@ -54,7 +58,7 @@ class EquivalencePair:
     H: np.ndarray
     h: np.ndarray
     metric: MetricOperator
-    U: np.ndarray | None
+    U: np.ndarray
     similarity_residual: float
     spectral: SpectralData | None = None
 
@@ -67,37 +71,21 @@ def verify_pseudo_hermitian(H, eta) -> float:
     """
     A = as_matrix(H)
     E = as_matrix(eta)
-    numerator = frobenius_norm(A.conj().T @ E - E @ A)
-    denominator = frobenius_norm(E) * frobenius_norm(A)
-    if denominator <= ZERO_NORM_FLOOR:
-        return numerator
-    return numerator / denominator
+    return relative_residual(
+        frobenius_norm(A.conj().T @ E - E @ A), frobenius_norm(E) * frobenius_norm(A)
+    )
 
 
 def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOperator:
     """Metric ``eta = T†T`` for the row transform T, with ``rho = sqrt(eta)``.
 
-    eta is formed directly from T (better conditioned than squaring the
-    polar factor) and rho recovered by the positive square root. When the
+    eta, rho, rho⁻¹ and the polar unitary come from one SVD of T, whose
+    singular values are gated (:func:`~quasiherm.linalg.polar_decompose`),
+    not those of the squared eta. When the
     generating Hamiltonian is supplied, its pseudo-Hermiticity residual is
     certified against ``residual_tol``.
     """
-    A = as_matrix(T)
-    singular_values = np.linalg.svd(A, compute_uv=False)
-    if singular_values[-1] <= tol.positivity_floor * max(frobenius_norm(A), ZERO_NORM_FLOOR):
-        raise SingularTransform("transform is numerically singular; no metric exists")
-
-    raw = A.conj().T @ A
-    hermiticity_residual = hermiticity_defect(raw)
-    eta = hermitian_part(raw)
-
-    eigenvalues, V = np.linalg.eigh(eta)
-    min_eigenvalue = float(eigenvalues[0])
-    if min_eigenvalue <= tol.positivity_floor * frobenius_norm(eta):
-        raise NotPositiveDefinite(
-            f"metric eigenvalue {min_eigenvalue:.3e} below positivity floor"
-        )
-    rho = hermitian_part((V * np.sqrt(eigenvalues)) @ V.conj().T)
+    X, rho, rho_inv, eta, singular_values = polar_decompose(T, tol)
 
     pseudo = None
     if H is not None:
@@ -108,8 +96,9 @@ def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOper
     return MetricOperator(
         eta=eta,
         rho=rho,
-        min_eigenvalue=min_eigenvalue,
-        hermiticity_residual=hermiticity_residual,
+        rho_inv=rho_inv,
+        unitary=X,
+        min_eigenvalue=float(singular_values[-1] ** 2),
         pseudo_hermiticity_residual=pseudo,
     )
 
@@ -118,19 +107,19 @@ def hermitian_equivalent(
     H,
     metric: MetricOperator,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    T=None,
     certified_spectrum=None,
 ) -> EquivalencePair:
     """Hermitian equivalent ``h = rho·H·rho⁻¹`` of H under a certified metric.
 
     h is symmetrized only after passing the Hermiticity gate; a failure
     signals an invalid metric upstream (:class:`NotHermitianEquivalent`).
-    When T is available the polar unitary U is recovered from it, and when
-    the certified spectrum is supplied the isospectrality of h is checked.
+    U is the metric's polar unitary, and when the certified spectrum is
+    supplied the isospectrality of h is checked.
     """
     A = as_matrix(H)
     rho = metric.rho
-    h_raw = solve_right(rho, rho @ A, tol)
+    rho_H = rho @ A
+    h_raw = rho_H @ metric.rho_inv
 
     defect = hermiticity_defect(h_raw)
     if defect > tol.residual_tol:
@@ -141,13 +130,11 @@ def hermitian_equivalent(
     h = hermitian_part(h_raw)
 
     norm_H = frobenius_norm(A)
-    similarity = frobenius_norm(rho @ A - h @ rho)
-    denom = frobenius_norm(rho) * norm_H
-    similarity_residual = similarity if denom <= ZERO_NORM_FLOOR else similarity / denom
+    similarity_residual = relative_residual(
+        frobenius_norm(rho_H - h @ rho), frobenius_norm(rho) * norm_H
+    )
     if similarity_residual > tol.residual_tol:
         raise ResidualExceeded("H=H", similarity_residual, tol.residual_tol)
-
-    U = polar_decompose(T, tol)[0] if T is not None else None
 
     if certified_spectrum is not None:
         expected = np.sort(np.asarray(certified_spectrum, dtype=np.float64))
@@ -160,7 +147,7 @@ def hermitian_equivalent(
         H=A,
         h=h,
         metric=metric,
-        U=U,
+        U=metric.unitary,
         similarity_residual=similarity_residual,
     )
 
@@ -177,11 +164,7 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     spectral = eig_decompose(A, tol)
     metric = metric_from_T(spectral.T, tol, H=A)
     pair = hermitian_equivalent(
-        A,
-        metric,
-        tol,
-        T=spectral.T,
-        certified_spectrum=spectral.real_eigenvalues,
+        A, metric, tol, certified_spectrum=spectral.real_eigenvalues
     )
     pair.spectral = spectral
     return pair

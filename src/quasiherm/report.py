@@ -185,10 +185,12 @@ def _run(
     spread: float,
     out,
     max_dim: int,
-    with_metric: bool,
-    with_family: bool,
-    with_matrices: bool,
 ) -> VerificationReport:
+    """Run the stages ``command`` selects and record them in a report.
+
+    ``spectrum`` stops after the spectral data, ``family`` adds the metric
+    and its sampled family, and ``analyze`` also records the matrices.
+    """
     report = VerificationReport(
         command=command,
         input={},
@@ -198,12 +200,12 @@ def _run(
     try:
         H, report.input = _resolve_input(source, max_dim)
 
-        if with_metric:
-            pair = full_pipeline(H, tol)
-            spectral = pair.spectral
-        else:
+        if command == "spectrum":
             spectral = eig_decompose(H, tol)
             pair = None
+        else:
+            pair = full_pipeline(H, tol)
+            spectral = pair.spectral
 
         report.eigenvalues = _complex_pairs(spectral.eigenvalues)
         report.clusters = [list(c) for c in spectral.clusters]
@@ -214,26 +216,24 @@ def _run(
                 "ph": float(pair.metric.pseudo_hermiticity_residual),
                 "H=H": float(pair.similarity_residual),
             }
-            if with_matrices:
+            if command == "analyze":
                 report.matrices = {
                     "eta": matrix_to_payload(pair.metric.eta),
                     "rho": matrix_to_payload(pair.metric.rho),
                     "h": matrix_to_payload(pair.h),
                 }
-            if with_family:
-                cb = commutant_basis(pair.h, spectral.clusters, tol)
-                report.commutant = {
-                    "real_dimension": cb.real_dimension,
-                    "cluster_sizes": [len(c) for c in cb.clusters],
-                }
-                for i in range(samples):
-                    generator = sample_positive_symmetry(cb, seed + i, spread, tol)
-                    member = metric_from_symmetry(pair.metric, generator, H, tol)
-                    report.family.append(
-                        FamilyMemberSummary(
-                            seed=seed + i, spread=spread, residuals=member.residuals
-                        )
-                    )
+            cb = commutant_basis(pair.h, spectral.clusters, tol)
+            report.commutant = {
+                "real_dimension": cb.real_dimension,
+                "cluster_sizes": [len(c) for c in cb.clusters],
+            }
+            for member_seed in range(seed, seed + samples):
+                generator = sample_positive_symmetry(cb, member_seed, spread, tol)
+                # keep the residuals only: a member's matrices die here
+                residuals = metric_from_symmetry(pair.metric, generator, H, tol).residuals
+                report.family.append(
+                    FamilyMemberSummary(seed=member_seed, spread=spread, residuals=residuals)
+                )
     except ResidualExceeded as exc:
         report.residuals[exc.identity] = float(exc.value)
         report.failure = {
@@ -280,10 +280,7 @@ def run_analyze(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> VerificationReport:
     """Full treatment: pipeline, commutant, sampled metric family, verdict."""
-    return _run(
-        "analyze", source, tol, samples, seed, spread, out, max_dim,
-        with_metric=True, with_family=True, with_matrices=True,
-    )
+    return _run("analyze", source, tol, samples, seed, spread, out, max_dim)
 
 
 def run_family(
@@ -296,10 +293,7 @@ def run_family(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> VerificationReport:
     """Symmetry-family sampling only; matrices are left out of the report."""
-    return _run(
-        "family", source, tol, samples, seed, spread, out, max_dim,
-        with_metric=True, with_family=True, with_matrices=False,
-    )
+    return _run("family", source, tol, samples, seed, spread, out, max_dim)
 
 
 def run_spectrum(
@@ -309,7 +303,4 @@ def run_spectrum(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> VerificationReport:
     """Spectral diagnostics only: eigenvalues, clusters, conditioning."""
-    return _run(
-        "spectrum", source, tol, 0, 0, 10.0, out, max_dim,
-        with_metric=False, with_family=False, with_matrices=False,
-    )
+    return _run("spectrum", source, tol, 0, 0, 10.0, out, max_dim)

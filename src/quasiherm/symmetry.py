@@ -57,10 +57,10 @@ from .linalg import (
     haar_unitary,
     hermitian_eig,
     hermitian_part,
-    solve_right,
-    sqrt_pd_eig,
+    polar_decompose,
+    relative_residual,
 )
-from .metric import MetricOperator, hermitian_equivalent, verify_pseudo_hermitian
+from .metric import MetricOperator, hermitian_equivalent, metric_from_T, verify_pseudo_hermitian
 
 # Residuals attached to every family member, keyed by identity name.
 FAMILY_IDENTITIES = (
@@ -162,10 +162,6 @@ class MetricFamilyMember:
         return max(self.residuals.values())
 
 
-def _relative(num: float, den: float) -> float:
-    return num if den <= 1e-300 else num / den
-
-
 def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> CommutantBasis:
     """Hermitian commutant of h, organized by the given degeneracy clusters.
 
@@ -192,7 +188,7 @@ def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> Commut
     for k, cluster in enumerate(clusters):
         values = eigenvalues[cluster]
         spread = float(values.max() - values.min())
-        certificate = _relative(spread + 2.0 * frobenius_norm(R[:, cluster]), norm_h)
+        certificate = relative_residual(spread + 2.0 * frobenius_norm(R[:, cluster]), norm_h)
         if certificate > tol.residual_tol:
             raise ResidualExceeded(f"sym[cluster {k}]", certificate, tol.residual_tol)
 
@@ -244,7 +240,7 @@ def symmetry_from_coefficients(
 
     S = hermitian_part((Q * spectrum) @ Q.conj().T)
     sigma = hermitian_part((Q * np.sqrt(spectrum)) @ Q.conj().T)
-    commutation = _relative(
+    commutation = relative_residual(
         frobenius_norm(S @ cb.h - cb.h @ S), frobenius_norm(S) * frobenius_norm(cb.h)
     )
     if commutation > tol.residual_tol:
@@ -293,14 +289,16 @@ def metric_from_symmetry(
 ) -> MetricFamilyMember:
     """Build the family member eta' = rho·S·rho and verify the identity chain.
 
-    Constructs rho' = sqrt(eta'), the intertwiner A = rho'·rho⁻¹, the
-    unitary U = A·sigma⁻¹ and B = rho·U, and records every identity
-    residual by name. h is the generator's own, the Hermitian equivalent
-    its commutant was built from; a generator of another h shows in the
-    ``sim`` and ``sym`` residuals. sigma⁻¹ = Q·diag(1/√s)·Q† comes from the
-    generator's spectral data, gated on cond(sigma) = √(s_max/s_min) as
-    every inverse application is. Residuals are reported, not gated: the
-    verdict belongs to the caller.
+    eta' = (sigma·rho)†(sigma·rho) is the metric of the factor sigma·rho, so
+    one SVD of that factor gives eta', rho', rho'⁻¹ and the polar unitary
+    X of sigma·rho = X·rho' (:func:`~quasiherm.metric.metric_from_T`).
+    Then A = rho'·rho⁻¹ = X†·sigma, so U = X† is unitary by construction
+    and B = rho·U; every identity residual is recorded by name. h is the
+    generator's own, the Hermitian equivalent its commutant was built
+    from; a generator of another h shows in the ``sim`` and ``sym``
+    residuals. sigma⁻¹ = Q·diag(1/√s)·Q† comes from the generator's
+    spectral data, gated on cond(sigma) = √(s_max/s_min). Residuals are
+    reported, not gated: the verdict belongs to the caller.
     """
     A_H = as_matrix(H)
     rho = metric.rho
@@ -309,51 +307,44 @@ def metric_from_symmetry(
     sigma = generator.sqrt
     h = generator.h
 
-    eta_prime_raw = rho @ S @ rho
-    eta_prime = hermitian_part(eta_prime_raw)
-    rho_prime, eta_prime_spectrum = sqrt_pd_eig(eta_prime, tol)
-
-    member_metric = MetricOperator(
-        eta=eta_prime,
-        rho=rho_prime,
-        min_eigenvalue=float(eta_prime_spectrum[0]),
-        hermiticity_residual=_relative(
-            frobenius_norm(eta_prime_raw - eta_prime_raw.conj().T), frobenius_norm(eta_prime)
-        ),
-        pseudo_hermiticity_residual=verify_pseudo_hermitian(A_H, eta_prime),
-    )
-    prime_pair = hermitian_equivalent(A_H, member_metric, tol)
-    h_prime = prime_pair.h
-
     root = np.sqrt(generator.eigenvalues)
     gate_condition(float(root.max()), float(root.min()), tol)
     Q = generator.eigenvectors
     sigma_inv = (Q / root) @ Q.conj().T
 
-    A = solve_right(rho, rho_prime, tol)
-    U = A @ sigma_inv
+    sigma_rho = sigma @ rho
+    member_metric = metric_from_T(sigma_rho, tol)
+    eta_prime = member_metric.eta
+    rho_prime = member_metric.rho
+    member_metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A_H, eta_prime)
+    prime_pair = hermitian_equivalent(A_H, member_metric, tol)
+    h_prime = prime_pair.h
+
+    A = rho_prime @ metric.rho_inv
+    U = member_metric.unitary.conj().T
     B = rho @ U
 
     nrm = frobenius_norm
     n = A_H.shape[0]
     AdgA = A.conj().T @ A
-    sigma_rho = sigma @ rho
 
     residuals = {
         "ph": member_metric.pseudo_hermiticity_residual,
         "H=H": prime_pair.similarity_residual,
-        "sim": _relative(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h)),
-        "sym": _relative(nrm(AdgA @ h - h @ AdgA), nrm(AdgA) * nrm(h)),
-        "eta-prime": _relative(nrm(eta_prime - rho @ AdgA @ rho), nrm(eta_prime)),
-        "A-ph": _relative(nrm(rho @ A.conj().T - A @ rho), nrm(rho) * nrm(A)),
-        # A = U·sigma holds exactly by construction of U; the identity's
-        # numerical content is the unitarity of U.
-        "A=US": nrm(U.conj().T @ U - np.eye(n)),
-        "B-ph": _relative(nrm(B.conj().T - sigma @ B @ sigma_inv), nrm(B)),
-        "eta=BB": _relative(nrm(B @ B.conj().T - eta), nrm(eta)),
-        # eta_prime_raw is rho·S·rho, evaluated once
-        "eta-form": _relative(nrm(eta_prime - eta_prime_raw), nrm(eta_prime)),
-        "eta-prime-3": _relative(nrm(eta_prime - sigma_rho.conj().T @ sigma_rho), nrm(eta_prime)),
+        "sim": relative_residual(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h)),
+        "sym": relative_residual(nrm(AdgA @ h - h @ AdgA), nrm(AdgA) * nrm(h)),
+        "eta-prime": relative_residual(nrm(eta_prime - rho @ AdgA @ rho), nrm(eta_prime)),
+        "A-ph": relative_residual(nrm(rho @ A.conj().T - A @ rho), nrm(rho) * nrm(A)),
+        # U is the polar factor X†, not A·sigma⁻¹, so both halves are checked
+        "A=US": max(
+            nrm(U.conj().T @ U - np.eye(n)), relative_residual(nrm(A - U @ sigma), nrm(A))
+        ),
+        "B-ph": relative_residual(nrm(B.conj().T - sigma @ B @ sigma_inv), nrm(B)),
+        "eta=BB": relative_residual(nrm(B @ B.conj().T - eta), nrm(eta)),
+        "eta-form": relative_residual(nrm(eta_prime - rho @ S @ rho), nrm(eta_prime)),
+        "eta-prime-3": relative_residual(
+            nrm(eta_prime - sigma_rho.conj().T @ sigma_rho), nrm(eta_prime)
+        ),
     }
 
     return MetricFamilyMember(
@@ -387,36 +378,24 @@ def intertwiner_from_metrics(
     h = as_matrix(h)
     h_prime = as_matrix(h_prime)
 
-    A = solve_right(rho, rho_prime, tol)
+    X, _, rho_root_inv, _, _ = polar_decompose(rho, tol)
+    # rho = X·root, so rho⁻¹ = root⁻¹·X†
+    A = rho_prime @ rho_root_inv @ X.conj().T
     S = hermitian_part(A.conj().T @ A)
 
     nrm = frobenius_norm
     checks = (
-        ("sim", _relative(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h))),
-        ("sym", _relative(nrm(S @ h - h @ S), nrm(S) * nrm(h))),
-        ("A-ph", _relative(nrm(rho @ A.conj().T - A @ rho), nrm(rho) * nrm(A))),
+        ("sim", relative_residual(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h))),
+        ("sym", relative_residual(nrm(S @ h - h @ S), nrm(S) * nrm(h))),
+        ("A-ph", relative_residual(nrm(rho @ A.conj().T - A @ rho), nrm(rho) * nrm(A))),
         (
             "eta-prime",
-            _relative(nrm(rho_prime @ rho_prime - rho @ S @ rho), nrm(rho_prime @ rho_prime)),
+            relative_residual(
+                nrm(rho_prime @ rho_prime - rho @ S @ rho), nrm(rho_prime @ rho_prime)
+            ),
         ),
     )
     for name, value in checks:
         if value > tol.residual_tol:
             raise ResidualExceeded(name, value, tol.residual_tol)
     return A, S
-
-
-def verify_B_relations(B, sigma, eta, tol: Tolerances = DEFAULT_TOLERANCES) -> dict[str, float]:
-    """Diagnostic residuals for the sigma-pseudo-Hermiticity of B.
-
-    Returns {"B-ph": ||B† - sigma·B·sigma⁻¹|| / ||B||,
-    "eta=BB": ||B·B† - eta|| / ||eta||}; reports, never raises.
-    """
-    B = as_matrix(B)
-    sigma = as_matrix(sigma)
-    eta = as_matrix(eta)
-    nrm = frobenius_norm
-    return {
-        "B-ph": _relative(nrm(B.conj().T - solve_right(sigma, sigma @ B, tol)), nrm(B)),
-        "eta=BB": _relative(nrm(B @ B.conj().T - eta), nrm(eta)),
-    }

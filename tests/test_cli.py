@@ -56,10 +56,17 @@ def test_rotation_exits_one(tmp_path, capsys):
     assert len(payload["error"]["eigenvalues"]) == 2
 
 
-def test_tight_tolerance_exits_two(capsys):
+def near_degenerate_file(tmp_path):
+    # one cluster [0, 1] of spread 1e-9: certified at the default residual
+    # tolerance, refused (sym[cluster 0]) at 1e-13
+    path = tmp_path / "near_degenerate.json"
+    save_matrix(path, np.diag([1.0, 1.0 + 1e-9, 3.0]))
+    return str(path)
+
+
+def test_tight_tolerance_exits_two(tmp_path, capsys):
     code, payload, err = run_cli(
-        capsys, "analyze", "--model", "random", "--dim", "8",
-        "--model-seed", "4", "--tol", "1e-13",
+        capsys, "analyze", near_degenerate_file(tmp_path), "--tol", "1e-13"
     )
     assert code == 2
     assert payload["verdict"] == "fail"
@@ -67,20 +74,17 @@ def test_tight_tolerance_exits_two(capsys):
     assert "residual failure" in err
 
 
-def test_env_var_tolerance_is_used(capsys, monkeypatch):
+def test_env_var_tolerance_is_used(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QUASIHERM_RESIDUAL_TOL", "1e-13")
-    code, payload, _ = run_cli(
-        capsys, "analyze", "--model", "random", "--dim", "8", "--model-seed", "4"
-    )
+    code, payload, _ = run_cli(capsys, "analyze", near_degenerate_file(tmp_path))
     assert code == 2
     assert payload["tolerances"]["residual_tol"] == 1e-13
 
 
-def test_flag_overrides_env_var(capsys, monkeypatch):
+def test_flag_overrides_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QUASIHERM_RESIDUAL_TOL", "1e-13")
     code, payload, _ = run_cli(
-        capsys, "analyze", "--model", "random", "--dim", "8",
-        "--model-seed", "4", "--tol", "1e-8",
+        capsys, "analyze", near_degenerate_file(tmp_path), "--tol", "1e-8"
     )
     assert code == 0
     assert payload["tolerances"]["residual_tol"] == 1e-8
@@ -173,3 +177,12 @@ def test_repeat_runs_identical_modulo_timestamp(capsys):
     p1.pop("generated_at")
     p2.pop("generated_at")
     assert p1 == p2
+
+
+def test_analyze_swanson_200_exits_zero(capsys):
+    code, payload, _ = run_cli(
+        capsys, "analyze", "--model", "swanson", "--dim", "200",
+        "--alpha", "0.3", "--beta", "0.5",
+    )
+    assert code == 0
+    assert payload["verdict"] == "pass"

@@ -1,0 +1,54 @@
+"""Exact numpy.linalg factorization counts of the metric constructions."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from quasiherm import (
+    commutant_basis,
+    full_pipeline,
+    metric_from_symmetry,
+    random_diagonalizable,
+    sample_positive_symmetry,
+)
+
+# numpy.linalg entry points that factorize their argument
+FACTORIZING = (
+    "svd", "cond", "matrix_rank", "pinv", "eig", "eigvals", "eigh", "eigvalsh",
+    "solve", "qr", "inv", "cholesky", "lstsq", "det", "slogdet",
+)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count calls to each factorizing numpy.linalg entry point by name."""
+    counts = Counter()
+    for name in FACTORIZING:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_full_pipeline_factorizations(linalg_calls):
+    H, _ = random_diagonalizable(6, seed=3)
+    linalg_calls.clear()
+    full_pipeline(H)
+    # eig_decompose: eig and two condition SVDs; metric_from_T: one SVD;
+    # hermitian_equivalent: the isospectrality eigvalsh
+    assert linalg_calls == Counter(eig=1, svd=3, eigvalsh=1)
+
+
+def test_family_member_is_one_svd(linalg_calls):
+    H, _ = random_diagonalizable(6, seed=3)
+    pair = full_pipeline(H)
+    generator = sample_positive_symmetry(commutant_basis(pair.h, pair.spectral.clusters), seed=1)
+    linalg_calls.clear()
+    member = metric_from_symmetry(pair.metric, generator, H)
+    assert linalg_calls == Counter(svd=1)
+    assert member.max_residual <= 1e-12

@@ -264,9 +264,9 @@ def test_dumps_is_indented_sorted_json(payload):
 
 
 def _fail_report():
+    # cluster [0, 1] has spread 1e-9, wider than 1e-13 relative to |h|
     tol = dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=1e-13)
-    spec = ModelSpec("random_diagonalizable", {"seed": 4, "cond_bound": 100.0}, dim=8)
-    report = run_analyze(spec, tol)
+    report = run_analyze(np.diag([1.0, 1.0 + 1e-9, 3.0]), tol)
     assert report.verdict == "fail"
     return report
 
@@ -307,3 +307,16 @@ def test_unwritable_out_is_an_error_report(tmp_path):
     assert report.verdict == "error"
     assert report.exit_code == 1
     assert report.error["type"] == "FileNotFoundError"
+
+
+def test_swanson_200_passes_with_cond_T_far_below_the_cap():
+    # cond(T) = 7.1e5: the gates act on T's singular values, not on the
+    # squared eta, whose smallest eigenvalue is 1.6e-11 relative
+    spec = ModelSpec("swanson", {"omega": 2.0, "alpha": 0.3, "beta": 0.5}, dim=200)
+    report = run_analyze(spec)
+    assert report.verdict == "pass"
+    assert report.cond_T < 1e6
+    assert len(report.family) == 5
+    for member in report.family:
+        assert set(member.residuals) == set(FAMILY_IDENTITIES)
+        assert max(member.residuals.values()) <= 1e-8

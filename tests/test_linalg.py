@@ -5,7 +5,6 @@ import pytest
 from quasiherm import (
     IllConditioned,
     NotHermitian,
-    NotPositiveDefinite,
     SingularTransform,
     Tolerances,
     as_matrix,
@@ -16,9 +15,6 @@ from quasiherm import (
     hermiticity_defect,
     hermitize,
     polar_decompose,
-    solve,
-    solve_right,
-    sqrt_pd,
 )
 
 
@@ -84,34 +80,36 @@ def test_hermitian_eig_known_spectra():
     npt.assert_allclose(values, [1.0, 3.0], atol=1e-14)
 
 
+# The positive root of eta = M†M and its inverse come from the polar factors
+# of M (one SVD); they replace a positive-definite square root and a solve.
+
+
 def test_sqrt_pd_closed_form():
-    # eigenpairs (1, 3) with +-45 degree eigenvectors
-    M = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+    # R†R = [[2, 1], [1, 2]], eigenpairs (1, 3) with +-45 degree eigenvectors
+    R = np.array([[np.sqrt(2.0), 1 / np.sqrt(2.0)], [0.0, np.sqrt(1.5)]], dtype=complex)
+    _, rho, rho_inv, eta, _ = polar_decompose(R)
     r3 = np.sqrt(3.0)
     expected = 0.5 * np.array([[r3 + 1, r3 - 1], [r3 - 1, r3 + 1]])
-    npt.assert_allclose(sqrt_pd(M), expected, atol=1e-14)
+    npt.assert_allclose(eta, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
+    npt.assert_allclose(rho, expected, atol=1e-14)
+    npt.assert_allclose(rho_inv, np.linalg.inv(expected), atol=1e-14)
 
 
 def test_sqrt_pd_squares_back(rng):
-    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    M = hermitian_part(A @ A.conj().T) + 0.1 * np.eye(5)
-    R = sqrt_pd(M)
+    F = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    _, R, _, eta, _ = polar_decompose(F)
     npt.assert_allclose(R, R.conj().T, atol=1e-13)
-    npt.assert_allclose(R @ R, M, atol=1e-11)
-
-
-def test_sqrt_pd_rejects_indefinite_and_singular():
-    with pytest.raises(NotPositiveDefinite):
-        sqrt_pd(np.diag([1.0, -1.0]).astype(complex))
-    with pytest.raises(NotPositiveDefinite):
-        sqrt_pd(np.diag([1.0, 0.0]).astype(complex))
+    npt.assert_allclose(eta, F.conj().T @ F, atol=1e-12)
+    npt.assert_allclose(R @ R, eta, atol=1e-11)
 
 
 def test_sqrt_pd_diagonal_cases():
-    npt.assert_allclose(sqrt_pd(np.eye(3, dtype=complex)), np.eye(3), atol=1e-15)
-    npt.assert_allclose(
-        sqrt_pd(np.diag([4.0, 9.0]).astype(complex)), np.diag([2.0, 3.0]), atol=1e-14
-    )
+    _, rho, _, eta, _ = polar_decompose(np.eye(3, dtype=complex))
+    npt.assert_allclose(rho, np.eye(3), atol=1e-15)
+    npt.assert_allclose(eta, np.eye(3), atol=1e-15)
+    _, rho, _, eta, _ = polar_decompose(np.diag([2.0, 3.0]).astype(complex))
+    npt.assert_allclose(rho, np.diag([2.0, 3.0]), atol=1e-14)
+    npt.assert_allclose(eta, np.diag([4.0, 9.0]), atol=1e-14)
 
 
 def random_invertible(n, rng, smin=0.5, smax=2.0):
@@ -120,15 +118,18 @@ def random_invertible(n, rng, smin=0.5, smax=2.0):
 
 
 def test_sqrt_and_eig_property_ensemble():
-    # 200 random Hermitian positive-definite matrices with sizes up to 10
+    # 200 random invertible factors and Hermitian positive-definite
+    # matrices with sizes up to 10
     rng = np.random.default_rng(6)
     for _ in range(200):
         n = int(rng.integers(1, 11))
+        F = random_invertible(n, rng)
+        _, R, R_inv, eta, _ = polar_decompose(F)
+        assert frobenius_norm(R @ R - eta) <= 1e-10 * frobenius_norm(eta)
+        assert frobenius_norm(eta - F.conj().T @ F) <= 1e-10 * frobenius_norm(eta)
+        assert frobenius_norm(R @ R_inv - np.eye(n)) <= 1e-10
         V = haar_unitary(n, rng)
-        M = (V * rng.uniform(0.1, 3.0, n)) @ V.conj().T
-        M = hermitian_part(M)
-        R = sqrt_pd(M)
-        assert frobenius_norm(R @ R - M) <= 1e-10 * frobenius_norm(M)
+        M = hermitian_part((V * rng.uniform(0.1, 3.0, n)) @ V.conj().T)
         values, W = hermitian_eig(M)
         assert frobenius_norm((W * values) @ W.conj().T - M) <= 1e-10 * frobenius_norm(M)
 
@@ -139,76 +140,93 @@ def test_polar_property_ensemble():
     for _ in range(200):
         n = int(rng.integers(1, 11))
         T = random_invertible(n, rng)
-        U, P = polar_decompose(T)
+        U, P, P_inv, _, s = polar_decompose(T)
         assert frobenius_norm(T - U @ P) <= 1e-10 * frobenius_norm(T)
         assert frobenius_norm(U.conj().T @ U - np.eye(n)) <= 1e-10
+        assert frobenius_norm(P @ P_inv - np.eye(n)) <= 1e-10
         npt.assert_allclose(P, P.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(P)[0] > 0
+        npt.assert_allclose(s, np.linalg.svd(T, compute_uv=False), rtol=1e-12)
 
 
 def test_polar_identity_and_scalar():
-    U, P = polar_decompose(np.eye(3, dtype=complex))
+    U, P, _, _, _ = polar_decompose(np.eye(3, dtype=complex))
     npt.assert_allclose(U, np.eye(3), atol=1e-14)
     npt.assert_allclose(P, np.eye(3), atol=1e-14)
-    U, P = polar_decompose(2 * np.eye(2, dtype=complex))
+    U, P, _, _, _ = polar_decompose(2 * np.eye(2, dtype=complex))
     npt.assert_allclose(U, np.eye(2), atol=1e-14)
     npt.assert_allclose(P, 2 * np.eye(2), atol=1e-14)
+    # a factor's Gram matrix is never indefinite: a sign goes to the unitary
+    U, P, _, _, _ = polar_decompose(np.diag([1.0, -1.0]).astype(complex))
+    npt.assert_allclose(U, np.diag([1.0, -1.0]), atol=1e-15)
+    npt.assert_allclose(P, np.eye(2), atol=1e-15)
 
 
 def test_solve_matches_direct(rng):
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3 * np.eye(4)
     b = rng.standard_normal((4, 4)) + 0j
-    x = solve(A, b)
+    U, _, P_inv, _, _ = polar_decompose(A)
+    # A = U·P, so A⁻¹ = P⁻¹·U†
+    x = P_inv @ (U.conj().T @ b)
     npt.assert_allclose(A @ x, b, atol=1e-12)
 
 
 def test_solve_diagonal_and_self_inverse(rng):
-    npt.assert_allclose(
-        solve(np.diag([2.0, 4.0]).astype(complex), np.eye(2, dtype=complex)),
-        np.diag([0.5, 0.25]),
-        atol=1e-15,
-    )
-    M = random_invertible(5, rng)
-    npt.assert_allclose(solve(M, M), np.eye(5), atol=1e-12)
+    _, _, P_inv, _, _ = polar_decompose(np.diag([2.0, 4.0]).astype(complex))
+    npt.assert_allclose(P_inv, np.diag([0.5, 0.25]), atol=1e-15)
+    _, P, P_inv, _, _ = polar_decompose(random_invertible(5, rng))
+    npt.assert_allclose(P @ P_inv, np.eye(5), atol=1e-12)
+    npt.assert_allclose(P_inv @ P, np.eye(5), atol=1e-12)
 
 
 def test_solve_gates_singular_and_ill_conditioned():
     with pytest.raises(SingularTransform):
-        solve(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex))
+        polar_decompose(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(SingularTransform):
         # below machine-relative rank floor
-        solve(np.diag([1.0, 1e-17]).astype(complex), np.eye(2, dtype=complex))
+        polar_decompose(np.diag([1.0, 1e-17]).astype(complex))
+    with pytest.raises(SingularTransform):
+        # below the positivity floor 1e-10 relative to the Frobenius norm
+        polar_decompose(np.diag([1.0, 1e-11]).astype(complex))
     with pytest.raises(IllConditioned):
-        # condition 1e9 exceeds the default cap 1e8
-        solve(np.diag([1.0, 1e-9]).astype(complex), np.eye(2, dtype=complex))
+        # above the floor, but condition 1e9 exceeds the default cap 1e8
+        polar_decompose(np.diag([1.0, 1e-9]).astype(complex))
 
 
 def test_solve_right_inverts_from_the_right(rng):
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3 * np.eye(4)
     B = rng.standard_normal((4, 4)) + 0j
-    X = solve_right(A, B)
+    U, _, P_inv, _, _ = polar_decompose(A)
+    X = B @ P_inv @ U.conj().T
     npt.assert_allclose(X @ A, B, atol=1e-12)
 
 
 def test_polar_decompose_closed_form():
     T = np.array([[0.0, 2.0], [1.0, 0.0]], dtype=complex)
-    U, P = polar_decompose(T)
+    U, P, P_inv, eta, s = polar_decompose(T)
     npt.assert_allclose(U, np.array([[0, 1], [1, 0]]), atol=1e-14)
     npt.assert_allclose(P, np.diag([1.0, 2.0]), atol=1e-14)
+    npt.assert_allclose(P_inv, np.diag([1.0, 0.5]), atol=1e-14)
+    npt.assert_allclose(eta, np.diag([1.0, 4.0]), atol=1e-14)
+    npt.assert_allclose(s, [2.0, 1.0], atol=1e-14)
 
 
 def test_polar_decompose_properties(rng):
     T = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 2 * np.eye(5)
-    U, P = polar_decompose(T)
+    U, P, P_inv, eta, _ = polar_decompose(T)
     npt.assert_allclose(U.conj().T @ U, np.eye(5), atol=1e-12)
     npt.assert_allclose(P, P.conj().T, atol=1e-13)
     assert np.linalg.eigvalsh(P)[0] > 0
     npt.assert_allclose(U @ P, T, atol=1e-11)
+    npt.assert_allclose(P @ P_inv, np.eye(5), atol=1e-12)
+    npt.assert_allclose(eta, T.conj().T @ T, atol=1e-11)
 
 
 def test_polar_decompose_rejects_singular():
     with pytest.raises(SingularTransform):
         polar_decompose(np.array([[1, 0], [1, 0]], dtype=complex))
+    with pytest.raises(SingularTransform):
+        polar_decompose(np.zeros((2, 2), dtype=complex))
 
 
 def test_haar_unitary_unitary_and_seeded():

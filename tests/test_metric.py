@@ -73,8 +73,9 @@ def test_hermitian_equivalent_rejects_wrong_metric():
     identity_metric = MetricOperator(
         eta=np.eye(2, dtype=complex),
         rho=np.eye(2, dtype=complex),
+        rho_inv=np.eye(2, dtype=complex),
+        unitary=np.eye(2, dtype=complex),
         min_eigenvalue=1.0,
-        hermiticity_residual=0.0,
     )
     with pytest.raises(NotHermitianEquivalent):
         hermitian_equivalent(H, identity_metric)

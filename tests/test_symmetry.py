@@ -23,7 +23,6 @@ from quasiherm import (
     sample_positive_symmetry,
     symmetry_from_coefficients,
     two_level,
-    verify_B_relations,
 )
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
@@ -430,14 +429,17 @@ def test_intertwiner_rejects_mismatched_data():
     assert exc_info.value.identity in {"sim", "sym", "A-ph", "eta-prime"}
 
 
-def test_verify_B_relations_reports_without_raising():
+
+def test_member_residuals_flag_a_metric_that_is_not_rho_squared():
+    # the residual table is the one place B-ph and eta=BB are computed
     H, _ = random_diagonalizable(4, seed=13)
     pair = full_pipeline(H)
     cb = commutant_basis(pair.h, pair.spectral.clusters)
     gen = sample_positive_symmetry(cb, seed=0)
     member = metric_from_symmetry(pair.metric, gen, H)
-    ok = verify_B_relations(member.eta_factor, gen.sqrt, pair.metric.eta)
-    assert ok["B-ph"] <= 1e-10
-    assert ok["eta=BB"] <= 1e-10
-    bad = verify_B_relations(member.eta_factor + 0.5, gen.sqrt, pair.metric.eta)
-    assert bad["eta=BB"] > 1e-3
+    assert member.residuals["B-ph"] <= 1e-10
+    assert member.residuals["eta=BB"] <= 1e-10
+    skewed = dataclasses.replace(pair.metric, eta=pair.metric.eta + 0.5)
+    bad = metric_from_symmetry(skewed, gen, H)
+    assert bad.residuals["eta=BB"] > 1e-3
+    assert bad.residuals["B-ph"] <= 1e-10
