@@ -14,7 +14,6 @@ from .errors import (
     InvalidModelParameters,
     NonDiagonalizable,
     NotHermitian,
-    NotHermitianEquivalent,
     NotPositiveDefinite,
     ParseError,
     QuasiHermError,
@@ -79,7 +78,6 @@ __all__ = [
     "IllConditioned",
     "ComplexSpectrum",
     "NonDiagonalizable",
-    "NotHermitianEquivalent",
     "ResidualExceeded",
     "InvalidModelParameters",
     "ParseError",

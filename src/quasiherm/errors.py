@@ -50,10 +50,6 @@ class NonDiagonalizable(QuasiHermError):
         self.cond = cond
 
 
-class NotHermitianEquivalent(QuasiHermError):
-    """The similarity transform failed to produce a Hermitian matrix."""
-
-
 class ResidualExceeded(QuasiHermError):
     """A certified operator identity exceeded its residual bound.
 

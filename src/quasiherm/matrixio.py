@@ -46,18 +46,31 @@ def matrix_from_payload(payload) -> np.ndarray:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
         raise ParseError(f"'entries' must hold dim^2 = {dim * dim} pairs, got {got}")
 
-    flat = np.empty(dim * dim, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ParseError(f"entry {i} must be a [re, im] pair of numbers, got {pair!r}")
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-            raise ParseError(f"entry {i} is not finite: {pair!r}")
-        flat[i] = complex(pair[0], pair[1])
-    return flat.reshape(dim, dim)
+    flat = _number_pairs(entries)
+    if flat is None or not np.isfinite(flat).all():
+        for i, pair in enumerate(entries):  # name the first offending entry
+            values = _number_pairs([pair])
+            if values is None:
+                raise ParseError(f"entry {i} must be a [re, im] pair of numbers, got {pair!r}")
+            if not np.isfinite(values).all():
+                raise ParseError(f"entry {i} is not finite: {pair!r}")
+    return flat.view(np.complex128).reshape(dim, dim)
+
+
+def _number_pairs(value):
+    """float64 items of a list of [number, number] lists (bools excluded), else None.
+
+    An integer too large for a float64 reads as inf.
+    """
+    if not all(issubclass(t, list) for t in set(map(type, value))) or set(map(len, value)) != {2}:
+        return None
+    kinds = set(map(type, chain.from_iterable(value)))
+    if not all(issubclass(t, (int, float)) and t is not bool for t in kinds):
+        return None
+    try:
+        return np.fromiter(chain.from_iterable(value), dtype=np.float64, count=2 * len(value))
+    except OverflowError:
+        return np.array([np.inf])
 
 
 def load_matrix(path) -> np.ndarray:
@@ -65,7 +78,7 @@ def load_matrix(path) -> np.ndarray:
     text = Path(path).read_text(encoding="utf-8")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return matrix_from_payload(payload)

@@ -3,9 +3,11 @@
 The existence construction: diagonalize H with row transform T, set
 ``eta = T†T`` (Hermitian positive-definite), ``rho = sqrt(eta)``, and
 ``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. One SVD of T
-gives eta, rho, rho⁻¹ and the polar unitary U of ``T = U·rho``, with
-``h = U†·H_d·U`` (see :func:`~quasiherm.linalg.polar_decompose`); h is
-then formed by products.
+gives eta, rho, rho⁻¹ and the polar unitary U of ``T = U·rho``
+(see :func:`~quasiherm.linalg.polar_decompose`). Since ``T·H = H_d·T``,
+``rho·H·rho⁻¹ = U†·H_d·U``, and h is built that way: Hermitian and
+isospectral with ``H_d`` by construction, certified by the similarity
+residual ``rho·H = h·rho``.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianEquivalent, ResidualExceeded
+from .errors import ResidualExceeded
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     as_matrix,
     frobenius_norm,
     hermitian_part,
-    hermiticity_defect,
     polar_decompose,
     relative_residual,
 )
@@ -106,48 +107,34 @@ def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOper
 def hermitian_equivalent(
     H,
     metric: MetricOperator,
+    K,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    certified_spectrum=None,
 ) -> EquivalencePair:
-    """Hermitian equivalent ``h = rho·H·rho⁻¹`` of H under a certified metric.
+    """Hermitian equivalent ``h = rho·H·rho⁻¹``, built as ``h = X†·K·X``.
 
-    h is symmetrized only after passing the Hermiticity gate; a failure
-    signals an invalid metric upstream (:class:`NotHermitianEquivalent`).
-    U is the metric's polar unitary, and when the certified spectrum is
-    supplied the isospectrality of h is checked.
+    K is the Hermitian matrix that the metric's factor M = X·rho
+    intertwines H with, M·H = K·M: ``H_d`` for M = T, the generator's h for
+    M = sigma·rho. Then rho·H·rho⁻¹ = X†·K·X, Hermitian and isospectral
+    with K by construction. The similarity ``rho·H = h·rho`` is certified
+    (``H=H``); it fails when X is not unitary or K is not intertwined.
+    U is the metric's polar unitary X.
     """
     A = as_matrix(H)
+    X = metric.unitary
+    h = hermitian_part(X.conj().T @ as_matrix(K) @ X)
+
     rho = metric.rho
-    rho_H = rho @ A
-    h_raw = rho_H @ metric.rho_inv
-
-    defect = hermiticity_defect(h_raw)
-    if defect > tol.residual_tol:
-        raise NotHermitianEquivalent(
-            f"rho·H·rho⁻¹ has relative asymmetry {defect:.3e}; the metric does not "
-            "render H quasi-Hermitian at this tolerance"
-        )
-    h = hermitian_part(h_raw)
-
-    norm_H = frobenius_norm(A)
     similarity_residual = relative_residual(
-        frobenius_norm(rho_H - h @ rho), frobenius_norm(rho) * norm_H
+        frobenius_norm(rho @ A - h @ rho), frobenius_norm(rho) * frobenius_norm(A)
     )
     if similarity_residual > tol.residual_tol:
         raise ResidualExceeded("H=H", similarity_residual, tol.residual_tol)
-
-    if certified_spectrum is not None:
-        expected = np.sort(np.asarray(certified_spectrum, dtype=np.float64))
-        got = np.linalg.eigvalsh(h)
-        drift = float(np.max(np.abs(got - expected)))
-        if drift > tol.residual_tol * max(norm_H, 1.0):
-            raise ResidualExceeded("isospectrality", drift, tol.residual_tol * max(norm_H, 1.0))
 
     return EquivalencePair(
         H=A,
         h=h,
         metric=metric,
-        U=metric.unitary,
+        U=X,
         similarity_residual=similarity_residual,
     )
 
@@ -163,8 +150,6 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     A = as_matrix(H)
     spectral = eig_decompose(A, tol)
     metric = metric_from_T(spectral.T, tol, H=A)
-    pair = hermitian_equivalent(
-        A, metric, tol, certified_spectrum=spectral.real_eigenvalues
-    )
+    pair = hermitian_equivalent(A, metric, spectral.H_d, tol)
     pair.spectral = spectral
     return pair

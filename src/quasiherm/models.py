@@ -102,6 +102,22 @@ def swanson(dim: int, omega: float, alpha: float, beta: float) -> np.ndarray:
     return H
 
 
+def _random_transform(n: int, seed: int, cond_bound: float):
+    """Sorted spectrum D, transform T₀ and H = T₀⁻¹·D·T₀ of the random ensemble."""
+    n = int(n)
+    if n < 1:
+        raise InvalidModelParameters("matrix size must be positive")
+    if cond_bound < 1.0:
+        raise InvalidModelParameters("cond_bound must be >= 1")
+
+    rng = np.random.default_rng(seed)
+    D = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    s = np.exp(rng.uniform(0.0, np.log(cond_bound), size=n))
+    T0 = haar_unitary(n, rng) @ (s[:, None] * haar_unitary(n, rng))
+    H = np.linalg.solve(T0, D[:, None] * T0)
+    return D, T0, H
+
+
 def random_diagonalizable(
     n: int,
     seed: int,
@@ -115,18 +131,7 @@ def random_diagonalizable(
     cond(T₀) ≤ cond_bound by construction. Deterministic per seed. The
     returned ground truth carries T₀ in row-normalized, phase-fixed form.
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidModelParameters("matrix size must be positive")
-    if cond_bound < 1.0:
-        raise InvalidModelParameters("cond_bound must be >= 1")
-
-    rng = np.random.default_rng(seed)
-    D = np.sort(rng.uniform(-5.0, 5.0, size=n))
-    s = np.exp(rng.uniform(0.0, np.log(cond_bound), size=n))
-    T0 = haar_unitary(n, rng) @ (s[:, None] * haar_unitary(n, rng))
-    H = np.linalg.solve(T0, np.diag(D).astype(np.complex128) @ T0)
-
+    D, T0, H = _random_transform(n, seed, cond_bound)
     T = T0 / np.linalg.norm(T0, axis=1)[:, None]
     T = _fix_row_phases(T)
     singular = np.linalg.svd(T, compute_uv=False)
@@ -158,8 +163,7 @@ def build_model(spec: ModelSpec) -> np.ndarray:
         )
     if "seed" not in p:
         raise InvalidModelParameters("random_diagonalizable requires a seed")
-    H, _ = random_diagonalizable(spec.dim, int(p["seed"]), cond_bound)
-    return H
+    return _random_transform(spec.dim, int(p["seed"]), cond_bound)[2]
 
 
 def describe_model(spec: ModelSpec) -> dict:

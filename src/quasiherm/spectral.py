@@ -170,7 +170,7 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
             f"normalized transform condition {cond_T:.3e} exceeds cap", cond=cond_T
         )
 
-    commutation = frobenius_norm(T @ A - H_d @ T)
+    commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
     bound = tol.residual_tol * max(norm_H, 1e-300) * frobenius_norm(T)
     if commutation > bound:
         raise NonDiagonalizable(

@@ -295,10 +295,12 @@ def metric_from_symmetry(
     Then A = rho'·rho⁻¹ = X†·sigma, so U = X† is unitary by construction
     and B = rho·U; every identity residual is recorded by name. h is the
     generator's own, the Hermitian equivalent its commutant was built
-    from; a generator of another h shows in the ``sim`` and ``sym``
-    residuals. sigma⁻¹ = Q·diag(1/√s)·Q† comes from the generator's
-    spectral data, gated on cond(sigma) = √(s_max/s_min). Residuals are
-    reported, not gated: the verdict belongs to the caller.
+    from. Since sigma·rho·H = sigma·h·rho = h·sigma·rho, h' = X†·h·X =
+    U·h·U† (:func:`~quasiherm.metric.hermitian_equivalent` with K = h), so
+    a generator of another h trips its ``H=H`` gate. sigma⁻¹ =
+    Q·diag(1/√s)·Q† comes from the generator's spectral data, gated on
+    cond(sigma) = √(s_max/s_min). The other residuals are reported, not
+    gated: the verdict belongs to the caller.
     """
     A_H = as_matrix(H)
     rho = metric.rho
@@ -317,7 +319,7 @@ def metric_from_symmetry(
     eta_prime = member_metric.eta
     rho_prime = member_metric.rho
     member_metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A_H, eta_prime)
-    prime_pair = hermitian_equivalent(A_H, member_metric, tol)
+    prime_pair = hermitian_equivalent(A_H, member_metric, h, tol)
     h_prime = prime_pair.h
 
     A = rho_prime @ metric.rho_inv

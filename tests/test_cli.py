@@ -70,8 +70,21 @@ def test_tight_tolerance_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert payload["verdict"] == "fail"
+    assert payload["failure"]["identity"] == "sym[cluster 0]"
     assert payload["failure"]["bound"] == 1e-13
     assert "residual failure" in err
+
+
+def test_tight_tolerance_on_random_model_exits_zero(capsys):
+    # h = U†·H_d·U is Hermitian by construction: no asymmetry gate trips
+    # before the residuals (1.0e-14 here, an error exit before)
+    code, payload, err = run_cli(
+        capsys, "analyze", "--model", "random", "--dim", "8", "--model-seed", "4",
+        "--tol", "1e-14",
+    )
+    assert code == 0
+    assert payload["verdict"] == "pass"
+    assert err == ""
 
 
 def test_env_var_tolerance_is_used(tmp_path, capsys, monkeypatch):
@@ -137,6 +150,17 @@ def test_unwritable_out_exits_one_without_traceback(tmp_path, capsys):
     assert payload["verdict"] == "error"
     assert payload["error"]["type"] == "FileNotFoundError"
     assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_huge_integer_entry_exits_one_without_traceback(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1, "entries": [[1' + "0" * 400 + ", 0]]}")
+    code, payload, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert payload["verdict"] == "error"
+    assert payload["error"]["type"] == "ParseError"
+    assert "entry 0 is not finite" in err
     assert "Traceback" not in err
 
 

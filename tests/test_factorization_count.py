@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from quasiherm import (
+    ModelSpec,
     commutant_basis,
     full_pipeline,
     metric_from_symmetry,
     random_diagonalizable,
+    run_analyze,
     sample_positive_symmetry,
 )
 
@@ -40,8 +42,8 @@ def test_full_pipeline_factorizations(linalg_calls):
     linalg_calls.clear()
     full_pipeline(H)
     # eig_decompose: eig and two condition SVDs; metric_from_T: one SVD;
-    # hermitian_equivalent: the isospectrality eigvalsh
-    assert linalg_calls == Counter(eig=1, svd=3, eigvalsh=1)
+    # hermitian_equivalent factorizes nothing
+    assert linalg_calls == Counter(eig=1, svd=3)
 
 
 def test_family_member_is_one_svd(linalg_calls):
@@ -52,3 +54,12 @@ def test_family_member_is_one_svd(linalg_calls):
     member = metric_from_symmetry(pair.metric, generator, H)
     assert linalg_calls == Counter(svd=1)
     assert member.max_residual <= 1e-12
+
+
+def test_run_analyze_factorizations(linalg_calls):
+    spec = ModelSpec("random_diagonalizable", {"seed": 3}, dim=6)
+    report = run_analyze(spec, samples=2)
+    assert report.verdict == "pass"
+    # build_model: two Haar QRs and one solve, no ground truth; full_pipeline:
+    # eig + 3 SVDs; commutant_basis: one eigh; each member: one SVD
+    assert linalg_calls == Counter(qr=2, solve=1, eig=1, svd=5, eigh=1)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -63,12 +64,72 @@ def test_matrix_payload_shape():
         {"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [0]]},
         {"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], ["x", 0]]},
         {"dim": 1, "entries": [[float("inf"), 0.0]]},
+        {"dim": 1, "entries": [[10**400, 0]]},
         [1, 2, 3],
     ],
 )
 def test_matrix_from_payload_rejects_malformed(payload):
     with pytest.raises(ParseError):
         matrix_from_payload(payload)
+
+
+def _entry_by_entry(dim, entries):
+    """Reference loader: the matrix, or the message naming the first bad entry."""
+    flat = np.empty(dim * dim, dtype=np.complex128)
+    for i, pair in enumerate(entries):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            return f"entry {i} must be a [re, im] pair of numbers, got {pair!r}"
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:
+            return f"entry {i} is not finite: {pair!r}"
+        if not (math.isfinite(re) and math.isfinite(im)):
+            return f"entry {i} is not finite: {pair!r}"
+        flat[i] = complex(re, im)
+    return flat.reshape(dim, dim)
+
+
+# the largest integer that rounds to a finite float64, and the smallest that does not
+_INT_EDGES = st.sampled_from([2**1024 - 2**970 - 1, 2**1024 - 2**970, -(10**400), 2**64 + 1])
+_NUMBERS = st.floats() | st.integers() | _INT_EDGES
+_ITEMS = (
+    st.lists(_NUMBERS, min_size=2, max_size=2)
+    | st.lists(_NUMBERS | st.booleans() | st.none() | st.text(max_size=2), max_size=3)
+    | st.none()
+    | _NUMBERS
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(_ITEMS, min_size=d * d, max_size=d * d))
+    )
+)
+def test_matrix_from_payload_matches_entry_by_entry_reference(case):
+    dim, entries = case
+    expected = _entry_by_entry(dim, entries)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc_info:
+            matrix_from_payload({"dim": dim, "entries": entries})
+        assert str(exc_info.value) == expected
+    else:
+        got = matrix_from_payload({"dim": dim, "entries": entries})
+        assert got.dtype == np.complex128 and got.shape == (dim, dim)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_load_matrix_rejects_a_huge_integer(tmp_path, digits):
+    # 401 digits overflow a float64; 5001 exceed int_max_str_digits in json
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1, "entries": [[1' + "0" * (digits - 1) + ", 0]]}")
+    with pytest.raises(ParseError):
+        load_matrix(path)
 
 
 def test_load_matrix_rejects_bad_json(tmp_path):

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from quasiherm import (
     MetricOperator,
-    NotHermitianEquivalent,
     ResidualExceeded,
     eig_decompose,
     full_pipeline,
@@ -77,8 +78,20 @@ def test_hermitian_equivalent_rejects_wrong_metric():
         unitary=np.eye(2, dtype=complex),
         min_eigenvalue=1.0,
     )
-    with pytest.raises(NotHermitianEquivalent):
-        hermitian_equivalent(H, identity_metric)
+    with pytest.raises(ResidualExceeded) as exc_info:
+        hermitian_equivalent(H, identity_metric, np.diag([1.0, 2.0]))
+    assert exc_info.value.identity == "H=H"
+
+
+def test_hermitian_equivalent_rejects_a_non_unitary_polar_factor():
+    H, _ = random_diagonalizable(5, seed=9)
+    spectral = eig_decompose(H)
+    metric = metric_from_T(spectral.T, H=H)
+    assert hermitian_equivalent(H, metric, spectral.H_d).similarity_residual <= 1e-12
+    scaled = dataclasses.replace(metric, unitary=2 * metric.unitary)
+    with pytest.raises(ResidualExceeded) as exc_info:
+        hermitian_equivalent(H, scaled, spectral.H_d)
+    assert exc_info.value.identity == "H=H"
 
 
 def test_full_pipeline_random_ensemble_properties():

@@ -411,8 +411,9 @@ def test_converse_direction_with_row_rescaled_eigenbasis():
     scale = np.random.default_rng(1).uniform(0.5, 2.0, 5)
     m1 = metric_from_T(data.T, H=H)
     m2 = metric_from_T(scale[:, None] * data.T, H=H)
-    h1 = hermitian_equivalent(H, m1).h
-    h2 = hermitian_equivalent(H, m2).h
+    # rescaled rows still intertwine H with H_d: (D·T)·H = H_d·(D·T)
+    h1 = hermitian_equivalent(H, m1, data.H_d).h
+    h2 = hermitian_equivalent(H, m2, data.H_d).h
     A, S = intertwiner_from_metrics(m1.rho, m2.rho, h1, h2)
     assert np.linalg.eigvalsh(S)[0] > 0
 
@@ -428,6 +429,17 @@ def test_intertwiner_rejects_mismatched_data():
         )
     assert exc_info.value.identity in {"sim", "sym", "A-ph", "eta-prime"}
 
+
+
+def test_member_rejects_a_generator_of_another_h():
+    H, _ = random_diagonalizable(5, seed=1)
+    other, _ = random_diagonalizable(5, seed=2)
+    pair = full_pipeline(H)
+    foreign = full_pipeline(other)
+    gen = sample_positive_symmetry(commutant_basis(foreign.h, foreign.spectral.clusters), seed=0)
+    with pytest.raises(ResidualExceeded) as exc_info:
+        metric_from_symmetry(pair.metric, gen, H)
+    assert exc_info.value.identity == "H=H"
 
 
 def test_member_residuals_flag_a_metric_that_is_not_rho_squared():
