@@ -5,8 +5,10 @@ array of [re, im] pairs in row-major order. Trivially producible from any
 environment and diffable. All structural problems raise ParseError.
 
 ``dumps`` writes matrix documents and reports: it returns exactly
-``json.dumps(payload, indent=2, sort_keys=True)``, but renders each list
-of finite ``[re, im]`` float pairs in one pass instead of through the
+``json.dumps(payload, indent=2, sort_keys=True)`` of the payload with its
+arrays as lists, but renders each list of finite ``[re, im]`` float pairs,
+and each finite ``(k, 2)`` ``float64`` array such as a
+``matrix_document``'s ``entries``, in one pass instead of through the
 pure-Python indenting encoder.
 """
 
@@ -22,12 +24,18 @@ import numpy as np
 from .errors import ParseError
 
 
-def matrix_to_payload(M) -> dict:
+def matrix_document(M) -> dict:
+    """The matrix document of ``M`` with ``entries`` as an ``(n², 2)`` float64 view."""
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParseError(f"expected a square matrix, got shape {A.shape}")
-    entries = np.ascontiguousarray(A).view(np.float64).reshape(-1, 2).tolist()
+    entries = np.ascontiguousarray(A).view(np.float64).reshape(-1, 2)
     return {"dim": int(A.shape[0]), "entries": entries}
+
+
+def matrix_to_payload(M) -> dict:
+    document = matrix_document(M)
+    return {"dim": document["dim"], "entries": document["entries"].tolist()}
 
 
 def matrix_from_payload(payload) -> np.ndarray:
@@ -88,8 +96,7 @@ def load_matrix(path) -> np.ndarray:
 
 def save_matrix(path, M) -> None:
     """Write a matrix document to ``path``."""
-    payload = matrix_to_payload(M)
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(matrix_document(M)) + "\n", encoding="utf-8")
 
 
 def dumps(payload) -> str:
@@ -112,6 +119,8 @@ def _emit(value, newline: str, chunks: list) -> None:
         return
     flat = _float_pairs(value)
     if flat is None:
+        if type(value) is np.ndarray:
+            value = value.tolist()
         # json.dumps escapes newlines inside strings, so every "\n" it
         # returns starts a line of the layout.
         chunks.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
@@ -124,17 +133,19 @@ def _emit(value, newline: str, chunks: list) -> None:
 
 
 def _float_pairs(value):
-    """The flattened items of a non-empty list of finite [float, float] lists, else None.
+    """The flattened items of a non-empty list of finite [float, float] lists,
+    or of a non-empty finite ``(k, 2)`` float64 array, else None.
 
     %r of an exact float is ``float.__repr__``, which is how json writes a
     finite float. A finite sum proves every item finite; a sum that
-    overflows sends a finite list to json.dumps, which is slower, not wrong.
+    overflows sends finite pairs to json.dumps, which is slower, not wrong.
     """
-    if type(value) is not list or not value:
+    if type(value) is np.ndarray and value.dtype == np.float64 and value.shape[1:] == (2,):
+        flat = value.ravel().tolist()
+    elif type(value) is list and set(map(type, value)) == {list} and set(map(len, value)) == {2}:
+        flat = list(chain.from_iterable(value))
+        if set(map(type, flat)) != {float}:
+            return None
+    else:
         return None
-    if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
-        return None
-    flat = list(chain.from_iterable(value))
-    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
-        return None
-    return flat
+    return flat if flat and math.isfinite(sum(flat)) else None

@@ -144,8 +144,8 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
 
     Composes :func:`eig_decompose`, :func:`metric_from_T` and
     :func:`hermitian_equivalent`, retaining every intermediate certificate
-    on the returned pair. Propagates ComplexSpectrum / NonDiagonalizable
-    from the spectral stage.
+    on the returned pair. Propagates ComplexSpectrum, NonDiagonalizable and
+    ResidualExceeded (``eig``) from the spectral stage.
     """
     A = as_matrix(H)
     spectral = eig_decompose(A, tol)

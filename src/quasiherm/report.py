@@ -6,10 +6,15 @@ keyed by identity name, and one residual table per sampled family member.
 The verdict is pass iff every recorded residual is within residual_tol.
 Reports are deterministic for identical inputs apart from the timestamp.
 
-The report's byte layout is a contract: indent 2, sorted keys, one
+A report is a frozen dataclass. ``matrices`` holds the complex arrays
+``eta``, ``rho`` and ``h``; ``to_payload`` gives plain JSON lists. The
+report's byte layout is a contract: indent 2, sorted keys, one
 ``[re, im]`` pair per matrix entry in row-major order, and floats in
 shortest round-trip ``repr``. ``to_json`` equals
-``json.dumps(to_payload(), indent=2, sort_keys=True)`` byte for byte.
+``json.dumps(to_payload(), indent=2, sort_keys=True)`` byte for byte; it
+renders from the arrays on its first call and returns that same string
+afterwards, so the ``out=`` file and a caller's ``to_json`` are one
+rendering.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +35,7 @@ from .errors import (
     ResidualExceeded,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix
-from .matrixio import dumps, load_matrix, matrix_to_payload
+from .matrixio import dumps, load_matrix, matrix_document, matrix_from_payload, matrix_to_payload
 from .metric import full_pipeline
 from .models import ModelSpec, build_model, describe_model
 from .spectral import eig_decompose
@@ -68,7 +74,7 @@ class FamilyMemberSummary:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     command: str
     input: dict
@@ -96,6 +102,10 @@ class VerificationReport:
         return values
 
     def to_payload(self) -> dict:
+        return self._payload(matrix_to_payload)
+
+    def _payload(self, matrix) -> dict:
+        """The report document, each matrix rendered by ``matrix``."""
         return {
             "command": self.command,
             "input": self.input,
@@ -105,7 +115,8 @@ class VerificationReport:
             "clusters": self.clusters,
             "cond_T": self.cond_T,
             "commutant": self.commutant,
-            "matrices": self.matrices,
+            "matrices": None if self.matrices is None
+            else {name: matrix(M) for name, M in self.matrices.items()},
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "family": [m.to_payload() for m in self.family],
             "failure": self.failure,
@@ -114,7 +125,11 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return dumps(self.to_payload())
+        return self._json
+
+    @cached_property
+    def _json(self) -> str:
+        return dumps(self._payload(matrix_document))
 
     @staticmethod
     def from_payload(payload: dict) -> "VerificationReport":
@@ -133,7 +148,8 @@ class VerificationReport:
             clusters=payload.get("clusters"),
             cond_T=payload.get("cond_T"),
             commutant=payload.get("commutant"),
-            matrices=payload.get("matrices"),
+            matrices=None if payload.get("matrices") is None
+            else {name: matrix_from_payload(m) for name, m in payload["matrices"].items()},
             residuals=dict(payload.get("residuals", {})),
             family=members,
             failure=payload.get("failure"),
@@ -191,14 +207,17 @@ def _run(
     ``spectrum`` stops after the spectral data, ``family`` adds the metric
     and its sampled family, and ``analyze`` also records the matrices.
     """
-    report = VerificationReport(
-        command=command,
-        input={},
-        tolerances=dataclasses.asdict(tol),
-        generated_at=datetime.now(timezone.utc).isoformat(),
-    )
+    fields = {
+        "command": command,
+        "input": {},
+        "tolerances": dataclasses.asdict(tol),
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "residuals": {},
+        "family": [],
+    }
+    failure = None  # (value, identity, bound) of the identity that failed
     try:
-        H, report.input = _resolve_input(source, max_dim)
+        H, fields["input"] = _resolve_input(source, max_dim)
 
         if command == "spectrum":
             spectral = eig_decompose(H, tol)
@@ -207,23 +226,17 @@ def _run(
             pair = full_pipeline(H, tol)
             spectral = pair.spectral
 
-        report.eigenvalues = _complex_pairs(spectral.eigenvalues)
-        report.clusters = [list(c) for c in spectral.clusters]
-        report.cond_T = float(spectral.cond_T)
+        fields["eigenvalues"] = _complex_pairs(spectral.eigenvalues)
+        fields["clusters"] = [list(c) for c in spectral.clusters]
+        fields["cond_T"] = float(spectral.cond_T)
 
         if pair is not None:
-            report.residuals = {
-                "ph": float(pair.metric.pseudo_hermiticity_residual),
-                "H=H": float(pair.similarity_residual),
-            }
+            fields["residuals"]["ph"] = float(pair.metric.pseudo_hermiticity_residual)
+            fields["residuals"]["H=H"] = float(pair.similarity_residual)
             if command == "analyze":
-                report.matrices = {
-                    "eta": matrix_to_payload(pair.metric.eta),
-                    "rho": matrix_to_payload(pair.metric.rho),
-                    "h": matrix_to_payload(pair.h),
-                }
+                fields["matrices"] = {"eta": pair.metric.eta, "rho": pair.metric.rho, "h": pair.h}
             cb = commutant_basis(pair.h, spectral.clusters, tol)
-            report.commutant = {
+            fields["commutant"] = {
                 "real_dimension": cb.real_dimension,
                 "cluster_sizes": [len(c) for c in cb.clusters],
             }
@@ -231,42 +244,34 @@ def _run(
                 generator = sample_positive_symmetry(cb, member_seed, spread, tol)
                 # keep the residuals only: a member's matrices die here
                 residuals = metric_from_symmetry(pair.metric, generator, H, tol).residuals
-                report.family.append(
+                fields["family"].append(
                     FamilyMemberSummary(seed=member_seed, spread=spread, residuals=residuals)
                 )
     except ResidualExceeded as exc:
-        report.residuals[exc.identity] = float(exc.value)
-        report.failure = {
-            "identity": exc.identity,
-            "value": float(exc.value),
-            "bound": float(exc.bound),
-        }
-        report.verdict = "fail"
+        fields["residuals"][exc.identity] = float(exc.value)
+        failure = (exc.value, exc.identity, exc.bound)
     except (ParseError, QuasiHermError, OSError) as exc:
-        report.error = _error_payload(exc)
-        report.verdict = "error"
+        fields["error"] = _error_payload(exc)
+        fields["verdict"] = "error"
     else:
-        labeled = list(report.residuals.items())
-        for member in report.family:
+        labeled = list(fields["residuals"].items())
+        for member in fields["family"]:
             labeled.extend(member.residuals.items())
         bad = [(value, key) for key, value in labeled if value > tol.residual_tol]
         if bad:
-            value, identity = max(bad)
-            report.failure = {
-                "identity": identity,
-                "value": float(value),
-                "bound": float(tol.residual_tol),
-            }
-            report.verdict = "fail"
-        else:
-            report.verdict = "pass"
+            failure = (*max(bad), tol.residual_tol)
+    if failure is not None:
+        value, identity, bound = failure
+        fields["failure"] = {"identity": identity, "value": float(value), "bound": float(bound)}
+        fields["verdict"] = "fail"
 
+    report = VerificationReport(**fields)
     if out is not None:
         try:
-            Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                print(report.to_json(), file=f)  # as the CLI prints it: no text + "\n" copy
         except OSError as exc:
-            report.error = _error_payload(exc)
-            report.verdict = "error"
+            return dataclasses.replace(report, error=_error_payload(exc), verdict="error")
     return report
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComplexSpectrum, NonDiagonalizable
+from .errors import ComplexSpectrum, NonDiagonalizable, ResidualExceeded
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -111,7 +111,9 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     Raises :class:`ComplexSpectrum` when any eigenvalue fails the reality
     gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, 1)`` and
     :class:`NonDiagonalizable` when the eigenvector matrix is defective
-    (condition estimate beyond ``condition_cap``).
+    (condition estimate beyond ``condition_cap``). The certificate
+    ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)`` beyond ``residual_tol`` is a
+    residual failure, :class:`ResidualExceeded` naming ``"eig"``.
     """
     A = as_matrix(H)
     n = A.shape[0]
@@ -171,13 +173,9 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
         )
 
     commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
-    bound = tol.residual_tol * max(norm_H, 1e-300) * frobenius_norm(T)
-    if commutation > bound:
-        raise NonDiagonalizable(
-            f"left-eigenvector residual {commutation:.3e} exceeds {bound:.3e}; "
-            "matrix is not numerically diagonalizable at this tolerance",
-            cond=cond_T,
-        )
+    relative = commutation / (max(norm_H, 1e-300) * frobenius_norm(T))
+    if relative > tol.residual_tol:
+        raise ResidualExceeded("eig", relative, tol.residual_tol)
 
     return SpectralData(
         eigenvalues=eigenvalues,

@@ -5,6 +5,7 @@ import numpy.testing as npt
 
 from quasiherm import save_matrix
 from quasiherm.cli import main
+from quasiherm.matrixio import dumps
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +142,34 @@ def test_out_flag_writes_matching_report(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out.read_text()) == payload
+
+
+def test_out_file_and_stdout_are_one_rendering(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(payload):
+        calls.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr("quasiherm.report.dumps", counting)
+    out = tmp_path / "report.json"
+    code = main(["analyze", "--model", "random", "--dim", "6", "--samples", "2", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    assert len(calls) == 1
+
+
+def test_eig_certificate_below_roundoff_exits_two(capsys):
+    # random_diagonalizable(8, 0): 2.461e-13 > 1.742e-13 at 5e-16
+    code, payload, err = run_cli(
+        capsys, "analyze", "--model", "random", "--dim", "8", "--model-seed", "0",
+        "--tol", "5e-16",
+    )
+    assert code == 2
+    assert payload["verdict"] == "fail"
+    assert payload["failure"]["identity"] == "eig"
+    assert payload["error"] is None
+    assert "residual failure: eig" in err
 
 
 def test_unwritable_out_exits_one_without_traceback(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import io
 import json
 import math
 import tracemalloc
@@ -8,6 +10,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quasiherm import (
     ModelSpec,
@@ -15,6 +18,7 @@ from quasiherm import (
     load_matrix,
     matrix_from_payload,
     matrix_to_payload,
+    random_diagonalizable,
     run_analyze,
     run_family,
     run_spectrum,
@@ -38,6 +42,8 @@ def test_save_matrix_writes_indented_json(tmp_path):
     M = np.array([[1.5, -0.0 - 2j], [1e-320, 1e308j]])
     path = tmp_path / "m.json"
     save_matrix(path, M)
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_payload(M), indent=2) + "\n"
+    save_matrix(path, np.asfortranarray(M))
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_payload(M), indent=2) + "\n"
 
 
@@ -149,16 +155,16 @@ def test_analyze_in_memory_passes():
     for member in report.family:
         assert set(member.residuals) == set(FAMILY_IDENTITIES)
     assert max(report.all_residuals()) <= 1e-8
-    eta = matrix_from_payload(report.matrices["eta"])
+    eta = report.matrices["eta"]
     npt.assert_allclose(eta, np.diag([1.6, 0.4]), atol=1e-12)
 
 
 def test_identity_input_report():
     report = run_analyze(np.eye(2), samples=1)
     assert report.verdict == "pass"
-    eta = matrix_from_payload(report.matrices["eta"])
+    eta = report.matrices["eta"]
     npt.assert_allclose(eta, np.eye(2), atol=1e-12)
-    h = matrix_from_payload(report.matrices["h"])
+    h = report.matrices["h"]
     npt.assert_allclose(h, np.eye(2), atol=1e-12)
 
 
@@ -166,7 +172,7 @@ def test_two_level_report_seed_7():
     spec = ModelSpec("two_level", {"b": 1, "c": 4}, dim=2)
     report = run_analyze(spec, samples=5, seed=7)
     assert report.verdict == "pass"
-    eta = matrix_from_payload(report.matrices["eta"])
+    eta = report.matrices["eta"]
     npt.assert_allclose(eta, np.diag([1.6, 0.4]), atol=1e-12)
     assert [m.seed for m in report.family] == [7, 8, 9, 10, 11]
 
@@ -256,14 +262,18 @@ def test_missing_file_is_an_input_error(tmp_path):
 
 
 def test_tight_tolerance_fails_verdict():
-    H = two_level(1, 4, 0)
-    tol = dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=1e-16)
-    report = run_analyze(H, tol, samples=2)
-    assert report.verdict in {"fail", "error"}
-    if report.verdict == "fail":
+    # the eigen-certificate is a residual: below its roundoff it is a fail
+    # naming "eig", not an input error (random_diagonalizable(8, 0) at
+    # 5e-16: 2.461e-13 > 1.742e-13 before dividing by |H| |T|)
+    for H, residual_tol in [(two_level(1, 4, 0), 1e-16), (random_diagonalizable(8, 0)[0], 5e-16)]:
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=residual_tol)
+        report = run_analyze(H, tol, samples=2)
+        assert report.verdict == "fail"
         assert report.exit_code == 2
-        assert report.failure["identity"] in FAMILY_IDENTITIES
-        assert report.failure["value"] > report.failure["bound"] == 1e-16
+        assert report.error is None
+        assert report.failure["identity"] == "eig"
+        assert report.residuals == {"eig": report.failure["value"]}
+        assert report.failure["value"] > report.failure["bound"] == residual_tol
 
 
 def test_family_report_omits_matrices():
@@ -312,16 +322,32 @@ _PAYLOADS = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=12,
 )
-_MATRIX = st.fixed_dictionaries({"dim": st.integers(0, 9), "entries": _ENTRIES})
+# float64 arrays as matrix_document gives them (k, 2), F-ordered, and
+# shapes that must take json.dumps's path: (0, 2), (k, 3) and 1-d
+_PAIR_ROWS = st.tuples(st.integers(0, 20), st.just(2))
+_ARRAYS = (
+    hnp.arrays(np.float64, _PAIR_ROWS, elements=_FINITE)
+    | hnp.arrays(np.float64, _PAIR_ROWS, elements=_FLOATS)
+    | hnp.arrays(np.float64, _PAIR_ROWS, elements=_FINITE).map(np.asfortranarray)
+    | hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=_FLOATS)
+    | hnp.arrays(np.float64, st.integers(0, 8), elements=_FLOATS)
+)
+_MATRIX = st.fixed_dictionaries({"dim": st.integers(0, 9), "entries": _ENTRIES | _ARRAYS})
 _DOCUMENTS = st.fixed_dictionaries(
     {"matrices": st.dictionaries(st.text(max_size=6), _MATRIX, max_size=3), "é\n": _PAYLOADS}
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_PAYLOADS | _MATRIX | _DOCUMENTS)
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS | _MATRIX | _DOCUMENTS | _ARRAYS)
 def test_dumps_is_indented_sorted_json(payload):
-    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert dumps(payload) == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
 
 
 def _fail_report():
@@ -368,6 +394,71 @@ def test_unwritable_out_is_an_error_report(tmp_path):
     assert report.verdict == "error"
     assert report.exit_code == 1
     assert report.error["type"] == "FileNotFoundError"
+    # the error report renders its own text, never the pre-write pass
+    payload = json.loads(report.to_json())
+    assert payload["verdict"] == "error"
+    assert payload["error"] == report.error
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_after_rendering_is_an_error_report(tmp_path, monkeypatch):
+    # the pass text is rendered before the write fails; the report that
+    # comes back must render its own verdict
+    monkeypatch.setattr("quasiherm.report.open", lambda *args, **kw: _FullDisk(), raising=False)
+    report = run_analyze(two_level(1, 4, 0), samples=1, out=tmp_path / "r.json")
+    assert report.verdict == "error"
+    assert report.error["type"] == "OSError"
+    payload = json.loads(report.to_json())
+    assert payload["verdict"] == "error"
+    assert payload["error"] == report.error
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Calls of report.dumps, the one renderer of a report's text."""
+    calls = []
+
+    def counting(payload):
+        calls.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr("quasiherm.report.dumps", counting)
+    return calls
+
+
+def test_report_renders_on_first_to_json_only(renders):
+    report = run_analyze(two_level(1, 4, 0), samples=1)
+    assert renders == []
+    text = report.to_json()
+    assert report.to_json() is text
+    assert report.to_json() is text
+    assert len(renders) == 1
+
+
+def test_out_and_to_json_are_one_rendering(tmp_path, renders):
+    out = tmp_path / "report.json"
+    report = run_analyze(two_level(1, 4, 0), samples=1, out=out)
+    assert out.read_text(encoding="utf-8") == report.to_json() + "\n"
+    assert len(renders) == 1
+
+
+def test_report_is_frozen():
+    report = run_analyze(two_level(1, 4, 0), samples=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.verdict = "fail"
+
+
+def test_report_matrices_are_arrays_and_payload_lists():
+    report = run_analyze(two_level(1, 4, 0), samples=1)
+    assert all(type(M) is np.ndarray for M in report.matrices.values())
+    payload = report.to_payload()["matrices"]
+    for name, M in report.matrices.items():
+        assert payload[name] == matrix_to_payload(M)
+        npt.assert_array_equal(matrix_from_payload(payload[name]), M)
 
 
 def test_swanson_200_passes_with_cond_T_far_below_the_cap():
