@@ -3,9 +3,11 @@
 Arithmetic, norms, the Hermitian eigendecomposition and the polar
 decomposition, all on square complex128 arrays. These are the primitives
 everything else in the package composes. Every metric comes from one SVD
-of its factor M = W·Σ·V†: the metric V·Σ²·V†, its root V·Σ·V†, the root's
-inverse V·Σ⁻¹·V† and the polar unitary W·V† (:func:`polar_decompose`), so
-no inverse is applied through a linear solve.
+of its factor M = W·Σ·V† (:func:`gated_svd`): the metric V·Σ²·V†, its root
+V·Σ·V†, the root's inverse V·Σ⁻¹·V† and the polar unitary W·V†
+(:func:`polar_decompose`), so no inverse is applied through a linear
+solve. Each Hermitian factor is made Hermitian bit for bit, which lets a
+commutator with it be read off one product P as P − P†.
 
 All residual checks are relative to operand norms; a matrix whose Frobenius
 norm is below ``ZERO_NORM_FLOOR`` is treated as zero and checked absolutely.
@@ -97,9 +99,18 @@ def relative_residual(numerator: float, denominator: float) -> float:
     return numerator if denominator <= ZERO_NORM_FLOOR else numerator / denominator
 
 
+def adjoint_defect(P: np.ndarray) -> float:
+    """||P - P†||_F.
+
+    For X equal to its adjoint bit for bit, Y†·X = (X·Y)†, so a residual
+    ||Y†·X − X·Y|| is this defect of the one product P = X·Y.
+    """
+    return frobenius_norm(P - P.conj().T)
+
+
 def hermiticity_defect(M: np.ndarray) -> float:
     """Relative asymmetry ||M - M†|| / ||M|| (absolute for ~zero M)."""
-    return relative_residual(frobenius_norm(M - M.conj().T), frobenius_norm(M))
+    return relative_residual(adjoint_defect(M), frobenius_norm(M))
 
 
 def hermitize(M, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -143,16 +154,13 @@ def gate_condition(smax: float, smin: float, tol: Tolerances = DEFAULT_TOLERANCE
         raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
 
 
-def polar_decompose(M, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Polar factors of an invertible M from one SVD, M = W·Σ·V†.
+def gated_svd(M, tol: Tolerances = DEFAULT_TOLERANCES):
+    """SVD ``M = W·Σ·V†`` of an invertible M, as ``(W, singular_values, V†)``.
 
-    Returns ``(X, rho, rho_inv, eta, singular_values)``: the unitary
-    X = W·V†, the positive root rho = V·Σ·V† of eta = M†M = V·Σ²·V†, its
-    inverse rho⁻¹ = V·Σ⁻¹·V† and the singular values, descending, so that
-    M = X·rho and cond(M) = σ_max/σ_min. The singular values are gated
-    once: :class:`SingularTransform` at or below
-    ``positivity_floor·‖M‖_F`` or at roundoff relative to σ_max, and
-    :class:`IllConditioned` beyond ``condition_cap``.
+    The singular values, descending, are gated once:
+    :class:`SingularTransform` at or below ``positivity_floor·‖M‖_F`` or at
+    roundoff relative to σ_max, and :class:`IllConditioned` beyond
+    ``condition_cap``.
     """
     A = as_matrix(M)
     W, s, Vh = np.linalg.svd(A)
@@ -162,12 +170,31 @@ def polar_decompose(M, tol: Tolerances = DEFAULT_TOLERANCES):
             f"smallest singular value {s[-1]:.3e} at or below floor {floor:.3e}"
         )
     gate_condition(s[0], s[-1], tol)
-    V = Vh.conj().T
-    rho, rho_inv, eta = ((V * d) @ Vh for d in (s, 1 / s, s**2))
-    for P in (rho, rho_inv, eta):
-        # hermitian_part in place: two n×n temporaries fewer per product
-        P += P.conj().T
-        P /= 2
+    return W, s, Vh
+
+
+def hermitian_from_basis(Vh: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """V·diag(d)·V† for V = Vh† and real d, Hermitian bit for bit."""
+    VD = Vh.conj().T
+    VD *= d
+    P = VD @ Vh
+    # hermitian_part in place: two n×n temporaries fewer per product
+    P += P.conj().T
+    P /= 2
+    return P
+
+
+def polar_decompose(M, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Polar factors of an invertible M from one SVD, M = W·Σ·V†.
+
+    Returns ``(X, rho, rho_inv, eta, singular_values)``: the unitary
+    X = W·V†, the positive root rho = V·Σ·V† of eta = M†M = V·Σ²·V†, its
+    inverse rho⁻¹ = V·Σ⁻¹·V† and the singular values, descending, so that
+    M = X·rho and cond(M) = σ_max/σ_min. The singular values are gated by
+    :func:`gated_svd`.
+    """
+    W, s, Vh = gated_svd(M, tol)
+    rho, rho_inv, eta = (hermitian_from_basis(Vh, d) for d in (s, 1 / s, s**2))
     return W @ Vh, rho, rho_inv, eta, s
 
 

@@ -10,6 +10,14 @@ arrays as lists, but renders each list of finite ``[re, im]`` float pairs,
 and each finite ``(k, 2)`` ``float64`` array such as a
 ``matrix_document``'s ``entries``, in one pass instead of through the
 pure-Python indenting encoder.
+
+A Hermitian matrix is written with each mirrored float rendered once. When
+a strictly-lower entry's real part has the same bits as its transposed
+twin's, it reuses the twin's string; when its imaginary part is the twin's
+with the sign bit flipped, it takes the twin's string with its sign
+flipped (``-`` stripped or prepended), which is that float's ``repr`` for
+every finite float, ±0.0 included. Every other float gets its own
+``repr``, so the bytes are the same as without the shortcut.
 """
 
 from __future__ import annotations
@@ -117,8 +125,8 @@ def _emit(value, newline: str, chunks: list) -> None:
             opening = ","
         chunks.append(newline + "}")
         return
-    flat = _float_pairs(value)
-    if flat is None:
+    blocks = _float_pair_blocks(value)
+    if blocks is None:
         if type(value) is np.ndarray:
             value = value.tolist()
         # json.dumps escapes newlines inside strings, so every "\n" it
@@ -126,26 +134,86 @@ def _emit(value, newline: str, chunks: list) -> None:
         chunks.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
         return
     deeper = inner + "  "
-    pair = f"{inner}[{deeper}%r,{deeper}%r{inner}]"
-    chunks.append("[")
-    chunks.append(",".join([pair] * len(value)) % tuple(flat))
+    pair = f"{inner}[{deeper}%s,{deeper}%s{inner}]"
+    opening = "["
+    for items in blocks:
+        chunks.append(opening + ",".join([pair] * (len(items) // 2)) % tuple(items))
+        opening = ","
     chunks.append(newline + "]")
 
 
-def _float_pairs(value):
-    """The flattened items of a non-empty list of finite [float, float] lists,
-    or of a non-empty finite ``(k, 2)`` float64 array, else None.
+def _float_pair_blocks(value):
+    """The items of a non-empty list of finite [float, float] lists, or of a
+    non-empty finite ``(k, 2)`` float64 array, in row-major order as
+    consecutive lists of whole pairs; else None.
 
-    %r of an exact float is ``float.__repr__``, which is how json writes a
-    finite float. A finite sum proves every item finite; a sum that
+    An item is a float or its ``repr``; ``%s`` of either is how json writes
+    a finite float. A finite sum proves every list item finite; a sum that
     overflows sends finite pairs to json.dumps, which is slower, not wrong.
     """
     if type(value) is np.ndarray and value.dtype == np.float64 and value.shape[1:] == (2,):
-        flat = value.ravel().tolist()
-    elif type(value) is list and set(map(type, value)) == {list} and set(map(len, value)) == {2}:
-        flat = list(chain.from_iterable(value))
-        if set(map(type, flat)) != {float}:
+        if not value.size or not np.isfinite(value).all():
             return None
-    else:
+        return _array_blocks(value)
+    if type(value) is list and set(map(type, value)) == {list} and set(map(len, value)) == {2}:
+        flat = list(chain.from_iterable(value))
+        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+            return [flat]
+    return None
+
+
+# Rows of a mirrored matrix rendered per block: about this many entries each.
+_BLOCK_ENTRIES = 1 << 14
+
+_SIGN_BIT = np.array([0, 1 << 63], dtype=np.uint64)
+
+
+def mirrored_items(entries):
+    """Which items of the ``(n², 2)`` float64 ``entries`` of an n×n matrix
+    mirror their transposed twin, as an ``(n, n, 2)`` mask, or None when
+    ``entries`` is not square or nothing mirrors.
+
+    Only strictly-lower items are marked: a real part whose bits equal its
+    twin's, an imaginary part whose bits are its twin's with the sign bit
+    flipped.
+    """
+    n = math.isqrt(len(entries))
+    if n * n != len(entries) or n < 2:
         return None
-    return flat if flat and math.isfinite(sum(flat)) else None
+    bits = entries.view(np.uint64).reshape(n, n, 2)
+    mask = bits == (bits.transpose(1, 0, 2) ^ _SIGN_BIT)
+    mask &= np.tri(n, k=-1, dtype=bool)[:, :, None]
+    return mask if mask.any() else None
+
+
+def _array_blocks(entries):
+    """The items of finite ``(k, 2)`` float64 ``entries`` as blocks of pairs.
+
+    A matrix that mirrors itself is rendered a block of rows at a time:
+    each row's own items are ``repr``-ed, its mirrored items are taken from
+    the twins' strings above the diagonal, and a string is dropped once the
+    rows that read it are rendered, so at most about a quarter of the
+    matrix's strings are held at once.
+    """
+    mirrored = mirrored_items(entries)
+    if mirrored is None:
+        yield entries.ravel().tolist()
+        return
+    n = mirrored.shape[0]
+    values = entries.reshape(n, n, 2)
+    strings = np.empty((n, n, 2), dtype=object)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        block, mirror = strings[r0:r1], mirrored[r0:r1, :r1]
+        own = ~mirrored[r0:r1]
+        floats = values[r0:r1][own].tolist()
+        # one %r format and a split make the strings faster than a repr each
+        block[own] = (" ".join(["%r"] * len(floats)) % tuple(floats)).split(" ")
+        twins = strings[:r1, r0:r1].transpose(1, 0, 2)
+        real, imag = mirror[..., 0], mirror[..., 1]
+        block[:, :r1, 0][real] = twins[..., 0][real]
+        block[:, :r1, 1][imag] = [s[1:] if s[0] == "-" else "-" + s for s in twins[..., 1][imag]]
+        yield block.ravel().tolist()
+        strings[:r1, r0:r1] = None  # every row that reads these is rendered
+        block[:, :r0] = None

@@ -3,16 +3,16 @@
 The existence construction: diagonalize H with row transform T, set
 ``eta = T†T`` (Hermitian positive-definite), ``rho = sqrt(eta)``, and
 ``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. One SVD of T
-gives eta, rho, rho⁻¹ and the polar unitary U of ``T = U·rho``
-(see :func:`~quasiherm.linalg.polar_decompose`). Since ``T·H = H_d·T``,
-``rho·H·rho⁻¹ = U†·H_d·U``, and h is built that way: Hermitian and
-isospectral with ``H_d`` by construction, certified by the similarity
-residual ``rho·H = h·rho``.
+gives eta, rho, the polar unitary U of ``T = U·rho`` and, when read,
+rho⁻¹ (see :func:`~quasiherm.linalg.polar_decompose`); its singular
+values give ``cond(T)``. Since ``T·H = H_d·T``, ``rho·H·rho⁻¹ = U†·H_d·U``,
+and h is built that way: Hermitian and isospectral with ``H_d`` by
+construction, certified by the similarity residual ``rho·H = h·rho``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,21 +20,46 @@ from .errors import ResidualExceeded
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    adjoint_defect,
     as_matrix,
     frobenius_norm,
+    gated_svd,
+    hermitian_from_basis,
     hermitian_part,
-    polar_decompose,
     relative_residual,
 )
-from .spectral import SpectralData, eig_decompose
+from .spectral import SpectralData, diagonalize
+
+
+class _InverseRoot:
+    """``MetricOperator.rho_inv``: when not given, formed from the SVD as
+    V·Σ⁻¹·V† on its first read, and kept."""
+
+    def __get__(self, metric, owner=None):
+        if metric is None:
+            return None  # the field's default, as the dataclass reads it
+        if metric.__dict__.get("rho_inv") is None:
+            if metric.right_vectors is None or metric.singular_values is None:
+                raise ValueError("rho_inv was not given and there is no SVD to form it from")
+            metric.__dict__["rho_inv"] = hermitian_from_basis(
+                metric.right_vectors, 1 / metric.singular_values
+            )
+        return metric.__dict__["rho_inv"]
+
+    def __set__(self, metric, value):
+        metric.__dict__["rho_inv"] = value
 
 
 @dataclass
 class MetricOperator:
     """Positive-definite metric ``eta`` with its positive square root ``rho``.
 
-    ``rho_inv`` is rho⁻¹ and ``unitary`` the polar unitary X of the factor
-    M = X·rho the metric was built from (``eta = M†M``).
+    ``unitary`` is the polar unitary X of the factor M = X·rho the metric
+    was built from (``eta = M†M``), ``singular_values`` M's singular values,
+    descending, and ``right_vectors`` the V† of its SVD M = W·Σ·V†.
+    ``rho_inv`` is rho⁻¹; left unset, it is formed from the SVD as
+    V·Σ⁻¹·V† on its first read, so a metric whose inverse root nothing
+    reads, such as a family member's, never forms it.
     ``pseudo_hermiticity_residual`` is the certified ``H†eta - eta H``
     residual against the generating Hamiltonian (None when the metric was
     built without one).
@@ -42,10 +67,12 @@ class MetricOperator:
 
     eta: np.ndarray
     rho: np.ndarray
-    rho_inv: np.ndarray
     unitary: np.ndarray
     min_eigenvalue: float
     pseudo_hermiticity_residual: float | None = None
+    singular_values: np.ndarray | None = None
+    right_vectors: np.ndarray | None = field(default=None, repr=False)
+    rho_inv: np.ndarray | None = _InverseRoot()
 
     @property
     def dim(self) -> int:
@@ -68,25 +95,30 @@ def verify_pseudo_hermitian(H, eta) -> float:
     """Relative residual ||H†·eta - eta·H|| / (||eta||·||H||).
 
     Zero (to roundoff) exactly when eta renders H pseudo-Hermitian. Purely
-    diagnostic: never raises.
+    diagnostic: never raises. For an eta that equals its adjoint exactly,
+    as every metric built here does, H†·eta = (eta·H)†, so the residual is
+    read off the one product P = eta·H as ||P† − P||.
     """
     A = as_matrix(H)
     E = as_matrix(eta)
-    return relative_residual(
-        frobenius_norm(A.conj().T @ E - E @ A), frobenius_norm(E) * frobenius_norm(A)
-    )
+    if np.array_equal(E, E.conj().T):
+        defect = adjoint_defect(E @ A)
+    else:
+        defect = frobenius_norm(A.conj().T @ E - E @ A)
+    return relative_residual(defect, frobenius_norm(E) * frobenius_norm(A))
 
 
 def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOperator:
     """Metric ``eta = T†T`` for the row transform T, with ``rho = sqrt(eta)``.
 
-    eta, rho, rho⁻¹ and the polar unitary come from one SVD of T, whose
-    singular values are gated (:func:`~quasiherm.linalg.polar_decompose`),
-    not those of the squared eta. When the
-    generating Hamiltonian is supplied, its pseudo-Hermiticity residual is
-    certified against ``residual_tol``.
+    eta, rho and the polar unitary come from one SVD of T, whose
+    singular values are gated (:func:`~quasiherm.linalg.gated_svd`),
+    not those of the squared eta; rho⁻¹ is formed from it when read. When
+    the generating Hamiltonian is supplied, its pseudo-Hermiticity
+    residual is certified against ``residual_tol``.
     """
-    X, rho, rho_inv, eta, singular_values = polar_decompose(T, tol)
+    W, s, Vh = gated_svd(T, tol)
+    eta = hermitian_from_basis(Vh, s**2)
 
     pseudo = None
     if H is not None:
@@ -96,11 +128,12 @@ def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOper
 
     return MetricOperator(
         eta=eta,
-        rho=rho,
-        rho_inv=rho_inv,
-        unitary=X,
-        min_eigenvalue=float(singular_values[-1] ** 2),
+        rho=hermitian_from_basis(Vh, s),
+        unitary=W @ Vh,
+        min_eigenvalue=float(s[-1] ** 2),
         pseudo_hermiticity_residual=pseudo,
+        singular_values=s,
+        right_vectors=Vh,
     )
 
 
@@ -142,14 +175,19 @@ def hermitian_equivalent(
 def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     """Existence construction end to end: H -> (T, H_d) -> eta, rho -> h.
 
-    Composes :func:`eig_decompose`, :func:`metric_from_T` and
-    :func:`hermitian_equivalent`, retaining every intermediate certificate
-    on the returned pair. Propagates ComplexSpectrum, NonDiagonalizable and
-    ResidualExceeded (``eig``) from the spectral stage.
+    Composes :func:`~quasiherm.spectral.eig_decompose`, :func:`metric_from_T`
+    and :func:`hermitian_equivalent`, retaining every intermediate
+    certificate on the returned pair. Propagates ComplexSpectrum,
+    NonDiagonalizable and ResidualExceeded (``eig``) from the spectral
+    stage. When degeneracy clusters were orthonormalized, ``cond_T`` is read
+    from the metric's SVD of T, whose gate enforces the same
+    ``condition_cap`` (as IllConditioned or SingularTransform).
     """
     A = as_matrix(H)
-    spectral = eig_decompose(A, tol)
+    spectral = diagonalize(A, tol)
     metric = metric_from_T(spectral.T, tol, H=A)
+    if spectral.cond_T is None:
+        spectral.cond_T = float(metric.singular_values[0] / metric.singular_values[-1])
     pair = hermitian_equivalent(A, metric, spectral.H_d, tol)
     pair.spectral = spectral
     return pair

@@ -14,7 +14,10 @@ shortest round-trip ``repr``. ``to_json`` equals
 ``json.dumps(to_payload(), indent=2, sort_keys=True)`` byte for byte; it
 renders from the arrays on its first call and returns that same string
 afterwards, so the ``out=`` file and a caller's ``to_json`` are one
-rendering.
+rendering. ``eta``, ``rho`` and ``h`` are Hermitian bit for bit, so each
+float below the diagonal reuses the string of its mirror image above it
+(:mod:`~quasiherm.matrixio`): every mirrored float is rendered once and
+the bytes are the same.
 """
 
 from __future__ import annotations
@@ -192,6 +195,40 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
+def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim) -> None:
+    """Run the stages ``command`` selects, recording their results in ``fields``."""
+    H, fields["input"] = _resolve_input(source, max_dim)
+
+    if command == "spectrum":
+        spectral = eig_decompose(H, tol)
+        pair = None
+    else:
+        pair = full_pipeline(H, tol)
+        spectral = pair.spectral
+
+    fields["eigenvalues"] = _complex_pairs(spectral.eigenvalues)
+    fields["clusters"] = [list(c) for c in spectral.clusters]
+    fields["cond_T"] = float(spectral.cond_T)
+
+    if pair is not None:
+        fields["residuals"]["ph"] = float(pair.metric.pseudo_hermiticity_residual)
+        fields["residuals"]["H=H"] = float(pair.similarity_residual)
+        if command == "analyze":
+            fields["matrices"] = {"eta": pair.metric.eta, "rho": pair.metric.rho, "h": pair.h}
+        cb = commutant_basis(pair.h, spectral.clusters, tol)
+        fields["commutant"] = {
+            "real_dimension": cb.real_dimension,
+            "cluster_sizes": [len(c) for c in cb.clusters],
+        }
+        for member_seed in range(seed, seed + samples):
+            generator = sample_positive_symmetry(cb, member_seed, spread, tol)
+            # keep the residuals only: a member's matrices die here
+            residuals = metric_from_symmetry(pair.metric, generator, H, tol).residuals
+            fields["family"].append(
+                FamilyMemberSummary(seed=member_seed, spread=spread, residuals=residuals)
+            )
+
+
 def _run(
     command: str,
     source,
@@ -217,36 +254,8 @@ def _run(
     }
     failure = None  # (value, identity, bound) of the identity that failed
     try:
-        H, fields["input"] = _resolve_input(source, max_dim)
-
-        if command == "spectrum":
-            spectral = eig_decompose(H, tol)
-            pair = None
-        else:
-            pair = full_pipeline(H, tol)
-            spectral = pair.spectral
-
-        fields["eigenvalues"] = _complex_pairs(spectral.eigenvalues)
-        fields["clusters"] = [list(c) for c in spectral.clusters]
-        fields["cond_T"] = float(spectral.cond_T)
-
-        if pair is not None:
-            fields["residuals"]["ph"] = float(pair.metric.pseudo_hermiticity_residual)
-            fields["residuals"]["H=H"] = float(pair.similarity_residual)
-            if command == "analyze":
-                fields["matrices"] = {"eta": pair.metric.eta, "rho": pair.metric.rho, "h": pair.h}
-            cb = commutant_basis(pair.h, spectral.clusters, tol)
-            fields["commutant"] = {
-                "real_dimension": cb.real_dimension,
-                "cluster_sizes": [len(c) for c in cb.clusters],
-            }
-            for member_seed in range(seed, seed + samples):
-                generator = sample_positive_symmetry(cb, member_seed, spread, tol)
-                # keep the residuals only: a member's matrices die here
-                residuals = metric_from_symmetry(pair.metric, generator, H, tol).residuals
-                fields["family"].append(
-                    FamilyMemberSummary(seed=member_seed, spread=spread, residuals=residuals)
-                )
+        # the stages' own matrices die on return, before the report is written
+        _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
     except ResidualExceeded as exc:
         fields["residuals"][exc.identity] = float(exc.value)
         failure = (exc.value, exc.identity, exc.bound)

@@ -46,13 +46,15 @@ class SpectralData:
 
     ``eigenvalues`` are the raw (complex) eigenvalues after sorting;
     ``H_d`` carries their certified real parts on the diagonal, and
-    ``T H = H_d T`` holds within the residual tolerance.
+    ``T H = H_d T`` holds within the residual tolerance. ``cond_T`` is the
+    condition number of the normalized T (None only between
+    :func:`diagonalize` and the SVD that supplies it).
     """
 
     eigenvalues: np.ndarray
     T: np.ndarray
     H_d: np.ndarray
-    cond_T: float
+    cond_T: float | None
     clusters: list[list[int]] = field(default_factory=list)
 
     @property
@@ -111,12 +113,32 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     Raises :class:`ComplexSpectrum` when any eigenvalue fails the reality
     gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, 1)`` and
     :class:`NonDiagonalizable` when the eigenvector matrix is defective
-    (condition estimate beyond ``condition_cap``). The certificate
-    ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)`` beyond ``residual_tol`` is a
-    residual failure, :class:`ResidualExceeded` naming ``"eig"``.
+    (condition estimate beyond ``condition_cap``, before and after the
+    normalization). The certificate ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)``
+    beyond ``residual_tol`` is a residual failure,
+    :class:`ResidualExceeded` naming ``"eig"``.
+    """
+    spectral = diagonalize(H, tol)
+    if spectral.cond_T is None:
+        cond_T = _condition(spectral.T)
+        if cond_T > tol.condition_cap:
+            raise NonDiagonalizable(
+                f"normalized transform condition {cond_T:.3e} exceeds cap", cond=cond_T
+            )
+        spectral.cond_T = cond_T
+    return spectral
+
+
+def diagonalize(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
+    """:func:`eig_decompose` short of one condition number.
+
+    With singleton clusters only, the normalized T is the raw eigenvector
+    rows times a diagonal unitary, so ``cond_T`` is the raw rows' condition
+    number, already computed for the defectiveness gate. When a cluster's
+    rows were orthonormalized, ``cond_T`` is left None for the caller to
+    take from an SVD of T that it makes anyway.
     """
     A = as_matrix(H)
-    n = A.shape[0]
     norm_H = frobenius_norm(A)
 
     if hermiticity_defect(A) <= HERMITIAN_ROUTE_TOL:
@@ -158,20 +180,16 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
         )
 
     clusters = cluster_degeneracies(eigenvalues.real, tol)
+    cond_T = cond_raw
     for cluster in clusters:
         if len(cluster) > 1:
             idx = np.asarray(cluster)
             q, _ = np.linalg.qr(T[idx].conj().T)
             T[idx] = q.conj().T
+            cond_T = None
     T = _fix_row_phases(T)
 
     H_d = np.diag(eigenvalues.real).astype(np.complex128)
-    cond_T = _condition(T)
-    if cond_T > tol.condition_cap:
-        raise NonDiagonalizable(
-            f"normalized transform condition {cond_T:.3e} exceeds cap", cond=cond_T
-        )
-
     commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
     relative = commutation / (max(norm_H, 1e-300) * frobenius_norm(T))
     if relative > tol.residual_tol:

@@ -30,7 +30,7 @@ For each family member the whole identity chain is verified numerically:
     eta'   = rho·S·rho                  (eta-form)
     h'     = A·h·A⁻¹,  A = rho'·rho⁻¹  (sim)
     [A†A, h] = 0                        (sym)
-    eta'   = rho·A†A·rho                (eta-prime)
+    eta'   = (A·rho)†(A·rho)            (eta-prime)
     A†     = rho⁻¹·A·rho               (A-ph)
     A      = U·sigma, U unitary         (A=US)
     B†     = sigma·B·sigma⁻¹, B = rho·U (B-ph)
@@ -38,12 +38,24 @@ For each family member the whole identity chain is verified numerically:
     eta'   = (sigma·rho)†(sigma·rho)    (eta-prime-3)
 
 Each check is reported individually by name so a failure localizes.
+
+Four identities compare a product with its own adjoint, and are checked
+from that one product P as ‖P − P†‖: the member's ``ph``
+(H†·eta' = eta'·H, P = eta'·H), ``sym`` (P = A†A·h), ``A-ph``
+(rho·A† = A·rho, P = A·rho) and the generator's ``sym`` (P = S·h). The
+operands eta', rho, S, h and A†A are made Hermitian on construction, as
+V·D·V† or (M + M†)/2, so each equals its adjoint bit for bit. For such
+an X, H†·X = (X·H)† and X·Y = (Y·X)† hold exactly, so the one-product
+residual is the two-product one. ``eta-prime`` reuses ``A-ph``'s A·rho:
+(A·rho)†(A·rho) = rho·A†A·rho, compared with the eta' of the SVD, which
+is a separate path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -51,12 +63,14 @@ from .errors import NotPositiveDefinite, ResidualExceeded
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    adjoint_defect,
     as_matrix,
     frobenius_norm,
     gate_condition,
     haar_unitary,
-    hermitian_eig,
+    hermitian_from_basis,
     hermitian_part,
+    hermitize,
     polar_decompose,
     relative_residual,
 )
@@ -82,10 +96,11 @@ FAMILY_IDENTITIES = (
 class CommutantBasis:
     """Hermitian commutant {X = X† : [X, h] = 0} of a Hermitian h.
 
-    Stored in h's eigenbasis: the commutant is every sum over clusters k of
-    W_k·X_k·W_k†, X_k a Hermitian block of the cluster's size and W_k the
-    cluster's columns of ``eigenvectors``. The real dimension is the sum of
-    squared cluster sizes. Each cluster has passed
+    ``h`` is the Hermitian part of the matrix given, equal to its adjoint
+    bit for bit. Stored in h's eigenbasis: the commutant is every sum over
+    clusters k of W_k·X_k·W_k†, X_k a Hermitian block of the cluster's size
+    and W_k the cluster's columns of ``eigenvectors``. The real dimension is
+    the sum of squared cluster sizes. Each cluster has passed
     (spread_k + 2‖h·W_k − W_k·Λ_k‖_F) / ‖h‖_F ≤ residual_tol, which bounds
     ‖[E, h]‖ / (‖E‖·‖h‖) for every E in the cluster's block (see the module
     docstring), so every commutant element, each ``basis`` element
@@ -170,8 +185,8 @@ def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> Commut
     commutator of every element of the cluster's block (``sym[cluster k]``).
     Raises :class:`NotHermitian` for non-Hermitian input.
     """
-    eigenvalues, W = hermitian_eig(h, tol)
-    h_mat = as_matrix(h)
+    h_mat = hermitize(h, tol)
+    eigenvalues, W = np.linalg.eigh(h_mat)
     n = h_mat.shape[0]
 
     flat = sorted(i for cluster in clusters for i in cluster)
@@ -213,35 +228,60 @@ def symmetry_from_coefficients(
     ``mixers`` the optional intra-cluster unitaries (identity by default).
     With Q = W·blockdiag(V_k) and s the coefficients laid out alike,
     S = Q·diag(s)·Q† and sigma = Q·diag(√s)·Q† take one product each, so the
-    root is exact up to roundoff.
+    root is exact up to roundoff. The singleton clusters are assembled as
+    whole arrays, their 1×1 mixers v checked by ||v|² − 1|.
     """
     n = cb.h.shape[0]
-    if len(values) != len(cb.clusters):
+    clusters = cb.clusters
+    if len(values) != len(clusters):
         raise ValueError("one coefficient array required per degeneracy cluster")
-    if mixers is None:
-        mixers = [np.eye(len(c), dtype=np.complex128) for c in cb.clusters]
 
     Q = np.zeros((n, n), dtype=np.complex128)
     spectrum = np.zeros(n)
-    coefficients: list[tuple[np.ndarray, np.ndarray]] = []
-    for cluster, vals, mixer in zip(cb.clusters, values, mixers):
-        s = np.asarray(vals, dtype=np.float64)
-        V = np.asarray(mixer, dtype=np.complex128)
+    coefficients: list = [None] * len(clusters)
+
+    singles = [k for k, cluster in enumerate(clusters) if len(cluster) == 1]
+    if singles:
+        m = len(singles)
+        s = np.asarray([values[k] for k in singles], dtype=np.float64)
+        if s.shape != (m, 1):
+            raise ValueError(f"expected one coefficient per singleton cluster, got {s.shape}")
+        V = (
+            np.ones((m, 1, 1), dtype=np.complex128)
+            if mixers is None
+            else np.asarray([mixers[k] for k in singles], dtype=np.complex128)
+        )
+        if V.shape != (m, 1, 1) or np.abs(np.abs(V) ** 2 - 1).max() > tol.residual_tol:
+            raise ValueError("cluster mixer must be a unitary of the cluster size")
+        columns = [clusters[k][0] for k in singles]
+        Q[:, columns] = cb.eigenvectors[:, columns] * V[:, 0, 0]
+        spectrum[columns] = s[:, 0]
+        for k, pair in zip(singles, zip(s, V)):
+            coefficients[k] = pair
+
+    for k, cluster in enumerate(clusters):
         d = len(cluster)
+        if d == 1:
+            continue
+        s = np.asarray(values[k], dtype=np.float64)
+        V = np.eye(d) if mixers is None else mixers[k]
+        V = np.asarray(V, dtype=np.complex128)
         if s.shape != (d,):
             raise ValueError(f"expected {d} coefficients for cluster {cluster}, got {s.shape}")
-        if np.any(s <= 0):
-            raise NotPositiveDefinite("symmetry coefficients must be strictly positive")
         if V.shape != (d, d) or frobenius_norm(V.conj().T @ V - np.eye(d)) > tol.residual_tol:
             raise ValueError("cluster mixer must be a unitary of the cluster size")
         Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
         spectrum[cluster] = s
-        coefficients.append((s.copy(), V.copy()))
+        coefficients[k] = (s.copy(), V.copy())
+    if np.any(spectrum <= 0):
+        raise NotPositiveDefinite("symmetry coefficients must be strictly positive")
 
-    S = hermitian_part((Q * spectrum) @ Q.conj().T)
-    sigma = hermitian_part((Q * np.sqrt(spectrum)) @ Q.conj().T)
+    Qh = Q.conj().T
+    S = hermitian_from_basis(Qh, spectrum)
+    sigma = hermitian_from_basis(Qh, np.sqrt(spectrum))
+    # S and h are Hermitian bit for bit, so h·S = (S·h)†
     commutation = relative_residual(
-        frobenius_norm(S @ cb.h - cb.h @ S), frobenius_norm(S) * frobenius_norm(cb.h)
+        adjoint_defect(S @ cb.h), frobenius_norm(S) * frobenius_norm(cb.h)
     )
     if commutation > tol.residual_tol:
         raise ResidualExceeded("sym", commutation, tol.residual_tol)
@@ -272,12 +312,19 @@ def sample_positive_symmetry(
     if spread < 1.0:
         raise ValueError("spread must be >= 1")
     rng = np.random.default_rng(seed)
+    low, high = np.log(1.0 / spread), np.log(spread)
     values = []
     mixers = []
-    for cluster in cb.clusters:
-        d = len(cluster)
-        values.append(np.exp(rng.uniform(np.log(1.0 / spread), np.log(spread), size=d)))
-        mixers.append(haar_unitary(d, rng) if d > 1 else np.eye(1, dtype=np.complex128))
+    for singleton, run in groupby(map(len, cb.clusters), key=lambda d: d == 1):
+        sizes = list(run)
+        if singleton:
+            # one draw for the run takes the stream that one per cluster takes
+            values.extend(np.exp(rng.uniform(low, high, size=(len(sizes), 1))))
+            mixers.extend(np.ones((len(sizes), 1, 1), dtype=np.complex128))
+            continue
+        for d in sizes:
+            values.append(np.exp(rng.uniform(low, high, size=d)))
+            mixers.append(haar_unitary(d, rng))
     return symmetry_from_coefficients(cb, values, mixers, tol)
 
 
@@ -290,8 +337,9 @@ def metric_from_symmetry(
     """Build the family member eta' = rho·S·rho and verify the identity chain.
 
     eta' = (sigma·rho)†(sigma·rho) is the metric of the factor sigma·rho, so
-    one SVD of that factor gives eta', rho', rho'⁻¹ and the polar unitary
-    X of sigma·rho = X·rho' (:func:`~quasiherm.metric.metric_from_T`).
+    one SVD of that factor gives eta', rho' and the polar unitary X of
+    sigma·rho = X·rho' (:func:`~quasiherm.metric.metric_from_T`); rho'⁻¹
+    is never read, so never formed.
     Then A = rho'·rho⁻¹ = X†·sigma, so U = X† is unitary by construction
     and B = rho·U; every identity residual is recorded by name. h is the
     generator's own, the Hermitian equivalent its commutant was built
@@ -329,14 +377,17 @@ def metric_from_symmetry(
     nrm = frobenius_norm
     n = A_H.shape[0]
     AdgA = A.conj().T @ A
+    AdgA += AdgA.conj().T  # Hermitian bit for bit, so h·A†A = (A†A·h)†
+    AdgA /= 2
+    A_rho = A @ rho  # rho is Hermitian, so rho·A† = (A·rho)†
 
     residuals = {
         "ph": member_metric.pseudo_hermiticity_residual,
         "H=H": prime_pair.similarity_residual,
         "sim": relative_residual(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h)),
-        "sym": relative_residual(nrm(AdgA @ h - h @ AdgA), nrm(AdgA) * nrm(h)),
-        "eta-prime": relative_residual(nrm(eta_prime - rho @ AdgA @ rho), nrm(eta_prime)),
-        "A-ph": relative_residual(nrm(rho @ A.conj().T - A @ rho), nrm(rho) * nrm(A)),
+        "sym": relative_residual(adjoint_defect(AdgA @ h), nrm(AdgA) * nrm(h)),
+        "eta-prime": relative_residual(nrm(eta_prime - A_rho.conj().T @ A_rho), nrm(eta_prime)),
+        "A-ph": relative_residual(adjoint_defect(A_rho), nrm(rho) * nrm(A)),
         # U is the polar factor X†, not A·sigma⁻¹, so both halves are checked
         "A=US": max(
             nrm(U.conj().T @ U - np.eye(n)), relative_residual(nrm(A - U @ sigma), nrm(A))

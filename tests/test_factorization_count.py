@@ -8,6 +8,7 @@ import pytest
 from quasiherm import (
     ModelSpec,
     commutant_basis,
+    eig_decompose,
     full_pipeline,
     metric_from_symmetry,
     random_diagonalizable,
@@ -41,9 +42,10 @@ def test_full_pipeline_factorizations(linalg_calls):
     H, _ = random_diagonalizable(6, seed=3)
     linalg_calls.clear()
     full_pipeline(H)
-    # eig_decompose: eig and two condition SVDs; metric_from_T: one SVD;
+    # eig_decompose: eig and the raw condition SVD (singleton clusters: the
+    # normalized T's condition is the raw one); metric_from_T: one SVD;
     # hermitian_equivalent factorizes nothing
-    assert linalg_calls == Counter(eig=1, svd=3)
+    assert linalg_calls == Counter(eig=1, svd=2)
 
 
 def test_family_member_is_one_svd(linalg_calls):
@@ -61,5 +63,21 @@ def test_run_analyze_factorizations(linalg_calls):
     report = run_analyze(spec, samples=2)
     assert report.verdict == "pass"
     # build_model: two Haar QRs and one solve, no ground truth; full_pipeline:
-    # eig + 3 SVDs; commutant_basis: one eigh; each member: one SVD
-    assert linalg_calls == Counter(qr=2, solve=1, eig=1, svd=5, eigh=1)
+    # eig + 2 SVDs; commutant_basis: one eigh; each member: one SVD
+    assert linalg_calls == Counter(qr=2, solve=1, eig=1, svd=4, eigh=1)
+
+
+def test_clustered_spectrum_condition_comes_from_the_metric_svd(linalg_calls):
+    rng = np.random.default_rng(3)
+    D = np.repeat([-1.0, 0.5, 2.0], [3, 1, 2])
+    T0 = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    H = np.linalg.solve(T0, D[:, None] * T0)
+    linalg_calls.clear()
+    eig_decompose(H)
+    # eig, the raw condition SVD, one QR per cluster of two or more, and
+    # the SVD of the normalized T
+    assert linalg_calls == Counter(eig=1, svd=2, qr=2)
+    linalg_calls.clear()
+    full_pipeline(H)
+    # the normalized T's condition number is metric_from_T's SVD
+    assert linalg_calls == Counter(eig=1, svd=2, qr=2)

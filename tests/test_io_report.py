@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -25,6 +26,7 @@ from quasiherm import (
     save_matrix,
     two_level,
 )
+from quasiherm import matrixio
 from quasiherm.linalg import DEFAULT_TOLERANCES
 from quasiherm.matrixio import dumps
 from quasiherm.report import DEFAULT_MAX_DIM, VerificationReport
@@ -348,6 +350,75 @@ def _as_lists(value):
 @given(_PAYLOADS | _MATRIX | _DOCUMENTS | _ARRAYS)
 def test_dumps_is_indented_sorted_json(payload):
     assert dumps(payload) == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
+
+
+@st.composite
+def _mirrored_arrays(draw):
+    """Entries of an n×n matrix whose lower real parts copy the upper ones
+    and, but for a real symmetric one (+0.0 on both sides), whose lower
+    imaginary parts are the upper ones with the sign bit flipped."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["hermitian", "real symmetric", "one bit off", "not square"]))
+    M = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            re = draw(_FINITE)
+            im = draw(_FINITE) if j > i and kind != "real symmetric" else 0.0
+            M[i, j] = complex(re, im)
+            M[j, i] = complex(re, -im if kind != "real symmetric" else 0.0)
+    entries = matrixio.matrix_document(M)["entries"]
+    if kind == "one bit off" and n > 1:
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(0, i - 1))
+        bits = entries.view(np.uint64)
+        bit = np.uint64(1) << np.uint64(draw(st.integers(0, 63)))
+        bits[i * n + j, draw(st.integers(0, 1))] ^= bit
+    if kind == "not square":
+        entries = entries[: draw(st.integers(0, max(n * n - 1, 0)))]
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mirrored_arrays(), st.sampled_from([1, 3, 1 << 14]))
+def test_dumps_renders_mirrored_matrices_byte_for_byte(entries, block_entries):
+    document = {"dim": 0, "entries": entries}
+    with mock.patch.object(matrixio, "_BLOCK_ENTRIES", block_entries):
+        text = dumps(document)
+    assert text == json.dumps(_as_lists(document), indent=2, sort_keys=True)
+
+
+def test_mirrored_render_of_edge_floats():
+    # ±0.0 and subnormal imaginary parts flip their sign like any other
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e308, 1.5, -2.0]
+    n = len(edges)
+    M = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i, j] = complex(edges[j], edges[i])
+            M[j, i] = complex(edges[j], -edges[i])
+    entries = matrixio.matrix_document(M)["entries"]
+    assert matrixio.mirrored_items(entries)[np.tri(n, k=-1, dtype=bool)].all()
+    expected = json.dumps(matrix_to_payload(M), indent=2, sort_keys=True)
+    assert dumps(matrixio.matrix_document(M)) == expected
+
+
+def test_report_matrices_take_the_mirrored_render(monkeypatch):
+    # eta, rho and h are Hermitian bit for bit, so every strictly-lower
+    # float of each reuses its twin's string
+    H, _ = random_diagonalizable(6, seed=5)
+    report = run_analyze(H, samples=1)
+    masks = []
+    original = matrixio.mirrored_items
+
+    def recorded(entries):
+        masks.append(original(entries))
+        return masks[-1]
+
+    monkeypatch.setattr(matrixio, "mirrored_items", recorded)
+    report.to_json()
+    assert len(masks) == 3
+    for mask in masks:
+        assert mask is not None and mask[np.tri(6, k=-1, dtype=bool)].all()
 
 
 def _fail_report():

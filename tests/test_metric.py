@@ -7,12 +7,16 @@ import pytest
 from quasiherm import (
     MetricOperator,
     ResidualExceeded,
+    commutant_basis,
     eig_decompose,
     full_pipeline,
     haar_unitary,
     hermitian_equivalent,
+    metric_from_symmetry,
     metric_from_T,
+    polar_decompose,
     random_diagonalizable,
+    sample_positive_symmetry,
     two_level,
     verify_pseudo_hermitian,
 )
@@ -140,3 +144,47 @@ def test_pipeline_metric_is_left_eigenbasis_gram_matrix():
     npt.assert_allclose(
         metric.eta, spectral.T.conj().T @ spectral.T, atol=1e-13
     )
+
+
+def test_pseudo_hermitian_residual_of_a_non_hermitian_eta_takes_both_products():
+    rng = np.random.default_rng(8)
+    H = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    eta = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    norms = np.linalg.norm(eta) * np.linalg.norm(H)
+    expected = np.linalg.norm(H.conj().T @ eta - eta @ H) / norms
+    assert verify_pseudo_hermitian(H, eta) == expected
+    # a Hermitian eta that is no metric of H: the one-product form, the
+    # same O(1) value to a few ulps
+    eta = (eta + eta.conj().T) / 2
+    norms = np.linalg.norm(eta) * np.linalg.norm(H)
+    expected = np.linalg.norm(H.conj().T @ eta - eta @ H) / norms
+    assert verify_pseudo_hermitian(H, eta) == pytest.approx(expected, rel=1e-14)
+
+
+def test_rho_inv_is_formed_from_the_svd_when_first_read():
+    H, _ = random_diagonalizable(6, seed=4)
+    spectral = eig_decompose(H)
+    metric = metric_from_T(spectral.T, H=H)
+    assert vars(metric)["rho_inv"] is None
+    _, _, rho_inv, _, _ = polar_decompose(spectral.T)
+    npt.assert_array_equal(metric.rho_inv, rho_inv)
+    assert vars(metric)["rho_inv"] is metric.rho_inv  # kept after the first read
+    # a family member's inverse root is never read, so never formed
+    pair = full_pipeline(H)
+    gen = sample_positive_symmetry(commutant_basis(pair.h, pair.spectral.clusters), seed=1)
+    member = metric_from_symmetry(pair.metric, gen, H)
+    assert vars(member.eta_prime)["rho_inv"] is None
+    npt.assert_allclose(member.eta_prime.rho_inv @ member.rho_prime, np.eye(6), atol=1e-12)
+
+
+def test_cond_T_of_clustered_spectra_comes_from_the_metric_svd():
+    rng = np.random.default_rng(3)
+    D = np.repeat([-1.0, 0.5, 2.0], [3, 1, 2])
+    T0 = haar_unitary(6, rng) @ np.diag(np.exp(rng.uniform(0, 2, 6))) @ haar_unitary(6, rng)
+    H = np.linalg.solve(T0, D[:, None] * T0)
+    spectral = eig_decompose(H)
+    assert [len(c) for c in spectral.clusters] == [3, 1, 2]
+    pair = full_pipeline(H)
+    s = pair.metric.singular_values
+    assert pair.spectral.cond_T == s[0] / s[-1]
+    assert pair.spectral.cond_T == pytest.approx(spectral.cond_T, rel=1e-12)

@@ -455,3 +455,119 @@ def test_member_residuals_flag_a_metric_that_is_not_rho_squared():
     bad = metric_from_symmetry(skewed, gen, H)
     assert bad.residuals["eta=BB"] > 1e-3
     assert bad.residuals["B-ph"] <= 1e-10
+
+
+def _per_cluster_sample(cb, seed, spread=10.0):
+    """The sampler as a per-cluster loop: one uniform draw per cluster."""
+    rng = np.random.default_rng(seed)
+    values, mixers = [], []
+    for cluster in cb.clusters:
+        d = len(cluster)
+        values.append(np.exp(rng.uniform(np.log(1.0 / spread), np.log(spread), size=d)))
+        mixers.append(haar_unitary(d, rng) if d > 1 else np.eye(1, dtype=np.complex128))
+    return values, mixers
+
+
+def _per_cluster_layout(cb, values, mixers):
+    """Q = W·blockdiag(V_k) and the spectrum, assembled one cluster at a time."""
+    n = cb.h.shape[0]
+    Q = np.zeros((n, n), dtype=complex)
+    spectrum = np.zeros(n)
+    for cluster, s, V in zip(cb.clusters, values, mixers):
+        Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
+        spectrum[cluster] = s
+    return Q, spectrum
+
+
+@pytest.mark.parametrize(
+    "sizes", [[1, 1, 3, 1, 2, 1, 1, 2], [2, 1, 1, 1, 4], [1] * 7, [3, 3], [1]]
+)
+def test_singleton_runs_match_the_per_cluster_loop(sizes):
+    spectrum = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+    h = conjugated_diagonal(spectrum, seed=len(sizes))
+    cb = commutant_basis(h, cluster_degeneracies(spectrum))
+    assert [len(c) for c in cb.clusters] == sizes
+    for seed in range(3):
+        gen = sample_positive_symmetry(cb, seed)
+        values, mixers = _per_cluster_sample(cb, seed)
+        # one draw per run of singletons consumes the same stream
+        for (s, V), s_ref, V_ref in zip(gen.coefficients, values, mixers, strict=True):
+            npt.assert_array_equal(s, s_ref)
+            npt.assert_array_equal(V, V_ref)
+        Q, spectrum_ref = _per_cluster_layout(cb, values, mixers)
+        npt.assert_array_equal(gen.eigenvectors, Q)
+        npt.assert_array_equal(gen.eigenvalues, spectrum_ref)
+        S = (Q * spectrum_ref) @ Q.conj().T
+        npt.assert_allclose(gen.matrix, (S + S.conj().T) / 2, rtol=0, atol=1e-14)
+
+
+def test_singleton_phase_mixers_match_the_per_cluster_loop():
+    sizes = [1, 2, 1, 1]
+    spectrum = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+    cb = commutant_basis(conjugated_diagonal(spectrum, seed=3), cluster_degeneracies(spectrum))
+    rng = np.random.default_rng(5)
+    values = [rng.uniform(0.5, 2.0, size=d) for d in sizes]
+    mixers = [haar_unitary(d, rng) for d in sizes]  # 1×1: a unit phase
+    gen = symmetry_from_coefficients(cb, values, mixers)
+    Q, spectrum_ref = _per_cluster_layout(cb, values, mixers)
+    # a phase times a column, against a 1×1 product: the same to an ulp
+    npt.assert_allclose(gen.eigenvectors, Q, rtol=0, atol=4 * np.finfo(float).eps)
+    npt.assert_array_equal(gen.eigenvalues, spectrum_ref)
+    with pytest.raises(ValueError):  # two coefficients for a singleton
+        symmetry_from_coefficients(cb, [np.ones(2), np.ones(2), np.ones(1), np.ones(1)])
+    with pytest.raises(ValueError):  # |v|² − 1 = 0.21 for a 1×1 mixer
+        symmetry_from_coefficients(cb, values, [1.1 * np.eye(1)] + mixers[1:])
+    with pytest.raises(NotPositiveDefinite):
+        symmetry_from_coefficients(cb, [np.ones(1), np.ones(2), -np.ones(1), np.ones(1)])
+
+
+def _relative(defect, *norms):
+    return defect / np.prod([np.linalg.norm(M) for M in norms])
+
+
+def test_one_product_residuals_equal_the_two_product_forms():
+    # each one-product residual and its two-product form differ only by
+    # the rounding of the second product: a few eps in relative terms
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        H, _ = random_diagonalizable(12, seed=seed)
+        pair = full_pipeline(H)
+        cb = commutant_basis(pair.h, pair.spectral.clusters)
+        gen = sample_positive_symmetry(cb, seed=seed)
+        member = metric_from_symmetry(pair.metric, gen, H)
+        rho, h, A = pair.metric.rho, gen.h, member.intertwiner
+        eta_prime = member.eta_prime.eta
+        AdgA = A.conj().T @ A
+        AdgA = (AdgA + AdgA.conj().T) / 2
+        A_rho = A @ rho
+        S = gen.matrix
+        two_product = {
+            "ph": _relative(np.linalg.norm(H.conj().T @ eta_prime - eta_prime @ H), eta_prime, H),
+            "sym": _relative(np.linalg.norm(AdgA @ h - h @ AdgA), AdgA, h),
+            "A-ph": _relative(np.linalg.norm(rho @ A.conj().T - A @ rho), rho, A),
+            "eta-prime": np.linalg.norm(eta_prime - rho @ AdgA @ rho) / np.linalg.norm(eta_prime),
+        }
+        for name, value in two_product.items():
+            assert abs(member.residuals[name] - value) <= 16 * eps, name
+            assert member.residuals[name] <= 1e-13, name
+        generator_two_product = _relative(np.linalg.norm(S @ h - h @ S), S, h)
+        assert abs(gen.commutation_residual - generator_two_product) <= 16 * eps
+        # the one product is formed on A·rho, not on the SVD's eta'
+        scale = np.linalg.norm(eta_prime)
+        npt.assert_allclose(A_rho.conj().T @ A_rho, eta_prime, atol=1e-12 * scale)
+
+
+def test_one_product_residual_of_a_broken_identity_is_the_two_product_one():
+    # Hermitian operands that do not commute: both forms give an O(1)
+    # residual, equal to a few ulps of its value
+    h = conjugated_diagonal([1.0, 2.0, 3.0, 5.0], seed=1)
+    cb = commutant_basis(h, [[0], [1], [2], [3]])
+    other = conjugated_diagonal([1.0, 4.0, 9.0, 16.0], seed=2)
+    broken = dataclasses.replace(cb, h=other)
+    with pytest.raises(ResidualExceeded) as exc_info:
+        symmetry_from_coefficients(broken, [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)])
+    S = (cb.eigenvectors * [1.0, 2.0, 3.0, 4.0]) @ cb.eigenvectors.conj().T
+    S = (S + S.conj().T) / 2
+    expected = _relative(np.linalg.norm(S @ other - other @ S), S, other)
+    assert exc_info.value.identity == "sym"
+    assert exc_info.value.value == pytest.approx(expected, rel=1e-13)
