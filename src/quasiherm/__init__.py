@@ -20,47 +20,13 @@ from .errors import (
     ResidualExceeded,
     SingularTransform,
 )
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    as_matrix,
-    frobenius_norm,
-    haar_unitary,
-    hermitian_eig,
-    hermitian_part,
-    hermiticity_defect,
-    hermitize,
-    polar_decompose,
-)
+from .linalg import Tolerances
 from .matrixio import load_matrix, matrix_from_payload, matrix_to_payload, save_matrix
-from .metric import (
-    EquivalencePair,
-    MetricOperator,
-    full_pipeline,
-    hermitian_equivalent,
-    metric_from_T,
-    verify_pseudo_hermitian,
-)
-from .models import (
-    ModelSpec,
-    build_model,
-    random_diagonalizable,
-    swanson,
-    two_level,
-)
-from .report import (
-    FamilyMemberSummary,
-    VerificationReport,
-    run_analyze,
-    run_family,
-    run_spectrum,
-)
-from .spectral import SpectralData, cluster_degeneracies, eig_decompose
+from .metric import full_pipeline, hermitian_equivalent, metric_from_T
+from .models import ModelSpec, build_model, random_diagonalizable, swanson, two_level
+from .report import VerificationReport, run_analyze, run_family, run_spectrum
+from .spectral import cluster_degeneracies, eig_decompose
 from .symmetry import (
-    FAMILY_IDENTITIES,
-    CommutantBasis,
-    MetricFamilyMember,
-    SymmetryGenerator,
     commutant_basis,
     intertwiner_from_metrics,
     metric_from_symmetry,
@@ -70,6 +36,8 @@ from .symmetry import (
 
 __version__ = "0.1.0"
 
+# The entry points; kernels and result types are imported from their
+# modules (quasiherm.linalg, quasiherm.metric, quasiherm.symmetry, ...).
 __all__ = [
     "QuasiHermError",
     "NotHermitian",
@@ -82,28 +50,11 @@ __all__ = [
     "InvalidModelParameters",
     "ParseError",
     "Tolerances",
-    "DEFAULT_TOLERANCES",
-    "as_matrix",
-    "frobenius_norm",
-    "hermitian_part",
-    "hermiticity_defect",
-    "hermitize",
-    "hermitian_eig",
-    "polar_decompose",
-    "haar_unitary",
-    "SpectralData",
-    "cluster_degeneracies",
     "eig_decompose",
-    "MetricOperator",
-    "EquivalencePair",
-    "verify_pseudo_hermitian",
+    "cluster_degeneracies",
     "metric_from_T",
     "hermitian_equivalent",
     "full_pipeline",
-    "CommutantBasis",
-    "SymmetryGenerator",
-    "MetricFamilyMember",
-    "FAMILY_IDENTITIES",
     "commutant_basis",
     "symmetry_from_coefficients",
     "sample_positive_symmetry",
@@ -119,7 +70,6 @@ __all__ = [
     "matrix_to_payload",
     "matrix_from_payload",
     "VerificationReport",
-    "FamilyMemberSummary",
     "run_analyze",
     "run_family",
     "run_spectrum",

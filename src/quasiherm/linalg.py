@@ -1,12 +1,12 @@
 """Dense complex matrix kernels.
 
-Arithmetic, norms, the Hermitian eigendecomposition and the polar
-decomposition, all on square complex128 arrays. These are the primitives
-everything else in the package composes. Every metric comes from one SVD
-of its factor M = W·Σ·V† (:func:`gated_svd`): the metric V·Σ²·V†, its root
-V·Σ·V†, the root's inverse V·Σ⁻¹·V† and the polar unitary W·V†
-(:func:`polar_decompose`), so no inverse is applied through a linear
-solve. Each Hermitian factor is made Hermitian bit for bit, which lets a
+Arithmetic, norms and the gated SVD, all on square complex128 arrays.
+These are the primitives everything else in the package composes. Every
+metric comes from one SVD of its factor M = W·Σ·V† (:func:`gated_svd`):
+the metric V·Σ²·V†, its root V·Σ·V†, the root's inverse V·Σ⁻¹·V† and the
+polar unitary W·V† (:func:`~quasiherm.metric.metric_from_T`), so no
+inverse is applied through a linear solve. Each Hermitian factor is made
+Hermitian bit for bit (:func:`hermitian_from_basis`), which lets a
 commutator with it be read off one product P as P − P†.
 
 All residual checks are relative to operand norms; a matrix whose Frobenius
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, NotHermitian, SingularTransform
+from .errors import IllConditioned, SingularTransform
 
 # Frobenius norms below this are indistinguishable from zero in double precision.
 ZERO_NORM_FLOOR = 1e-300
@@ -113,30 +113,6 @@ def hermiticity_defect(M: np.ndarray) -> float:
     return relative_residual(adjoint_defect(M), frobenius_norm(M))
 
 
-def hermitize(M, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Return (M + M†)/2 provided M is Hermitian within ``residual_tol``.
-
-    Suppresses roundoff drift without masking genuine asymmetry: beyond
-    the gate this is a hard :class:`NotHermitian` error.
-    """
-    A = as_matrix(M)
-    defect = hermiticity_defect(A)
-    if defect > tol.residual_tol:
-        raise NotHermitian(f"relative asymmetry {defect:.3e} exceeds {tol.residual_tol:.3e}")
-    return hermitian_part(A)
-
-
-def hermitian_eig(M, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Eigendecomposition of a (tolerantly) Hermitian matrix.
-
-    Returns ``(eigenvalues, V)`` with real eigenvalues ascending and
-    unitary ``V`` whose columns are the eigenvectors.
-    """
-    A = hermitize(M, tol)
-    eigenvalues, V = np.linalg.eigh(A)
-    return eigenvalues, V
-
-
 def gate_condition(smax: float, smin: float, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     """Gate the condition number smax/smin of a matrix about to be inverted.
 
@@ -182,20 +158,6 @@ def hermitian_from_basis(Vh: np.ndarray, d: np.ndarray) -> np.ndarray:
     P += P.conj().T
     P /= 2
     return P
-
-
-def polar_decompose(M, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Polar factors of an invertible M from one SVD, M = W·Σ·V†.
-
-    Returns ``(X, rho, rho_inv, eta, singular_values)``: the unitary
-    X = W·V†, the positive root rho = V·Σ·V† of eta = M†M = V·Σ²·V†, its
-    inverse rho⁻¹ = V·Σ⁻¹·V† and the singular values, descending, so that
-    M = X·rho and cond(M) = σ_max/σ_min. The singular values are gated by
-    :func:`gated_svd`.
-    """
-    W, s, Vh = gated_svd(M, tol)
-    rho, rho_inv, eta = (hermitian_from_basis(Vh, d) for d in (s, 1 / s, s**2))
-    return W @ Vh, rho, rho_inv, eta, s
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,15 +4,16 @@ The existence construction: diagonalize H with row transform T, set
 ``eta = T†T`` (Hermitian positive-definite), ``rho = sqrt(eta)``, and
 ``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. One SVD of T
 gives eta, rho, the polar unitary U of ``T = U·rho`` and, when read,
-rho⁻¹ (see :func:`~quasiherm.linalg.polar_decompose`); its singular
-values give ``cond(T)``. Since ``T·H = H_d·T``, ``rho·H·rho⁻¹ = U†·H_d·U``,
-and h is built that way: Hermitian and isospectral with ``H_d`` by
-construction, certified by the similarity residual ``rho·H = h·rho``.
+rho⁻¹ (:func:`metric_from_T`); its singular values give ``cond(T)``.
+Since ``T·H = H_d·T``, ``rho·H·rho⁻¹ = U†·H_d·U``, and h is built that
+way: Hermitian and isospectral with ``H_d`` by construction, certified by
+the similarity residual ``rho·H = h·rho``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,25 +32,6 @@ from .linalg import (
 from .spectral import SpectralData, diagonalize
 
 
-class _InverseRoot:
-    """``MetricOperator.rho_inv``: when not given, formed from the SVD as
-    V·Σ⁻¹·V† on its first read, and kept."""
-
-    def __get__(self, metric, owner=None):
-        if metric is None:
-            return None  # the field's default, as the dataclass reads it
-        if metric.__dict__.get("rho_inv") is None:
-            if metric.right_vectors is None or metric.singular_values is None:
-                raise ValueError("rho_inv was not given and there is no SVD to form it from")
-            metric.__dict__["rho_inv"] = hermitian_from_basis(
-                metric.right_vectors, 1 / metric.singular_values
-            )
-        return metric.__dict__["rho_inv"]
-
-    def __set__(self, metric, value):
-        metric.__dict__["rho_inv"] = value
-
-
 @dataclass
 class MetricOperator:
     """Positive-definite metric ``eta`` with its positive square root ``rho``.
@@ -57,26 +39,27 @@ class MetricOperator:
     ``unitary`` is the polar unitary X of the factor M = X·rho the metric
     was built from (``eta = M†M``), ``singular_values`` M's singular values,
     descending, and ``right_vectors`` the V† of its SVD M = W·Σ·V†.
-    ``rho_inv`` is rho⁻¹; left unset, it is formed from the SVD as
-    V·Σ⁻¹·V† on its first read, so a metric whose inverse root nothing
-    reads, such as a family member's, never forms it.
-    ``pseudo_hermiticity_residual`` is the certified ``H†eta - eta H``
-    residual against the generating Hamiltonian (None when the metric was
-    built without one).
+    ``rho_inv`` = V·Σ⁻¹·V† is formed from that SVD on its first read, so a
+    metric whose inverse root nothing reads, such as a family member's,
+    never forms it. ``pseudo_hermiticity_residual`` is the certified
+    ``H†eta - eta H`` residual against the generating Hamiltonian (None
+    when the metric was built without one).
     """
 
     eta: np.ndarray
     rho: np.ndarray
     unitary: np.ndarray
-    min_eigenvalue: float
+    singular_values: np.ndarray
+    right_vectors: np.ndarray = field(repr=False)
     pseudo_hermiticity_residual: float | None = None
-    singular_values: np.ndarray | None = None
-    right_vectors: np.ndarray | None = field(default=None, repr=False)
-    rho_inv: np.ndarray | None = _InverseRoot()
 
     @property
-    def dim(self) -> int:
-        return self.eta.shape[0]
+    def min_eigenvalue(self) -> float:
+        return float(self.singular_values[-1] ** 2)
+
+    @cached_property
+    def rho_inv(self) -> np.ndarray:
+        return hermitian_from_basis(self.right_vectors, 1 / self.singular_values)
 
 
 @dataclass
@@ -86,7 +69,6 @@ class EquivalencePair:
     H: np.ndarray
     h: np.ndarray
     metric: MetricOperator
-    U: np.ndarray
     similarity_residual: float
     spectral: SpectralData | None = None
 
@@ -109,13 +91,15 @@ def verify_pseudo_hermitian(H, eta) -> float:
 
 
 def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOperator:
-    """Metric ``eta = T†T`` for the row transform T, with ``rho = sqrt(eta)``.
+    """Metric ``eta = T†T`` of an invertible factor T, with ``rho = sqrt(eta)``.
 
-    eta, rho and the polar unitary come from one SVD of T, whose
-    singular values are gated (:func:`~quasiherm.linalg.gated_svd`),
-    not those of the squared eta; rho⁻¹ is formed from it when read. When
-    the generating Hamiltonian is supplied, its pseudo-Hermiticity
-    residual is certified against ``residual_tol``.
+    The one constructor of a :class:`MetricOperator`. One SVD
+    T = W·Σ·V†, whose singular values are gated
+    (:func:`~quasiherm.linalg.gated_svd`), not those of the squared eta,
+    gives eta = V·Σ²·V†, rho = V·Σ·V† and the polar unitary X = W·V† of
+    T = X·rho; rho⁻¹ = V·Σ⁻¹·V† is formed from it when read. When the
+    generating Hamiltonian is supplied, its pseudo-Hermiticity residual is
+    certified against ``residual_tol``.
     """
     W, s, Vh = gated_svd(T, tol)
     eta = hermitian_from_basis(Vh, s**2)
@@ -130,10 +114,9 @@ def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOper
         eta=eta,
         rho=hermitian_from_basis(Vh, s),
         unitary=W @ Vh,
-        min_eigenvalue=float(s[-1] ** 2),
-        pseudo_hermiticity_residual=pseudo,
         singular_values=s,
         right_vectors=Vh,
+        pseudo_hermiticity_residual=pseudo,
     )
 
 
@@ -150,7 +133,6 @@ def hermitian_equivalent(
     M = sigma·rho. Then rho·H·rho⁻¹ = X†·K·X, Hermitian and isospectral
     with K by construction. The similarity ``rho·H = h·rho`` is certified
     (``H=H``); it fails when X is not unitary or K is not intertwined.
-    U is the metric's polar unitary X.
     """
     A = as_matrix(H)
     X = metric.unitary
@@ -163,19 +145,13 @@ def hermitian_equivalent(
     if similarity_residual > tol.residual_tol:
         raise ResidualExceeded("H=H", similarity_residual, tol.residual_tol)
 
-    return EquivalencePair(
-        H=A,
-        h=h,
-        metric=metric,
-        U=X,
-        similarity_residual=similarity_residual,
-    )
+    return EquivalencePair(H=A, h=h, metric=metric, similarity_residual=similarity_residual)
 
 
 def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     """Existence construction end to end: H -> (T, H_d) -> eta, rho -> h.
 
-    Composes :func:`~quasiherm.spectral.eig_decompose`, :func:`metric_from_T`
+    Composes :func:`~quasiherm.spectral.diagonalize`, :func:`metric_from_T`
     and :func:`hermitian_equivalent`, retaining every intermediate
     certificate on the returned pair. Propagates ComplexSpectrum,
     NonDiagonalizable and ResidualExceeded (``eig``) from the spectral

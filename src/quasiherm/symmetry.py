@@ -22,8 +22,7 @@ For every E = W_k·X·W_k† in that cluster's block of the commutant,
 and each entry of [X, Λ_k] is X_ij·(λ_j − λ_i) with |λ_j − λ_i| ≤ δ_k, so
 ‖[E, h]‖_F / (‖E‖_F·‖h‖_F) is at most the certificate, up to factors
 1 + O(residual_tol) from the unitarity of W. The per-cluster bound thus
-implies the commutator check on every element of the commutant, each
-element of the explicit real basis included.
+implies the commutator check on every element of the commutant.
 
 For each family member the whole identity chain is verified numerically:
 
@@ -54,12 +53,11 @@ is a separate path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, ResidualExceeded
+from .errors import NotHermitian, NotPositiveDefinite, ResidualExceeded
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -70,8 +68,7 @@ from .linalg import (
     haar_unitary,
     hermitian_from_basis,
     hermitian_part,
-    hermitize,
-    polar_decompose,
+    hermiticity_defect,
     relative_residual,
 )
 from .metric import MetricOperator, hermitian_equivalent, metric_from_T, verify_pseudo_hermitian
@@ -103,12 +100,8 @@ class CommutantBasis:
     the sum of squared cluster sizes. Each cluster has passed
     (spread_k + 2‖h·W_k − W_k·Λ_k‖_F) / ‖h‖_F ≤ residual_tol, which bounds
     ‖[E, h]‖ / (‖E‖·‖h‖) for every E in the cluster's block (see the module
-    docstring), so every commutant element, each ``basis`` element
-    included, commutes with h within the tolerance.
-
-    ``basis`` (a real basis: sum of d² dense n×n matrices) and
-    ``projectors`` (the spectral projectors of h, one per cluster) are
-    built on first access only.
+    docstring), so every commutant element commutes with h within the
+    tolerance.
     """
 
     h: np.ndarray
@@ -117,43 +110,24 @@ class CommutantBasis:
     clusters: list[list[int]]
     real_dimension: int
 
-    @cached_property
-    def projectors(self) -> list[np.ndarray]:
-        blocks = (self.eigenvectors[:, cluster] for cluster in self.clusters)
-        return [hermitian_part(block @ block.conj().T) for block in blocks]
-
-    @cached_property
-    def basis(self) -> list[np.ndarray]:
-        basis: list[np.ndarray] = []
-        for cluster in self.clusters:
-            block = self.eigenvectors[:, cluster]
-            for a in range(len(cluster)):
-                va = block[:, a : a + 1]
-                basis.append(hermitian_part(va @ va.conj().T))
-                for b in range(a + 1, len(cluster)):
-                    vb = block[:, b : b + 1]
-                    cross = va @ vb.conj().T
-                    basis.append(hermitian_part(cross + cross.conj().T))
-                    basis.append(hermitian_part(1j * (cross - cross.conj().T)))
-        return basis
-
 
 @dataclass
 class SymmetryGenerator:
     """Positive-definite S with [S, h] = 0 and its positive square root.
 
-    ``coefficients`` records, per cluster, the positive spectral values and
-    the intra-cluster unitary mixer used to assemble S; together these
-    parametrize the whole positive commutant. ``eigenvalues`` s and
-    ``eigenvectors`` Q = W·blockdiag(V_k) are the same data laid out over
-    the whole space, S = Q·diag(s)·Q†, and ``h`` is the Hermitian
-    equivalent the generator commutes with.
+    ``eigenvalues`` s and ``eigenvectors`` Q = W·blockdiag(V_k) hold the
+    positive spectral values and intra-cluster unitary mixers V_k that
+    assembled S, laid out over the whole space: cluster k's values are
+    ``eigenvalues[cluster]`` and its columns W_k·V_k are
+    ``eigenvectors[:, cluster]``. Together these parametrize the whole
+    positive commutant. S = Q·diag(s)·Q†, sigma = ``sqrt`` =
+    Q·diag(√s)·Q†, and ``h`` is the Hermitian equivalent the generator
+    commutes with.
     """
 
     matrix: np.ndarray
     sqrt: np.ndarray
     commutation_residual: float
-    coefficients: list[tuple[np.ndarray, np.ndarray]]
     h: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -183,9 +157,14 @@ def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> Commut
     Certifies h's eigenbasis W: ‖W†W − I‖_F within ``residual_tol``
     (``projector completeness``) and, per cluster k, the bound on the
     commutator of every element of the cluster's block (``sym[cluster k]``).
-    Raises :class:`NotHermitian` for non-Hermitian input.
+    Raises :class:`NotHermitian` when h's relative asymmetry exceeds
+    ``residual_tol``; within it, h is replaced by its Hermitian part.
     """
-    h_mat = hermitize(h, tol)
+    h_in = as_matrix(h)
+    defect = hermiticity_defect(h_in)
+    if defect > tol.residual_tol:
+        raise NotHermitian(f"relative asymmetry {defect:.3e} exceeds {tol.residual_tol:.3e}")
+    h_mat = hermitian_part(h_in)
     eigenvalues, W = np.linalg.eigh(h_mat)
     n = h_mat.shape[0]
 
@@ -228,51 +207,41 @@ def symmetry_from_coefficients(
     ``mixers`` the optional intra-cluster unitaries (identity by default).
     With Q = W·blockdiag(V_k) and s the coefficients laid out alike,
     S = Q·diag(s)·Q† and sigma = Q·diag(√s)·Q† take one product each, so the
-    root is exact up to roundoff. The singleton clusters are assembled as
-    whole arrays, their 1×1 mixers v checked by ||v|² − 1|.
+    root is exact up to roundoff. The clusters of each size d are assembled
+    together, as one stacked product of their (n×d) eigenvector blocks with
+    their (d×d) mixers, each mixer checked by ‖V†V − I‖_F (||v|² − 1| at
+    d = 1).
     """
     n = cb.h.shape[0]
     clusters = cb.clusters
     if len(values) != len(clusters):
         raise ValueError("one coefficient array required per degeneracy cluster")
 
+    by_size: dict[int, list[int]] = {}
+    for k, cluster in enumerate(clusters):
+        by_size.setdefault(len(cluster), []).append(k)
+
     Q = np.zeros((n, n), dtype=np.complex128)
     spectrum = np.zeros(n)
-    coefficients: list = [None] * len(clusters)
-
-    singles = [k for k, cluster in enumerate(clusters) if len(cluster) == 1]
-    if singles:
-        m = len(singles)
-        s = np.asarray([values[k] for k in singles], dtype=np.float64)
-        if s.shape != (m, 1):
-            raise ValueError(f"expected one coefficient per singleton cluster, got {s.shape}")
+    for d, ks in by_size.items():
+        m = len(ks)
+        s = np.asarray([values[k] for k in ks], dtype=np.float64)
+        if s.shape != (m, d):
+            raise ValueError(f"expected {d} coefficients per cluster of size {d}, got {s.shape}")
         V = (
-            np.ones((m, 1, 1), dtype=np.complex128)
+            np.broadcast_to(np.eye(d, dtype=np.complex128), (m, d, d))
             if mixers is None
-            else np.asarray([mixers[k] for k in singles], dtype=np.complex128)
+            else np.asarray([mixers[k] for k in ks], dtype=np.complex128)
         )
-        if V.shape != (m, 1, 1) or np.abs(np.abs(V) ** 2 - 1).max() > tol.residual_tol:
+        # ‖V†V − I‖_F per cluster; `not <=` refuses NaN entries too
+        if V.shape != (m, d, d) or not np.linalg.norm(
+            V.conj().transpose(0, 2, 1) @ V - np.eye(d), axis=(1, 2)
+        ).max() <= tol.residual_tol:
             raise ValueError("cluster mixer must be a unitary of the cluster size")
-        columns = [clusters[k][0] for k in singles]
-        Q[:, columns] = cb.eigenvectors[:, columns] * V[:, 0, 0]
-        spectrum[columns] = s[:, 0]
-        for k, pair in zip(singles, zip(s, V)):
-            coefficients[k] = pair
-
-    for k, cluster in enumerate(clusters):
-        d = len(cluster)
-        if d == 1:
-            continue
-        s = np.asarray(values[k], dtype=np.float64)
-        V = np.eye(d) if mixers is None else mixers[k]
-        V = np.asarray(V, dtype=np.complex128)
-        if s.shape != (d,):
-            raise ValueError(f"expected {d} coefficients for cluster {cluster}, got {s.shape}")
-        if V.shape != (d, d) or frobenius_norm(V.conj().T @ V - np.eye(d)) > tol.residual_tol:
-            raise ValueError("cluster mixer must be a unitary of the cluster size")
-        Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
-        spectrum[cluster] = s
-        coefficients[k] = (s.copy(), V.copy())
+        idx = np.asarray([clusters[k] for k in ks])  # (m, d) column indices
+        # Q[:, idx] is (n, m, d): stack the m blocks W_k, multiply, restack
+        Q[:, idx] = (cb.eigenvectors[:, idx].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
+        spectrum[idx] = s
     if np.any(spectrum <= 0):
         raise NotPositiveDefinite("symmetry coefficients must be strictly positive")
 
@@ -290,7 +259,6 @@ def symmetry_from_coefficients(
         matrix=S,
         sqrt=sigma,
         commutation_residual=commutation,
-        coefficients=coefficients,
         h=cb.h,
         eigenvalues=spectrum,
         eigenvectors=Q,
@@ -305,12 +273,13 @@ def sample_positive_symmetry(
 ) -> SymmetryGenerator:
     """Draw a random positive-definite symmetry generator of h.
 
-    Spectral coefficients are log-uniform on [1/spread, spread] and the
-    intra-cluster mixers Haar unitaries, all from one seeded generator:
-    identical (seed, spread) reproduce the generator bit for bit.
+    Spectral coefficients are log-uniform on [1/spread, spread], for a
+    finite spread >= 1, and the intra-cluster mixers Haar unitaries, all
+    from one seeded generator: identical (seed, spread) reproduce the
+    generator bit for bit.
     """
-    if spread < 1.0:
-        raise ValueError("spread must be >= 1")
+    if not 1.0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and >= 1, got {spread}")
     rng = np.random.default_rng(seed)
     low, high = np.log(1.0 / spread), np.log(spread)
     values = []
@@ -431,9 +400,9 @@ def intertwiner_from_metrics(
     h = as_matrix(h)
     h_prime = as_matrix(h_prime)
 
-    X, _, rho_root_inv, _, _ = polar_decompose(rho, tol)
+    polar = metric_from_T(rho, tol)
     # rho = X·root, so rho⁻¹ = root⁻¹·X†
-    A = rho_prime @ rho_root_inv @ X.conj().T
+    A = rho_prime @ polar.rho_inv @ polar.unitary.conj().T
     S = hermitian_part(A.conj().T @ A)
 
     nrm = frobenius_norm

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from quasiherm import save_matrix
 from quasiherm.cli import main
@@ -132,6 +133,21 @@ def test_invalid_model_parameters_exit_one(capsys):
     )
     assert code == 1
     assert payload["error"]["type"] == "InvalidModelParameters"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--spread", "0.5"), ("--spread", "nan"), ("--spread", "inf"), ("--samples", "-1"),
+     ("--seed", "-1")],
+    ids=["spread-0.5", "spread-nan", "spread-inf", "samples-negative", "seed-negative"],
+)
+def test_bad_sampling_arguments_exit_one_with_a_report(capsys, flags):
+    code, payload, err = run_cli(capsys, "analyze", "--model", "two_level", *flags)
+    assert code == 1
+    assert payload["verdict"] == "error"
+    assert payload["error"]["type"] == "ParseError"
+    assert payload["family"] == []
+    assert "error:" in err
 
 
 def test_out_flag_writes_matching_report(tmp_path, capsys):

@@ -257,6 +257,23 @@ def test_dimension_cap_precedes_model_construction(monkeypatch):
     assert report.error["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "samples, seed, spread",
+    [(1, 0, 0.5), (1, 0, float("nan")), (1, 0, float("inf")), (-1, 0, 10.0), (1, -1, 10.0)],
+)
+def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, spread):
+    def refuse(spec):
+        raise AssertionError("build_model ran before the sampling arguments were checked")
+
+    monkeypatch.setattr("quasiherm.report.build_model", refuse)
+    spec = ModelSpec("two_level", {"b": 1.0, "c": 4.0, "d": 0.0}, dim=2)
+    report = run_analyze(spec, samples=samples, seed=seed, spread=spread)
+    assert report.verdict == "error"
+    assert report.exit_code == 1
+    assert report.error["type"] == "ParseError"
+    assert report.family == []
+
+
 def test_missing_file_is_an_input_error(tmp_path):
     report = run_analyze(tmp_path / "nope.json")
     assert report.verdict == "error"
@@ -543,3 +560,19 @@ def test_swanson_200_passes_with_cond_T_far_below_the_cap():
     for member in report.family:
         assert set(member.residuals) == set(FAMILY_IDENTITIES)
         assert max(member.residuals.values()) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "dim, outcome",
+    [(260, "IllConditioned"), (320, "NonDiagonalizable"), (400, "ComplexSpectrum"),
+     (512, "ComplexSpectrum")],
+)
+def test_swanson_sweep_verdicts(dim, outcome):
+    # 200 passes (above); at 260 the base is within the condition cap and
+    # a member's sigma·rho is not; from 320 the spectral stage refuses H
+    spec = ModelSpec("swanson", {"omega": 2.0, "alpha": 0.3, "beta": 0.5}, dim=dim)
+    report = run_family(spec, samples=1)
+    assert report.verdict == "error"
+    assert report.error["type"] == outcome
+    if dim == 260:
+        assert report.cond_T < DEFAULT_TOLERANCES.condition_cap

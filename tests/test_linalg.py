@@ -7,14 +7,15 @@ from quasiherm import (
     NotHermitian,
     SingularTransform,
     Tolerances,
+    commutant_basis,
+    metric_from_T,
+)
+from quasiherm.linalg import (
     as_matrix,
     frobenius_norm,
     haar_unitary,
-    hermitian_eig,
     hermitian_part,
     hermiticity_defect,
-    hermitize,
-    polar_decompose,
 )
 
 
@@ -48,18 +49,28 @@ def test_hermitian_part_and_defect(rng):
     assert hermiticity_defect(np.array([[0, 1], [0, 0]], dtype=complex)) > 0.5
 
 
+# The Hermitian eigendecomposition is commutant_basis's: it gates the
+# asymmetry of h, replaces h by its Hermitian part and keeps eigh's pairs.
+
+
+def singletons(M):
+    return [[i] for i in range(len(M))]
+
+
 def test_hermitize_accepts_small_defect_rejects_large():
     M = np.array([[1.0, 0.5 + 1e-12j], [0.5 - 1.0e-12j, 2.0]])
-    out = hermitize(M)
-    npt.assert_allclose(out, out.conj().T)
+    out = commutant_basis(M, singletons(M)).h
+    npt.assert_array_equal(out, out.conj().T)
+    npt.assert_allclose(out, M, atol=1e-12)
     with pytest.raises(NotHermitian):
-        hermitize(np.array([[0, 1], [0, 0]], dtype=complex))
+        commutant_basis(np.array([[0, 1], [0, 0]], dtype=complex), [[0], [1]])
 
 
 def test_hermitian_eig_ascending_and_reconstructs(rng):
     A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     M = hermitian_part(A @ A.conj().T)
-    values, V = hermitian_eig(M)
+    cb = commutant_basis(M, singletons(M))
+    values, V = cb.eigenvalues, cb.eigenvectors
     assert np.all(np.diff(values) >= 0)
     npt.assert_allclose(V.conj().T @ V, np.eye(6), atol=1e-13)
     npt.assert_allclose((V * values) @ V.conj().T, M, atol=1e-12)
@@ -67,49 +78,51 @@ def test_hermitian_eig_ascending_and_reconstructs(rng):
 
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        commutant_basis(np.array([[0, 1], [0, 0]], dtype=complex), [[0], [1]])
 
 
 def test_hermitian_eig_known_spectra():
-    values, V = hermitian_eig(np.diag([2.0, 1.0]).astype(complex))
-    npt.assert_allclose(values, [1.0, 2.0])
-    npt.assert_allclose(np.abs(V), [[0, 1], [1, 0]], atol=1e-15)
-    values, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-    npt.assert_allclose(values, [-1.0, 1.0], atol=1e-15)
-    values, _ = hermitian_eig(np.array([[2, 1], [1, 2]], dtype=complex))
-    npt.assert_allclose(values, [1.0, 3.0], atol=1e-14)
+    cb = commutant_basis(np.diag([2.0, 1.0]).astype(complex), [[0], [1]])
+    npt.assert_allclose(cb.eigenvalues, [1.0, 2.0])
+    npt.assert_allclose(np.abs(cb.eigenvectors), [[0, 1], [1, 0]], atol=1e-15)
+    cb = commutant_basis(np.array([[0, 1], [1, 0]], dtype=complex), [[0], [1]])
+    npt.assert_allclose(cb.eigenvalues, [-1.0, 1.0], atol=1e-15)
+    cb = commutant_basis(np.array([[2, 1], [1, 2]], dtype=complex), [[0], [1]])
+    npt.assert_allclose(cb.eigenvalues, [1.0, 3.0], atol=1e-14)
 
 
-# The positive root of eta = M†M and its inverse come from the polar factors
-# of M (one SVD); they replace a positive-definite square root and a solve.
+# The positive root of eta = M†M, its inverse and the polar unitary come from
+# one SVD of M (metric_from_T); they replace a positive-definite square root
+# and a solve.
 
 
 def test_sqrt_pd_closed_form():
     # R†R = [[2, 1], [1, 2]], eigenpairs (1, 3) with +-45 degree eigenvectors
     R = np.array([[np.sqrt(2.0), 1 / np.sqrt(2.0)], [0.0, np.sqrt(1.5)]], dtype=complex)
-    _, rho, rho_inv, eta, _ = polar_decompose(R)
+    m = metric_from_T(R)
     r3 = np.sqrt(3.0)
     expected = 0.5 * np.array([[r3 + 1, r3 - 1], [r3 - 1, r3 + 1]])
-    npt.assert_allclose(eta, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
-    npt.assert_allclose(rho, expected, atol=1e-14)
-    npt.assert_allclose(rho_inv, np.linalg.inv(expected), atol=1e-14)
+    npt.assert_allclose(m.eta, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
+    npt.assert_allclose(m.rho, expected, atol=1e-14)
+    npt.assert_allclose(m.rho_inv, np.linalg.inv(expected), atol=1e-14)
 
 
 def test_sqrt_pd_squares_back(rng):
     F = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    _, R, _, eta, _ = polar_decompose(F)
+    m = metric_from_T(F)
+    R, eta = m.rho, m.eta
     npt.assert_allclose(R, R.conj().T, atol=1e-13)
     npt.assert_allclose(eta, F.conj().T @ F, atol=1e-12)
     npt.assert_allclose(R @ R, eta, atol=1e-11)
 
 
 def test_sqrt_pd_diagonal_cases():
-    _, rho, _, eta, _ = polar_decompose(np.eye(3, dtype=complex))
-    npt.assert_allclose(rho, np.eye(3), atol=1e-15)
-    npt.assert_allclose(eta, np.eye(3), atol=1e-15)
-    _, rho, _, eta, _ = polar_decompose(np.diag([2.0, 3.0]).astype(complex))
-    npt.assert_allclose(rho, np.diag([2.0, 3.0]), atol=1e-14)
-    npt.assert_allclose(eta, np.diag([4.0, 9.0]), atol=1e-14)
+    m = metric_from_T(np.eye(3, dtype=complex))
+    npt.assert_allclose(m.rho, np.eye(3), atol=1e-15)
+    npt.assert_allclose(m.eta, np.eye(3), atol=1e-15)
+    m = metric_from_T(np.diag([2.0, 3.0]).astype(complex))
+    npt.assert_allclose(m.rho, np.diag([2.0, 3.0]), atol=1e-14)
+    npt.assert_allclose(m.eta, np.diag([4.0, 9.0]), atol=1e-14)
 
 
 def random_invertible(n, rng, smin=0.5, smax=2.0):
@@ -124,13 +137,15 @@ def test_sqrt_and_eig_property_ensemble():
     for _ in range(200):
         n = int(rng.integers(1, 11))
         F = random_invertible(n, rng)
-        _, R, R_inv, eta, _ = polar_decompose(F)
+        m = metric_from_T(F)
+        R, R_inv, eta = m.rho, m.rho_inv, m.eta
         assert frobenius_norm(R @ R - eta) <= 1e-10 * frobenius_norm(eta)
         assert frobenius_norm(eta - F.conj().T @ F) <= 1e-10 * frobenius_norm(eta)
         assert frobenius_norm(R @ R_inv - np.eye(n)) <= 1e-10
         V = haar_unitary(n, rng)
         M = hermitian_part((V * rng.uniform(0.1, 3.0, n)) @ V.conj().T)
-        values, W = hermitian_eig(M)
+        cb = commutant_basis(M, singletons(M))
+        values, W = cb.eigenvalues, cb.eigenvectors
         assert frobenius_norm((W * values) @ W.conj().T - M) <= 1e-10 * frobenius_norm(M)
 
 
@@ -140,7 +155,8 @@ def test_polar_property_ensemble():
     for _ in range(200):
         n = int(rng.integers(1, 11))
         T = random_invertible(n, rng)
-        U, P, P_inv, _, s = polar_decompose(T)
+        m = metric_from_T(T)
+        U, P, P_inv, s = m.unitary, m.rho, m.rho_inv, m.singular_values
         assert frobenius_norm(T - U @ P) <= 1e-10 * frobenius_norm(T)
         assert frobenius_norm(U.conj().T @ U - np.eye(n)) <= 1e-10
         assert frobenius_norm(P @ P_inv - np.eye(n)) <= 1e-10
@@ -150,70 +166,72 @@ def test_polar_property_ensemble():
 
 
 def test_polar_identity_and_scalar():
-    U, P, _, _, _ = polar_decompose(np.eye(3, dtype=complex))
-    npt.assert_allclose(U, np.eye(3), atol=1e-14)
-    npt.assert_allclose(P, np.eye(3), atol=1e-14)
-    U, P, _, _, _ = polar_decompose(2 * np.eye(2, dtype=complex))
-    npt.assert_allclose(U, np.eye(2), atol=1e-14)
-    npt.assert_allclose(P, 2 * np.eye(2), atol=1e-14)
+    m = metric_from_T(np.eye(3, dtype=complex))
+    npt.assert_allclose(m.unitary, np.eye(3), atol=1e-14)
+    npt.assert_allclose(m.rho, np.eye(3), atol=1e-14)
+    m = metric_from_T(2 * np.eye(2, dtype=complex))
+    npt.assert_allclose(m.unitary, np.eye(2), atol=1e-14)
+    npt.assert_allclose(m.rho, 2 * np.eye(2), atol=1e-14)
     # a factor's Gram matrix is never indefinite: a sign goes to the unitary
-    U, P, _, _, _ = polar_decompose(np.diag([1.0, -1.0]).astype(complex))
-    npt.assert_allclose(U, np.diag([1.0, -1.0]), atol=1e-15)
-    npt.assert_allclose(P, np.eye(2), atol=1e-15)
+    m = metric_from_T(np.diag([1.0, -1.0]).astype(complex))
+    npt.assert_allclose(m.unitary, np.diag([1.0, -1.0]), atol=1e-15)
+    npt.assert_allclose(m.rho, np.eye(2), atol=1e-15)
 
 
 def test_solve_matches_direct(rng):
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3 * np.eye(4)
     b = rng.standard_normal((4, 4)) + 0j
-    U, _, P_inv, _, _ = polar_decompose(A)
+    m = metric_from_T(A)
     # A = U·P, so A⁻¹ = P⁻¹·U†
-    x = P_inv @ (U.conj().T @ b)
+    x = m.rho_inv @ (m.unitary.conj().T @ b)
     npt.assert_allclose(A @ x, b, atol=1e-12)
 
 
 def test_solve_diagonal_and_self_inverse(rng):
-    _, _, P_inv, _, _ = polar_decompose(np.diag([2.0, 4.0]).astype(complex))
-    npt.assert_allclose(P_inv, np.diag([0.5, 0.25]), atol=1e-15)
-    _, P, P_inv, _, _ = polar_decompose(random_invertible(5, rng))
-    npt.assert_allclose(P @ P_inv, np.eye(5), atol=1e-12)
-    npt.assert_allclose(P_inv @ P, np.eye(5), atol=1e-12)
+    m = metric_from_T(np.diag([2.0, 4.0]).astype(complex))
+    npt.assert_allclose(m.rho_inv, np.diag([0.5, 0.25]), atol=1e-15)
+    m = metric_from_T(random_invertible(5, rng))
+    npt.assert_allclose(m.rho @ m.rho_inv, np.eye(5), atol=1e-12)
+    npt.assert_allclose(m.rho_inv @ m.rho, np.eye(5), atol=1e-12)
 
 
 def test_solve_gates_singular_and_ill_conditioned():
     with pytest.raises(SingularTransform):
-        polar_decompose(np.diag([1.0, 0.0]).astype(complex))
+        metric_from_T(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(SingularTransform):
         # below machine-relative rank floor
-        polar_decompose(np.diag([1.0, 1e-17]).astype(complex))
+        metric_from_T(np.diag([1.0, 1e-17]).astype(complex))
     with pytest.raises(SingularTransform):
         # below the positivity floor 1e-10 relative to the Frobenius norm
-        polar_decompose(np.diag([1.0, 1e-11]).astype(complex))
+        metric_from_T(np.diag([1.0, 1e-11]).astype(complex))
     with pytest.raises(IllConditioned):
         # above the floor, but condition 1e9 exceeds the default cap 1e8
-        polar_decompose(np.diag([1.0, 1e-9]).astype(complex))
+        metric_from_T(np.diag([1.0, 1e-9]).astype(complex))
 
 
 def test_solve_right_inverts_from_the_right(rng):
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3 * np.eye(4)
     B = rng.standard_normal((4, 4)) + 0j
-    U, _, P_inv, _, _ = polar_decompose(A)
-    X = B @ P_inv @ U.conj().T
+    m = metric_from_T(A)
+    X = B @ m.rho_inv @ m.unitary.conj().T
     npt.assert_allclose(X @ A, B, atol=1e-12)
 
 
 def test_polar_decompose_closed_form():
     T = np.array([[0.0, 2.0], [1.0, 0.0]], dtype=complex)
-    U, P, P_inv, eta, s = polar_decompose(T)
-    npt.assert_allclose(U, np.array([[0, 1], [1, 0]]), atol=1e-14)
-    npt.assert_allclose(P, np.diag([1.0, 2.0]), atol=1e-14)
-    npt.assert_allclose(P_inv, np.diag([1.0, 0.5]), atol=1e-14)
-    npt.assert_allclose(eta, np.diag([1.0, 4.0]), atol=1e-14)
-    npt.assert_allclose(s, [2.0, 1.0], atol=1e-14)
+    m = metric_from_T(T)
+    npt.assert_allclose(m.unitary, np.array([[0, 1], [1, 0]]), atol=1e-14)
+    npt.assert_allclose(m.rho, np.diag([1.0, 2.0]), atol=1e-14)
+    npt.assert_allclose(m.rho_inv, np.diag([1.0, 0.5]), atol=1e-14)
+    npt.assert_allclose(m.eta, np.diag([1.0, 4.0]), atol=1e-14)
+    npt.assert_allclose(m.singular_values, [2.0, 1.0], atol=1e-14)
+    assert m.min_eigenvalue == pytest.approx(1.0)
 
 
 def test_polar_decompose_properties(rng):
     T = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 2 * np.eye(5)
-    U, P, P_inv, eta, _ = polar_decompose(T)
+    m = metric_from_T(T)
+    U, P, P_inv, eta = m.unitary, m.rho, m.rho_inv, m.eta
     npt.assert_allclose(U.conj().T @ U, np.eye(5), atol=1e-12)
     npt.assert_allclose(P, P.conj().T, atol=1e-13)
     assert np.linalg.eigvalsh(P)[0] > 0
@@ -224,9 +242,9 @@ def test_polar_decompose_properties(rng):
 
 def test_polar_decompose_rejects_singular():
     with pytest.raises(SingularTransform):
-        polar_decompose(np.array([[1, 0], [1, 0]], dtype=complex))
+        metric_from_T(np.array([[1, 0], [1, 0]], dtype=complex))
     with pytest.raises(SingularTransform):
-        polar_decompose(np.zeros((2, 2), dtype=complex))
+        metric_from_T(np.zeros((2, 2), dtype=complex))
 
 
 def test_haar_unitary_unitary_and_seeded():

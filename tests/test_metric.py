@@ -5,21 +5,19 @@ import numpy.testing as npt
 import pytest
 
 from quasiherm import (
-    MetricOperator,
     ResidualExceeded,
     commutant_basis,
     eig_decompose,
     full_pipeline,
-    haar_unitary,
     hermitian_equivalent,
     metric_from_symmetry,
     metric_from_T,
-    polar_decompose,
     random_diagonalizable,
     sample_positive_symmetry,
     two_level,
-    verify_pseudo_hermitian,
 )
+from quasiherm.linalg import gated_svd, haar_unitary, hermitian_from_basis
+from quasiherm.metric import MetricOperator, verify_pseudo_hermitian
 
 
 def test_metric_from_identity_rows():
@@ -78,9 +76,9 @@ def test_hermitian_equivalent_rejects_wrong_metric():
     identity_metric = MetricOperator(
         eta=np.eye(2, dtype=complex),
         rho=np.eye(2, dtype=complex),
-        rho_inv=np.eye(2, dtype=complex),
         unitary=np.eye(2, dtype=complex),
-        min_eigenvalue=1.0,
+        singular_values=np.ones(2),
+        right_vectors=np.eye(2, dtype=complex),
     )
     with pytest.raises(ResidualExceeded) as exc_info:
         hermitian_equivalent(H, identity_metric, np.diag([1.0, 2.0]))
@@ -113,7 +111,8 @@ def test_full_pipeline_random_ensemble_properties():
         )
         # unitary factor diagonalizes: h = U+ H_d U
         spectral = pair.spectral
-        recon = pair.U.conj().T @ spectral.H_d @ pair.U
+        U = pair.metric.unitary
+        recon = U.conj().T @ spectral.H_d @ U
         npt.assert_allclose(recon, h, atol=1e-9 * np.linalg.norm(h))
 
 
@@ -122,7 +121,8 @@ def test_ensemble_unitary_equivalence(ensemble_pipelines):
     # across the full 300-sample ensemble
     for H, ground_truth, pair in ensemble_pipelines:
         norm_H = np.linalg.norm(H)
-        recon = pair.U.conj().T @ pair.spectral.H_d @ pair.U
+        U = pair.metric.unitary
+        recon = U.conj().T @ pair.spectral.H_d @ U
         assert np.linalg.norm(recon - pair.h) <= 1e-8 * norm_H
         spectrum_h = np.linalg.eigvalsh(pair.h)
         assert np.max(np.abs(spectrum_h - ground_truth.real_eigenvalues)) <= 1e-8 * norm_H
@@ -165,15 +165,15 @@ def test_rho_inv_is_formed_from_the_svd_when_first_read():
     H, _ = random_diagonalizable(6, seed=4)
     spectral = eig_decompose(H)
     metric = metric_from_T(spectral.T, H=H)
-    assert vars(metric)["rho_inv"] is None
-    _, _, rho_inv, _, _ = polar_decompose(spectral.T)
-    npt.assert_array_equal(metric.rho_inv, rho_inv)
+    assert "rho_inv" not in vars(metric)
+    _, s, Vh = gated_svd(spectral.T)
+    npt.assert_array_equal(metric.rho_inv, hermitian_from_basis(Vh, 1 / s))
     assert vars(metric)["rho_inv"] is metric.rho_inv  # kept after the first read
     # a family member's inverse root is never read, so never formed
     pair = full_pipeline(H)
     gen = sample_positive_symmetry(commutant_basis(pair.h, pair.spectral.clusters), seed=1)
     member = metric_from_symmetry(pair.metric, gen, H)
-    assert vars(member.eta_prime)["rho_inv"] is None
+    assert "rho_inv" not in vars(member.eta_prime)
     npt.assert_allclose(member.eta_prime.rho_inv @ member.rho_prime, np.eye(6), atol=1e-12)
 
 

@@ -7,9 +7,9 @@ from quasiherm import (
     NonDiagonalizable,
     cluster_degeneracies,
     eig_decompose,
-    haar_unitary,
     random_diagonalizable,
 )
+from quasiherm.linalg import haar_unitary
 
 
 def test_cluster_singletons_for_distinct_values():

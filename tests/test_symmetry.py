@@ -6,15 +6,14 @@ import numpy.testing as npt
 import pytest
 
 from quasiherm import (
-    DEFAULT_TOLERANCES,
     IllConditioned,
+    NotHermitian,
     NotPositiveDefinite,
     ResidualExceeded,
     cluster_degeneracies,
     commutant_basis,
     eig_decompose,
     full_pipeline,
-    haar_unitary,
     hermitian_equivalent,
     intertwiner_from_metrics,
     metric_from_symmetry,
@@ -24,6 +23,7 @@ from quasiherm import (
     symmetry_from_coefficients,
     two_level,
 )
+from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary, hermitian_part
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
 
@@ -70,6 +70,28 @@ def conjugated_diagonal(values, seed=0):
     return W @ np.diag(values).astype(complex) @ W.conj().T
 
 
+def commutant_real_basis(cb):
+    """An explicit real basis of the commutant: sum of d² dense n×n matrices."""
+    basis = []
+    for cluster in cb.clusters:
+        block = cb.eigenvectors[:, cluster]
+        for a in range(len(cluster)):
+            va = block[:, a : a + 1]
+            basis.append(hermitian_part(va @ va.conj().T))
+            for b in range(a + 1, len(cluster)):
+                vb = block[:, b : b + 1]
+                cross = va @ vb.conj().T
+                basis.append(hermitian_part(cross + cross.conj().T))
+                basis.append(hermitian_part(1j * (cross - cross.conj().T)))
+    return basis
+
+
+def spectral_projectors(cb):
+    """The spectral projectors of h, one per cluster."""
+    blocks = (cb.eigenvectors[:, cluster] for cluster in cb.clusters)
+    return [hermitian_part(block @ block.conj().T) for block in blocks]
+
+
 @pytest.mark.parametrize(
     "spectrum, expected",
     [
@@ -84,18 +106,19 @@ def test_commutant_dimension_law_vs_brute_force(spectrum, expected):
     clusters = cluster_degeneracies(np.asarray(spectrum))
     cb = commutant_basis(h, clusters)
     assert cb.real_dimension == expected
-    assert len(cb.basis) == expected
+    assert len(commutant_real_basis(cb)) == expected
     assert brute_commutant_dimension(h) == expected
 
 
 def test_commutant_basis_elements_are_independent_symmetries():
     h = conjugated_diagonal([1.0, 1.0, 3.0, 3.0], seed=3)
     cb = commutant_basis(h, cluster_degeneracies(np.array([1.0, 1.0, 3.0, 3.0])))
+    basis = commutant_real_basis(cb)
     stacked = np.column_stack(
-        [np.concatenate([B.ravel().real, B.ravel().imag]) for B in cb.basis]
+        [np.concatenate([B.ravel().real, B.ravel().imag]) for B in basis]
     )
     assert np.linalg.matrix_rank(stacked) == cb.real_dimension
-    for B in cb.basis:
+    for B in basis:
         npt.assert_allclose(B, B.conj().T, atol=1e-13)
         assert np.linalg.norm(B @ h - h @ B) <= 1e-10 * np.linalg.norm(h)
 
@@ -103,9 +126,10 @@ def test_commutant_basis_elements_are_independent_symmetries():
 def test_commutant_projectors_resolve_identity():
     h = conjugated_diagonal([1.0, 2.0, 2.0], seed=5)
     cb = commutant_basis(h, cluster_degeneracies(np.array([1.0, 2.0, 2.0])))
-    total = sum(cb.projectors)
+    projectors = spectral_projectors(cb)
+    total = sum(projectors)
     npt.assert_allclose(total, np.eye(3), atol=1e-12)
-    for P in cb.projectors:
+    for P in projectors:
         npt.assert_allclose(P @ P, P, atol=1e-12)
 
 
@@ -139,6 +163,28 @@ def test_commutant_rejects_cluster_wider_than_residual_tol(spectrum, clusters, n
     assert exc_info.value.value > DEFAULT_TOLERANCES.residual_tol
 
 
+def test_commutant_basis_rejects_non_hermitian_h():
+    # the gate is relative: asymmetry just above residual_tol is refused,
+    # just below it h is replaced by its Hermitian part, bit for bit
+    h = conjugated_diagonal([1.0, 2.0, 4.0], seed=8)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 2] = 1.0
+    scale = np.linalg.norm(h) / np.linalg.norm(skew - skew.conj().T)
+    for factor, raises in ((2.0, True), (0.5, False)):
+        tilted = h + factor * DEFAULT_TOLERANCES.residual_tol * scale * skew
+        if raises:
+            with pytest.raises(NotHermitian):
+                commutant_basis(tilted, [[0], [1], [2]])
+        else:
+            cb = commutant_basis(tilted, [[0], [1], [2]])
+            npt.assert_array_equal(cb.h, (tilted + tilted.conj().T) / 2)
+            npt.assert_array_equal(cb.h, cb.h.conj().T)
+    # the pipeline's non-Hermitian H in place of its Hermitian equivalent h
+    H, _ = random_diagonalizable(5, seed=2)
+    with pytest.raises(NotHermitian):
+        commutant_basis(H, full_pipeline(H).spectral.clusters)
+
+
 def test_commutant_basis_rejects_bad_partition():
     h = conjugated_diagonal([1.0, 2.0], seed=1)
     with pytest.raises(ValueError):
@@ -149,7 +195,7 @@ def test_commutant_of_diagonal_nondegenerate_is_diagonal():
     h = np.diag([1.0, 2.0]).astype(complex)
     cb = commutant_basis(h, [[0], [1]])
     assert cb.real_dimension == 2
-    totals = sum(np.abs(B) for B in cb.basis)
+    totals = sum(np.abs(B) for B in commutant_real_basis(cb))
     npt.assert_allclose(totals, np.eye(2), atol=1e-13)
 
 
@@ -188,6 +234,11 @@ def test_symmetry_from_coefficients_validation():
         symmetry_from_coefficients(
             cb, [np.ones(1), np.ones(1)], mixers=[2 * np.eye(1), np.eye(1)]
         )
+    with pytest.raises(ValueError):
+        # a NaN mixer has no finite unitarity defect
+        symmetry_from_coefficients(
+            cb, [np.ones(1), np.ones(1)], mixers=[np.full((1, 1), np.nan), np.eye(1)]
+        )
 
 
 def test_one_product_generator_matches_per_cluster_sum():
@@ -197,7 +248,7 @@ def test_one_product_generator_matches_per_cluster_sum():
     gen = sample_positive_symmetry(cb, seed=4)
     S = np.zeros((6, 6), dtype=complex)
     sigma = np.zeros((6, 6), dtype=complex)
-    for cluster, (s, V) in zip(cb.clusters, gen.coefficients):
+    for cluster, s, V in zip(cb.clusters, *_per_cluster_sample(cb, 4), strict=True):
         block = cb.eigenvectors[:, cluster] @ V
         S += (block * s) @ block.conj().T
         sigma += (block * np.sqrt(s)) @ block.conj().T
@@ -264,6 +315,13 @@ def test_sampled_symmetry_is_seed_deterministic():
     npt.assert_array_equal(g1.matrix, g2.matrix)
     g3 = sample_positive_symmetry(cb, seed=8)
     assert not np.allclose(g1.matrix, g3.matrix)
+
+
+@pytest.mark.parametrize("spread", [0.5, float("nan"), float("inf")])
+def test_sampler_rejects_a_spread_outside_one_to_infinity(spread):
+    cb = commutant_basis(np.diag([1.0, 2.0]).astype(complex), [[0], [1]])
+    with pytest.raises(ValueError, match="spread"):
+        sample_positive_symmetry(cb, seed=0, spread=spread)
 
 
 def test_trivial_symmetry_reproduces_base_metric():
@@ -480,7 +538,8 @@ def _per_cluster_layout(cb, values, mixers):
 
 
 @pytest.mark.parametrize(
-    "sizes", [[1, 1, 3, 1, 2, 1, 1, 2], [2, 1, 1, 1, 4], [1] * 7, [3, 3], [1]]
+    "sizes",
+    [[1, 1, 3, 1, 2, 1, 1, 2], [2, 1, 1, 1, 4], [1] * 7, [3, 3], [1], [2, 1, 2, 3, 1, 3]],
 )
 def test_singleton_runs_match_the_per_cluster_loop(sizes):
     spectrum = np.repeat(np.arange(len(sizes), dtype=float), sizes)
@@ -490,10 +549,12 @@ def test_singleton_runs_match_the_per_cluster_loop(sizes):
     for seed in range(3):
         gen = sample_positive_symmetry(cb, seed)
         values, mixers = _per_cluster_sample(cb, seed)
-        # one draw per run of singletons consumes the same stream
-        for (s, V), s_ref, V_ref in zip(gen.coefficients, values, mixers, strict=True):
-            npt.assert_array_equal(s, s_ref)
-            npt.assert_array_equal(V, V_ref)
+        # one draw per run of singletons consumes the same stream, and the
+        # clusters of one size, assembled together, match one at a time
+        for cluster, s_ref, V_ref in zip(cb.clusters, values, mixers, strict=True):
+            npt.assert_array_equal(gen.eigenvalues[cluster], s_ref)
+            block = cb.eigenvectors[:, cluster] @ V_ref
+            npt.assert_array_equal(gen.eigenvectors[:, cluster], block)
         Q, spectrum_ref = _per_cluster_layout(cb, values, mixers)
         npt.assert_array_equal(gen.eigenvectors, Q)
         npt.assert_array_equal(gen.eigenvalues, spectrum_ref)
