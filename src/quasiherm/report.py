@@ -197,10 +197,9 @@ def _error_payload(exc: Exception) -> dict:
 
 def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim) -> None:
     """Run the stages ``command`` selects, recording their results in ``fields``."""
-    if not samples >= 0:
-        raise ParseError(f"samples must be >= 0, got {samples}")
-    if not seed >= 0:
-        raise ParseError(f"seed must be >= 0, got {seed}")
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ParseError(f"{name} must be an integer >= 0, got {value!r}")
     if not 1.0 <= spread < np.inf:
         raise ParseError(f"spread must be finite and >= 1, got {spread}")
     H, fields["input"] = _resolve_input(source, max_dim)

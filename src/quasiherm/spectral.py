@@ -58,10 +58,6 @@ class SpectralData:
     clusters: list[list[int]] = field(default_factory=list)
 
     @property
-    def dim(self) -> int:
-        return self.T.shape[0]
-
-    @property
     def real_eigenvalues(self) -> np.ndarray:
         return np.real(np.diagonal(self.H_d)).copy()
 

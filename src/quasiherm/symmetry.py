@@ -38,6 +38,11 @@ For each family member the whole identity chain is verified numerically:
 
 Each check is reported individually by name so a failure localizes.
 
+Both directions of the theorem share one table of ``sim``, ``sym``,
+``eta-prime`` and ``A-ph``: :func:`metric_from_symmetry` records it for
+each member, and :func:`intertwiner_from_metrics` raises on it for the
+A = rho'·rho⁻¹ of two certified metrics.
+
 Four identities compare a product with its own adjoint, and are checked
 from that one product P as ‖P − P†‖: the member's ``ph``
 (H†·eta' = eta'·H, P = eta'·H), ``sym`` (P = A†A·h), ``A-ph``
@@ -142,13 +147,21 @@ class MetricFamilyMember:
     rho_prime: np.ndarray
     intertwiner: np.ndarray
     unitary_factor: np.ndarray
-    eta_factor: np.ndarray
     h_prime: np.ndarray
     residuals: dict[str, float]
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
+
+
+def _gated_hermitian(h, tol: Tolerances) -> np.ndarray:
+    """Hermitian part of h; :class:`NotHermitian` beyond ``residual_tol`` asymmetry."""
+    h = as_matrix(h)
+    defect = hermiticity_defect(h)
+    if defect > tol.residual_tol:
+        raise NotHermitian(f"relative asymmetry {defect:.3e} exceeds {tol.residual_tol:.3e}")
+    return hermitian_part(h)
 
 
 def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> CommutantBasis:
@@ -160,11 +173,7 @@ def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> Commut
     Raises :class:`NotHermitian` when h's relative asymmetry exceeds
     ``residual_tol``; within it, h is replaced by its Hermitian part.
     """
-    h_in = as_matrix(h)
-    defect = hermiticity_defect(h_in)
-    if defect > tol.residual_tol:
-        raise NotHermitian(f"relative asymmetry {defect:.3e} exceeds {tol.residual_tol:.3e}")
-    h_mat = hermitian_part(h_in)
+    h_mat = _gated_hermitian(h, tol)
     eigenvalues, W = np.linalg.eigh(h_mat)
     n = h_mat.shape[0]
 
@@ -297,6 +306,23 @@ def sample_positive_symmetry(
     return symmetry_from_coefficients(cb, values, mixers, tol)
 
 
+def _intertwiner_residuals(A, rho, h, h_prime, eta_prime):
+    """S = A†A and the ``sim``, ``sym``, ``eta-prime`` and ``A-ph`` residuals
+    of A = rho'·rho⁻¹; rho, h, h' and eta' must equal their adjoints bit for
+    bit, as the one-product forms assume (see the module docstring)."""
+    nrm = frobenius_norm
+    S = A.conj().T @ A
+    S += S.conj().T  # Hermitian bit for bit, so h·S = (S·h)†
+    S /= 2
+    A_rho = A @ rho  # rho is Hermitian, so rho·A† = (A·rho)†
+    return S, {
+        "sim": relative_residual(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h)),
+        "sym": relative_residual(adjoint_defect(S @ h), nrm(S) * nrm(h)),
+        "eta-prime": relative_residual(nrm(eta_prime - A_rho.conj().T @ A_rho), nrm(eta_prime)),
+        "A-ph": relative_residual(adjoint_defect(A_rho), nrm(rho) * nrm(A)),
+    }
+
+
 def metric_from_symmetry(
     metric: MetricOperator,
     generator: SymmetryGenerator,
@@ -345,18 +371,11 @@ def metric_from_symmetry(
 
     nrm = frobenius_norm
     n = A_H.shape[0]
-    AdgA = A.conj().T @ A
-    AdgA += AdgA.conj().T  # Hermitian bit for bit, so h·A†A = (A†A·h)†
-    AdgA /= 2
-    A_rho = A @ rho  # rho is Hermitian, so rho·A† = (A·rho)†
-
+    _, intertwined = _intertwiner_residuals(A, rho, h, h_prime, eta_prime)
     residuals = {
         "ph": member_metric.pseudo_hermiticity_residual,
         "H=H": prime_pair.similarity_residual,
-        "sim": relative_residual(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h)),
-        "sym": relative_residual(adjoint_defect(AdgA @ h), nrm(AdgA) * nrm(h)),
-        "eta-prime": relative_residual(nrm(eta_prime - A_rho.conj().T @ A_rho), nrm(eta_prime)),
-        "A-ph": relative_residual(adjoint_defect(A_rho), nrm(rho) * nrm(A)),
+        **intertwined,
         # U is the polar factor X†, not A·sigma⁻¹, so both halves are checked
         "A=US": max(
             nrm(U.conj().T @ U - np.eye(n)), relative_residual(nrm(A - U @ sigma), nrm(A))
@@ -375,49 +394,30 @@ def metric_from_symmetry(
         rho_prime=rho_prime,
         intertwiner=A,
         unitary_factor=U,
-        eta_factor=B,
         h_prime=h_prime,
         residuals=residuals,
     )
 
 
 def intertwiner_from_metrics(
-    rho,
-    rho_prime,
+    metric: MetricOperator,
+    metric_prime: MetricOperator,
     h,
     h_prime,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ):
     """Recover (A, S) from two certified metrics of the same Hamiltonian.
 
-    A = rho'·rho⁻¹ and S = A†A; certifies the similarity h' = A·h·A⁻¹, the
-    symmetry [S, h] = 0, the rho⁻¹-pseudo-Hermiticity of A, and
-    eta' = rho·S·rho. Raises :class:`ResidualExceeded` naming the first
-    identity that fails.
+    A = rho'·rho⁻¹, rho⁻¹ from ``metric``'s own SVD, and S = A†A, certified
+    by a member's ``sim``, ``sym``, ``A-ph`` and ``eta-prime``: the first
+    to fail raises :class:`ResidualExceeded`. Nothing is factorized. h and
+    h' pass the commutant's asymmetry gate (:class:`NotHermitian`).
     """
-    rho = as_matrix(rho)
-    rho_prime = as_matrix(rho_prime)
-    h = as_matrix(h)
-    h_prime = as_matrix(h_prime)
-
-    polar = metric_from_T(rho, tol)
-    # rho = X·root, so rho⁻¹ = root⁻¹·X†
-    A = rho_prime @ polar.rho_inv @ polar.unitary.conj().T
-    S = hermitian_part(A.conj().T @ A)
-
-    nrm = frobenius_norm
-    checks = (
-        ("sim", relative_residual(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h))),
-        ("sym", relative_residual(nrm(S @ h - h @ S), nrm(S) * nrm(h))),
-        ("A-ph", relative_residual(nrm(rho @ A.conj().T - A @ rho), nrm(rho) * nrm(A))),
-        (
-            "eta-prime",
-            relative_residual(
-                nrm(rho_prime @ rho_prime - rho @ S @ rho), nrm(rho_prime @ rho_prime)
-            ),
-        ),
+    A = metric_prime.rho @ metric.rho_inv
+    S, residuals = _intertwiner_residuals(
+        A, metric.rho, _gated_hermitian(h, tol), _gated_hermitian(h_prime, tol), metric_prime.eta
     )
-    for name, value in checks:
-        if value > tol.residual_tol:
-            raise ResidualExceeded(name, value, tol.residual_tol)
+    for name in ("sim", "sym", "A-ph", "eta-prime"):
+        if residuals[name] > tol.residual_tol:
+            raise ResidualExceeded(name, residuals[name], tol.residual_tol)
     return A, S

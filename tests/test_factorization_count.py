@@ -10,6 +10,7 @@ from quasiherm import (
     commutant_basis,
     eig_decompose,
     full_pipeline,
+    intertwiner_from_metrics,
     metric_from_symmetry,
     random_diagonalizable,
     run_analyze,
@@ -56,6 +57,18 @@ def test_family_member_is_one_svd(linalg_calls):
     member = metric_from_symmetry(pair.metric, generator, H)
     assert linalg_calls == Counter(svd=1)
     assert member.max_residual <= 1e-12
+
+
+def test_converse_makes_no_factorization(linalg_calls):
+    H, _ = random_diagonalizable(6, seed=3)
+    pair = full_pipeline(H)
+    generator = sample_positive_symmetry(commutant_basis(pair.h, pair.spectral.clusters), seed=1)
+    member = metric_from_symmetry(pair.metric, generator, H)
+    linalg_calls.clear()
+    # rho⁻¹ comes from the metric's own SVD
+    intertwiner_from_metrics(pair.metric, member.eta_prime, pair.h, member.h_prime)
+    intertwiner_from_metrics(member.eta_prime, pair.metric, member.h_prime, pair.h)
+    assert linalg_calls == Counter()
 
 
 def test_run_analyze_factorizations(linalg_calls):

@@ -259,7 +259,8 @@ def test_dimension_cap_precedes_model_construction(monkeypatch):
 
 @pytest.mark.parametrize(
     "samples, seed, spread",
-    [(1, 0, 0.5), (1, 0, float("nan")), (1, 0, float("inf")), (-1, 0, 10.0), (1, -1, 10.0)],
+    [(1, 0, 0.5), (1, 0, float("nan")), (1, 0, float("inf")), (-1, 0, 10.0), (1, -1, 10.0),
+     (2.5, 0, 10.0), (1, 1.5, 10.0)],
 )
 def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, spread):
     def refuse(spec):
@@ -576,3 +577,15 @@ def test_swanson_sweep_verdicts(dim, outcome):
     assert report.error["type"] == outcome
     if dim == 260:
         assert report.cond_T < DEFAULT_TOLERANCES.condition_cap
+
+
+def test_cluster_merge_beyond_the_certificate_fails():
+    # cluster_degeneracies merges gaps up to 1e-7·spread, but the commutant
+    # certifies a cluster only while spread_k/‖h‖_F ≤ residual_tol (1e-8);
+    # move this pin only when a cluster rule moves it
+    spec = ModelSpec("random_diagonalizable", {"seed": 810396990, "cond_bound": 100.0}, dim=256)
+    report = run_family(spec, samples=1)
+    assert report.verdict == "fail"
+    assert report.failure["identity"] == "sym[cluster 39]"
+    assert report.failure["value"] == pytest.approx(1.137e-8, rel=1e-3)
+    assert report.failure["bound"] == 1e-8

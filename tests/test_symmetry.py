@@ -20,6 +20,7 @@ from quasiherm import (
     metric_from_T,
     random_diagonalizable,
     sample_positive_symmetry,
+    symmetry,
     symmetry_from_coefficients,
     two_level,
 )
@@ -414,25 +415,32 @@ def test_new_member_is_itself_a_valid_metric():
     )
 
 
-def test_intertwiner_recovery_round_trip():
+def test_intertwiner_recovery_round_trip(monkeypatch):
     H, _ = random_diagonalizable(6, seed=21)
     pair = full_pipeline(H)
     cb = commutant_basis(pair.h, pair.spectral.clusters)
     gen = sample_positive_symmetry(cb, seed=4)
     member = metric_from_symmetry(pair.metric, gen, H)
-    A, S = intertwiner_from_metrics(
-        pair.metric.rho, member.rho_prime, pair.h, member.h_prime
-    )
+    tables = []
+    shared = symmetry._intertwiner_residuals
+
+    def record(*args):
+        S, residuals = shared(*args)
+        tables.append(residuals)
+        return S, residuals
+
+    monkeypatch.setattr(symmetry, "_intertwiner_residuals", record)
+    A, S = intertwiner_from_metrics(pair.metric, member.eta_prime, pair.h, member.h_prime)
     npt.assert_allclose(S, gen.matrix, atol=1e-10 * np.linalg.norm(gen.matrix))
-    npt.assert_allclose(A, member.intertwiner, atol=1e-10 * np.linalg.norm(A))
+    # both directions read one table: the member's A and residuals, bit for bit
+    npt.assert_array_equal(A, member.intertwiner)
+    assert tables == [{k: member.residuals[k] for k in ("sim", "sym", "eta-prime", "A-ph")}]
 
 
 def test_intertwiner_trivial_and_sqrt_cases():
     H, _ = random_diagonalizable(4, seed=30)
     pair = full_pipeline(H)
-    A, S = intertwiner_from_metrics(
-        pair.metric.rho, pair.metric.rho, pair.h, pair.h
-    )
+    A, S = intertwiner_from_metrics(pair.metric, pair.metric, pair.h, pair.h)
     npt.assert_allclose(A, np.eye(4), atol=1e-12)
     npt.assert_allclose(S, np.eye(4), atol=1e-12)
 
@@ -440,7 +448,7 @@ def test_intertwiner_trivial_and_sqrt_cases():
     h = conjugated_diagonal([1.0, 2.0, 3.0], seed=4)
     cb = commutant_basis(h, [[0], [1], [2]])
     gen = sample_positive_symmetry(cb, seed=11)
-    A, S = intertwiner_from_metrics(np.eye(3, dtype=complex), gen.sqrt, h, h)
+    A, S = intertwiner_from_metrics(metric_from_T(np.eye(3)), metric_from_T(gen.sqrt), h, h)
     npt.assert_allclose(A, gen.sqrt, atol=1e-12)
     npt.assert_allclose(S, gen.matrix, atol=1e-11)
 
@@ -451,9 +459,7 @@ def test_intertwiner_between_two_sampled_members():
     cb = commutant_basis(pair.h, pair.spectral.clusters)
     m1 = metric_from_symmetry(pair.metric, sample_positive_symmetry(cb, seed=5), H)
     m2 = metric_from_symmetry(pair.metric, sample_positive_symmetry(cb, seed=6), H)
-    A, S = intertwiner_from_metrics(
-        m1.rho_prime, m2.rho_prime, m1.h_prime, m2.h_prime
-    )
+    A, S = intertwiner_from_metrics(m1.eta_prime, m2.eta_prime, m1.h_prime, m2.h_prime)
     # the recovered generator maps one metric onto the other
     npt.assert_allclose(
         m1.rho_prime @ S @ m1.rho_prime, m2.eta_prime.eta,
@@ -472,7 +478,7 @@ def test_converse_direction_with_row_rescaled_eigenbasis():
     # rescaled rows still intertwine H with H_d: (D·T)·H = H_d·(D·T)
     h1 = hermitian_equivalent(H, m1, data.H_d).h
     h2 = hermitian_equivalent(H, m2, data.H_d).h
-    A, S = intertwiner_from_metrics(m1.rho, m2.rho, h1, h2)
+    A, S = intertwiner_from_metrics(m1, m2, h1, h2)
     assert np.linalg.eigvalsh(S)[0] > 0
 
 
@@ -482,11 +488,21 @@ def test_intertwiner_rejects_mismatched_data():
     pair = full_pipeline(H)
     foreign = full_pipeline(other)
     with pytest.raises(ResidualExceeded) as exc_info:
-        intertwiner_from_metrics(
-            pair.metric.rho, foreign.metric.rho, pair.h, foreign.h
-        )
+        intertwiner_from_metrics(pair.metric, foreign.metric, pair.h, foreign.h)
     assert exc_info.value.identity in {"sim", "sym", "A-ph", "eta-prime"}
 
+
+def test_intertwiner_rejects_non_hermitian_h():
+    # the commutant's gate: relative asymmetry at 2x residual_tol in h or h'
+    H, _ = random_diagonalizable(4, seed=2)
+    pair = full_pipeline(H)
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 3] = 1.0
+    scale = np.linalg.norm(pair.h) / np.linalg.norm(skew - skew.conj().T)
+    tilted = pair.h + 2.0 * DEFAULT_TOLERANCES.residual_tol * scale * skew
+    for h, h_prime in ((tilted, pair.h), (pair.h, tilted)):
+        with pytest.raises(NotHermitian):
+            intertwiner_from_metrics(pair.metric, pair.metric, h, h_prime)
 
 
 def test_member_rejects_a_generator_of_another_h():
