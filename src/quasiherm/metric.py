@@ -53,10 +53,6 @@ class MetricOperator:
     right_vectors: np.ndarray = field(repr=False)
     pseudo_hermiticity_residual: float | None = None
 
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.singular_values[-1] ** 2)
-
     @cached_property
     def rho_inv(self) -> np.ndarray:
         return hermitian_from_basis(self.right_vectors, 1 / self.singular_values)

@@ -4,7 +4,9 @@ A report is a JSON document holding the input descriptor, the tolerances
 used, the certified spectrum, the constructed operators, a residual table
 keyed by identity name, and one residual table per sampled family member.
 The verdict is pass iff every recorded residual is within residual_tol.
-Reports are deterministic for identical inputs apart from the timestamp.
+Reports are deterministic for identical inputs apart from the timestamp,
+on one numpy/BLAS build at one BLAS thread count: BLAS rounds differently
+with the thread count, so the low digits of residuals can move.
 
 A report is a frozen dataclass. ``matrices`` holds the complex arrays
 ``eta``, ``rho`` and ``h``; ``to_payload`` gives plain JSON lists. The
@@ -42,12 +44,7 @@ from .matrixio import dumps, load_matrix, matrix_document, matrix_from_payload, 
 from .metric import full_pipeline
 from .models import ModelSpec, build_model, describe_model
 from .spectral import eig_decompose
-from .symmetry import (
-    FAMILY_IDENTITIES,
-    commutant_basis,
-    metric_from_symmetry,
-    sample_positive_symmetry,
-)
+from .symmetry import _certified_commutant, metric_from_symmetry, sample_positive_symmetry
 
 DEFAULT_MAX_DIM = 512
 
@@ -97,12 +94,6 @@ class VerificationReport:
     @property
     def exit_code(self) -> int:
         return _EXIT_CODES[self.verdict]
-
-    def all_residuals(self) -> list:
-        values = list(self.residuals.values())
-        for member in self.family:
-            values.extend(member.residuals.values())
-        return values
 
     def to_payload(self) -> dict:
         return self._payload(matrix_to_payload)
@@ -220,7 +211,12 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
         fields["residuals"]["H=H"] = float(pair.similarity_residual)
         if command == "analyze":
             fields["matrices"] = {"eta": pair.metric.eta, "rho": pair.metric.rho, "h": pair.h}
-        cb = commutant_basis(pair.h, spectral.clusters, tol)
+        # h = X†·H_d·X is Hermitian bit for bit, with eigenbasis X† and
+        # eigenvalues diag(H_d): certified as built, not factorized again
+        cb = _certified_commutant(
+            pair.h, spectral.eigenvalues.real, pair.metric.unitary.conj().T,
+            spectral.clusters, tol,
+        )
         fields["commutant"] = {
             "real_dimension": cb.real_dimension,
             "cluster_sizes": [len(c) for c in cb.clusters],

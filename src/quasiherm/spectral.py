@@ -57,10 +57,6 @@ class SpectralData:
     cond_T: float | None
     clusters: list[list[int]] = field(default_factory=list)
 
-    @property
-    def real_eigenvalues(self) -> np.ndarray:
-        return np.real(np.diagonal(self.H_d)).copy()
-
 
 def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> list[list[int]]:
     """Partition ascending real eigenvalues into degeneracy clusters.

@@ -7,11 +7,15 @@ spanned, block-wise in its eigenbasis, by Hermitian matrices supported on
 the degeneracy clusters, so the positive commutant is exhausted by positive
 coefficients per cluster plus intra-cluster unitary mixers.
 
-The commutant is therefore kept as h's eigenvectors W, its eigenvalues and
-the clusters, in O(n²) memory. It is certified by one product
-R = h·W − W·Λ and one unitarity check ‖W†W − I‖_F ≤ residual_tol, which for
-square W equals the projector completeness ‖Σ_k P_k − I‖_F. Cluster k, with
-eigenvectors W_k, eigenvalue spread δ_k and residual block R_k, passes
+The commutant is therefore kept as an eigenbasis W of h, its eigenvalues
+and the clusters, in O(n²) memory. The pipeline builds h = X†·H_d·X from
+the polar unitary X of its metric, so W = X† and Λ = diag(H_d) are already
+h's eigendata and are certified as they stand; :func:`commutant_basis` on a
+bare h takes them from ``eigh``. Either way one certificate applies: one
+product R = h·W − W·Λ and one unitarity check ‖W†W − I‖_F ≤ residual_tol,
+which for square W equals the projector completeness ‖Σ_k P_k − I‖_F.
+Cluster k, with eigenvectors W_k, eigenvalue spread δ_k and residual block
+R_k, passes
 
     (δ_k + 2‖R_k‖_F) / ‖h‖_F ≤ residual_tol.      (sym[cluster k])
 
@@ -98,8 +102,8 @@ FAMILY_IDENTITIES = (
 class CommutantBasis:
     """Hermitian commutant {X = X† : [X, h] = 0} of a Hermitian h.
 
-    ``h`` is the Hermitian part of the matrix given, equal to its adjoint
-    bit for bit. Stored in h's eigenbasis: the commutant is every sum over
+    ``h`` equals its adjoint bit for bit. Stored in an eigenbasis of h
+    (``eigenvectors``, with ``eigenvalues``): the commutant is every sum over
     clusters k of W_k·X_k·W_k†, X_k a Hermitian block of the cluster's size
     and W_k the cluster's columns of ``eigenvectors``. The real dimension is
     the sum of squared cluster sizes. Each cluster has passed
@@ -140,13 +144,14 @@ class SymmetryGenerator:
 
 @dataclass
 class MetricFamilyMember:
-    """One metric eta' = rho·S·rho with the full verified operator chain."""
+    """One metric eta' = rho·S·rho with the full verified operator chain.
 
-    generator: SymmetryGenerator
+    rho' is ``eta_prime.rho`` and the unitary factor U of A = U·sigma is
+    ``eta_prime.unitary``†.
+    """
+
     eta_prime: MetricOperator
-    rho_prime: np.ndarray
     intertwiner: np.ndarray
-    unitary_factor: np.ndarray
     h_prime: np.ndarray
     residuals: dict[str, float]
 
@@ -167,16 +172,23 @@ def _gated_hermitian(h, tol: Tolerances) -> np.ndarray:
 def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> CommutantBasis:
     """Hermitian commutant of h, organized by the given degeneracy clusters.
 
-    Certifies h's eigenbasis W: ‖W†W − I‖_F within ``residual_tol``
-    (``projector completeness``) and, per cluster k, the bound on the
-    commutator of every element of the cluster's block (``sym[cluster k]``).
+    Certifies the eigenbasis ``eigh`` gives for h (:func:`_certified_commutant`).
     Raises :class:`NotHermitian` when h's relative asymmetry exceeds
     ``residual_tol``; within it, h is replaced by its Hermitian part.
     """
     h_mat = _gated_hermitian(h, tol)
     eigenvalues, W = np.linalg.eigh(h_mat)
-    n = h_mat.shape[0]
+    return _certified_commutant(h_mat, eigenvalues, W, clusters, tol)
 
+
+def _certified_commutant(h, eigenvalues, W, clusters, tol: Tolerances) -> CommutantBasis:
+    """The commutant of a Hermitian h from an eigenbasis W with ascending
+    ``eigenvalues``, certified: ‖W†W − I‖_F within ``residual_tol``
+    (``projector completeness``) and, per cluster k, the bound on the
+    commutator of every element of the cluster's block (``sym[cluster k]``).
+    h must equal its adjoint bit for bit; it is kept, not copied.
+    """
+    n = h.shape[0]
     flat = sorted(i for cluster in clusters for i in cluster)
     if flat != list(range(n)):
         raise ValueError("clusters must partition the index range of h")
@@ -186,8 +198,8 @@ def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> Commut
     if completeness > tol.residual_tol:
         raise ResidualExceeded("projector completeness", completeness, tol.residual_tol)
 
-    norm_h = frobenius_norm(h_mat)
-    R = h_mat @ W - W * eigenvalues
+    norm_h = frobenius_norm(h)
+    R = h @ W - W * eigenvalues
     for k, cluster in enumerate(clusters):
         values = eigenvalues[cluster]
         spread = float(values.max() - values.min())
@@ -196,7 +208,7 @@ def commutant_basis(h, clusters, tol: Tolerances = DEFAULT_TOLERANCES) -> Commut
             raise ResidualExceeded(f"sym[cluster {k}]", certificate, tol.residual_tol)
 
     return CommutantBasis(
-        h=h_mat,
+        h=h,
         eigenvalues=eigenvalues,
         eigenvectors=W,
         clusters=clusters,
@@ -360,12 +372,11 @@ def metric_from_symmetry(
     sigma_rho = sigma @ rho
     member_metric = metric_from_T(sigma_rho, tol)
     eta_prime = member_metric.eta
-    rho_prime = member_metric.rho
     member_metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A_H, eta_prime)
     prime_pair = hermitian_equivalent(A_H, member_metric, h, tol)
     h_prime = prime_pair.h
 
-    A = rho_prime @ metric.rho_inv
+    A = member_metric.rho @ metric.rho_inv
     U = member_metric.unitary.conj().T
     B = rho @ U
 
@@ -389,13 +400,7 @@ def metric_from_symmetry(
     }
 
     return MetricFamilyMember(
-        generator=generator,
-        eta_prime=member_metric,
-        rho_prime=rho_prime,
-        intertwiner=A,
-        unitary_factor=U,
-        h_prime=h_prime,
-        residuals=residuals,
+        eta_prime=member_metric, intertwiner=A, h_prime=h_prime, residuals=residuals
     )
 
 

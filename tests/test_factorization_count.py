@@ -39,6 +39,14 @@ def linalg_calls(monkeypatch):
     return counts
 
 
+def clustered_hamiltonian():
+    """H = T0⁻¹·D·T0 with clusters of sizes 3, 1 and 2."""
+    rng = np.random.default_rng(3)
+    D = np.repeat([-1.0, 0.5, 2.0], [3, 1, 2])
+    T0 = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return np.linalg.solve(T0, D[:, None] * T0)
+
+
 def test_full_pipeline_factorizations(linalg_calls):
     H, _ = random_diagonalizable(6, seed=3)
     linalg_calls.clear()
@@ -76,15 +84,23 @@ def test_run_analyze_factorizations(linalg_calls):
     report = run_analyze(spec, samples=2)
     assert report.verdict == "pass"
     # build_model: two Haar QRs and one solve, no ground truth; full_pipeline:
-    # eig + 2 SVDs; commutant_basis: one eigh; each member: one SVD
-    assert linalg_calls == Counter(qr=2, solve=1, eig=1, svd=4, eigh=1)
+    # eig + 2 SVDs; the commutant certifies the metric's eigenbasis of h
+    # without a factorization; each member: one SVD
+    assert linalg_calls == Counter(qr=2, solve=1, eig=1, svd=4)
+
+
+def test_run_analyze_factorizations_on_a_clustered_spectrum(linalg_calls):
+    H = clustered_hamiltonian()
+    linalg_calls.clear()
+    report = run_analyze(H, samples=2)
+    assert report.verdict == "pass"
+    # full_pipeline: eig, 2 SVDs and one QR per cluster of two or more; each
+    # member: one Haar QR per such cluster and one SVD; no eigh
+    assert linalg_calls == Counter(eig=1, svd=4, qr=6)
 
 
 def test_clustered_spectrum_condition_comes_from_the_metric_svd(linalg_calls):
-    rng = np.random.default_rng(3)
-    D = np.repeat([-1.0, 0.5, 2.0], [3, 1, 2])
-    T0 = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    H = np.linalg.solve(T0, D[:, None] * T0)
+    H = clustered_hamiltonian()
     linalg_calls.clear()
     eig_decompose(H)
     # eig, the raw condition SVD, one QR per cluster of two or more, and

@@ -156,7 +156,8 @@ def test_analyze_in_memory_passes():
     assert [m.seed for m in report.family] == [0, 1, 2]
     for member in report.family:
         assert set(member.residuals) == set(FAMILY_IDENTITIES)
-    assert max(report.all_residuals()) <= 1e-8
+    assert max(report.residuals.values()) <= 1e-8
+    assert max(member.max_residual for member in report.family) <= 1e-8
     eta = report.matrices["eta"]
     npt.assert_allclose(eta, np.diag([1.6, 0.4]), atol=1e-12)
 

@@ -225,7 +225,7 @@ def test_polar_decompose_closed_form():
     npt.assert_allclose(m.rho_inv, np.diag([1.0, 0.5]), atol=1e-14)
     npt.assert_allclose(m.eta, np.diag([1.0, 4.0]), atol=1e-14)
     npt.assert_allclose(m.singular_values, [2.0, 1.0], atol=1e-14)
-    assert m.min_eigenvalue == pytest.approx(1.0)
+    assert m.singular_values[-1] ** 2 == pytest.approx(1.0)
 
 
 def test_polar_decompose_properties(rng):

@@ -98,8 +98,8 @@ def test_random_diagonalizable_round_trip():
         assert residual <= 1e-10 * np.linalg.norm(H)
         pair = full_pipeline(H)
         npt.assert_allclose(
-            pair.spectral.real_eigenvalues,
-            ground_truth.real_eigenvalues,
+            pair.spectral.eigenvalues.real,
+            ground_truth.eigenvalues.real,
             atol=1e-8,
         )
 

@@ -36,13 +36,13 @@ def test_eig_decompose_hermitian_gives_unitary_rows(rng):
     H = (A + A.conj().T) / 2
     data = eig_decompose(H)
     npt.assert_allclose(data.T @ data.T.conj().T, np.eye(5), atol=1e-12)
-    npt.assert_allclose(data.real_eigenvalues, np.linalg.eigvalsh(H), atol=1e-12)
+    npt.assert_allclose(data.eigenvalues.real, np.linalg.eigvalsh(H), atol=1e-12)
     assert data.cond_T < 1.0 + 1e-10
 
 
 def test_eig_decompose_diagonal_input_gives_identity_rows():
     data = eig_decompose(np.diag([1.0, 2.0]).astype(complex))
-    npt.assert_allclose(data.real_eigenvalues, [1.0, 2.0])
+    npt.assert_allclose(data.eigenvalues.real, [1.0, 2.0])
     npt.assert_allclose(data.T, np.eye(2), atol=1e-14)
 
 
@@ -51,7 +51,7 @@ def test_eig_decompose_triangular_left_eigenvectors():
     data = eig_decompose(np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex))
     expected = np.array([[1.0, -1.0], [0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
     npt.assert_allclose(data.T, expected, atol=1e-14)
-    npt.assert_allclose(data.real_eigenvalues, [1.0, 2.0], atol=1e-14)
+    npt.assert_allclose(data.eigenvalues.real, [1.0, 2.0], atol=1e-14)
 
 
 def test_eig_decompose_certifies_row_eigenvector_equation():
@@ -60,7 +60,7 @@ def test_eig_decompose_certifies_row_eigenvector_equation():
     # rows of T are left eigenvectors: T H = H_d T
     residual = np.linalg.norm(data.T @ H - data.H_d @ data.T)
     assert residual <= 1e-10 * np.linalg.norm(H)
-    assert np.all(np.diff(data.real_eigenvalues) >= 0)
+    assert np.all(np.diff(data.eigenvalues.real) >= 0)
     npt.assert_allclose(np.linalg.norm(data.T, axis=1), np.ones(6), atol=1e-13)
 
 
@@ -78,7 +78,7 @@ def test_eig_decompose_matches_generating_spectrum():
         H, ground_truth = random_diagonalizable(7, seed=seed)
         data = eig_decompose(H)
         npt.assert_allclose(
-            data.real_eigenvalues, ground_truth.real_eigenvalues, atol=1e-8
+            data.eigenvalues.real, ground_truth.eigenvalues.real, atol=1e-8
         )
 
 
@@ -89,8 +89,8 @@ def test_ensemble_round_trip_and_isospectrality(ensemble_pipelines):
         data = pair.spectral
         recon = np.linalg.solve(data.T, data.H_d @ data.T)
         assert np.linalg.norm(recon - H) <= 1e-8 * np.linalg.norm(H)
-        D = ground_truth.real_eigenvalues
-        assert np.max(np.abs(data.real_eigenvalues - D)) <= 1e-8 * np.linalg.norm(D)
+        D = ground_truth.eigenvalues.real
+        assert np.max(np.abs(data.eigenvalues.real - D)) <= 1e-8 * np.linalg.norm(D)
 
 
 def test_complex_spectrum_raised_with_offenders():
@@ -124,7 +124,7 @@ def test_degenerate_similarity_clusters_and_certifies():
     H = np.linalg.solve(M, base @ M)
     data = eig_decompose(H)
     assert [len(c) for c in data.clusters] == [2, 2]
-    npt.assert_allclose(data.real_eigenvalues, [1, 1, 3, 3], atol=1e-9)
+    npt.assert_allclose(data.eigenvalues.real, [1, 1, 3, 3], atol=1e-9)
     # within-cluster rows are orthonormalized
     for cluster in data.clusters:
         block = data.T[cluster]

@@ -19,6 +19,7 @@ from quasiherm import (
     metric_from_symmetry,
     metric_from_T,
     random_diagonalizable,
+    run_analyze,
     sample_positive_symmetry,
     symmetry,
     symmetry_from_coefficients,
@@ -192,6 +193,59 @@ def test_commutant_basis_rejects_bad_partition():
         commutant_basis(h, [[0]])
 
 
+def clustered_hamiltonian():
+    """H = T0⁻¹·D·T0 with clusters of sizes 3, 1 and 2."""
+    rng = np.random.default_rng(3)
+    D = np.repeat([-1.0, 0.5, 2.0], [3, 1, 2])
+    T0 = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return np.linalg.solve(T0, D[:, None] * T0)
+
+
+@pytest.mark.parametrize(
+    "H",
+    # seed 3's smallest gap is 0.025: eigenvectors move by roundoff/gap
+    # (Davis-Kahan), whichever factorization found them
+    [random_diagonalizable(24, seed=3)[0], clustered_hamiltonian()],
+    ids=["random-24", "clustered"],
+)
+def test_pipeline_commutant_is_the_metric_eigenbasis_and_agrees_with_eigh(monkeypatch, H):
+    seen = []
+
+    def spy(*args):
+        seen.append(symmetry._certified_commutant(*args))
+        return seen[-1]
+
+    monkeypatch.setattr("quasiherm.report._certified_commutant", spy)
+    assert run_analyze(H, samples=1).verdict == "pass"
+    (cb,) = seen
+    pair = full_pipeline(H)
+    # certified as built: h, X† and diag(H_d)
+    npt.assert_array_equal(cb.h, pair.h)
+    npt.assert_array_equal(cb.eigenvectors, pair.metric.unitary.conj().T)
+    npt.assert_array_equal(cb.eigenvalues, np.diagonal(pair.spectral.H_d).real)
+
+    ref = commutant_basis(pair.h, pair.spectral.clusters)
+    assert np.max(np.abs(cb.eigenvalues - ref.eigenvalues)) <= 1e-13 * np.linalg.norm(pair.h)
+    assert cb.clusters == ref.clusters
+    assert cb.real_dimension == ref.real_dimension
+    for P, P_ref in zip(spectral_projectors(cb), spectral_projectors(ref)):
+        assert np.linalg.norm(P - P_ref) <= 1e-12
+
+
+def test_certificate_refuses_a_basis_that_is_not_an_eigenbasis_of_h():
+    H, _ = random_diagonalizable(8, seed=2)
+    pair = full_pipeline(H)
+    clusters = pair.spectral.clusters
+    assert clusters == [[i] for i in range(8)]
+    W = pair.metric.unitary.conj().T
+    swapped = W[:, [0, 1, 5, 3, 4, 2, 6, 7]]  # still unitary, so complete
+    certify = symmetry._certified_commutant
+    certify(pair.h, pair.spectral.eigenvalues.real, W, clusters, DEFAULT_TOLERANCES)
+    with pytest.raises(ResidualExceeded) as exc_info:
+        certify(pair.h, pair.spectral.eigenvalues.real, swapped, clusters, DEFAULT_TOLERANCES)
+    assert exc_info.value.identity == "sym[cluster 2]"
+
+
 def test_commutant_of_diagonal_nondegenerate_is_diagonal():
     h = np.diag([1.0, 2.0]).astype(complex)
     cb = commutant_basis(h, [[0], [1]])
@@ -333,7 +387,7 @@ def test_trivial_symmetry_reproduces_base_metric():
     member = metric_from_symmetry(pair.metric, gen, H)
     npt.assert_allclose(member.eta_prime.eta, pair.metric.eta, atol=1e-12)
     npt.assert_allclose(member.intertwiner, np.eye(2), atol=1e-12)
-    npt.assert_allclose(member.unitary_factor, np.eye(2), atol=1e-12)
+    npt.assert_allclose(member.eta_prime.unitary.conj().T, np.eye(2), atol=1e-12)
     assert member.max_residual <= 1e-12
 
 
@@ -348,7 +402,7 @@ def test_hermitian_base_metric_family_reduces_to_generators():
     member = metric_from_symmetry(pair.metric, gen, H)
     npt.assert_allclose(member.eta_prime.eta, gen.matrix, atol=1e-10)
     npt.assert_allclose(member.intertwiner, gen.sqrt, atol=1e-9)
-    npt.assert_allclose(member.unitary_factor, np.eye(4), atol=1e-9)
+    npt.assert_allclose(member.eta_prime.unitary.conj().T, np.eye(4), atol=1e-9)
 
 
 def test_triangular_reference_family_seed_42():
@@ -407,10 +461,10 @@ def test_new_member_is_itself_a_valid_metric():
         pair.metric, sample_positive_symmetry(cb, seed=2), H
     )
     eta_p = member.eta_prime
-    assert eta_p.min_eigenvalue > 0
+    assert eta_p.singular_values[-1] ** 2 > 0
     assert eta_p.pseudo_hermiticity_residual <= 1e-10
     npt.assert_allclose(
-        member.rho_prime @ member.rho_prime, eta_p.eta,
+        eta_p.rho @ eta_p.rho, eta_p.eta,
         atol=1e-11 * np.linalg.norm(eta_p.eta),
     )
 
@@ -462,7 +516,7 @@ def test_intertwiner_between_two_sampled_members():
     A, S = intertwiner_from_metrics(m1.eta_prime, m2.eta_prime, m1.h_prime, m2.h_prime)
     # the recovered generator maps one metric onto the other
     npt.assert_allclose(
-        m1.rho_prime @ S @ m1.rho_prime, m2.eta_prime.eta,
+        m1.eta_prime.rho @ S @ m1.eta_prime.rho, m2.eta_prime.eta,
         atol=1e-9 * np.linalg.norm(m2.eta_prime.eta),
     )
 
