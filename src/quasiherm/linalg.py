@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, SingularTransform
+from .errors import IllConditioned, ParseError, SingularTransform
 
 # Frobenius norms below this are indistinguishable from zero in double precision.
 ZERO_NORM_FLOOR = 1e-300
@@ -85,8 +85,12 @@ def as_matrix(M) -> np.ndarray:
 
 
 def frobenius_norm(M) -> float:
-    """Frobenius norm sqrt(sum |entries|^2)."""
-    return float(np.linalg.norm(np.asarray(M)))
+    """Frobenius norm sqrt(sum |entries|^2); ParseError if it overflows, as x/inf reads 0."""
+    with np.errstate(over="ignore"):  # an overflow is refused, not warned about
+        norm = float(np.linalg.norm(M))
+        if norm == np.inf:
+            raise ParseError(f"a Frobenius norm overflows (max |entry| {np.abs(M).max():.3e})")
+    return norm
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:

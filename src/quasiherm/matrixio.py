@@ -6,10 +6,11 @@ environment and diffable. All structural problems raise ParseError.
 
 ``dumps`` writes matrix documents and reports: it returns exactly
 ``json.dumps(payload, indent=2, sort_keys=True)`` of the payload with its
-arrays as lists, but renders each list of finite ``[re, im]`` float pairs,
-and each finite ``(k, 2)`` ``float64`` array such as a
-``matrix_document``'s ``entries``, in one pass instead of through the
-pure-Python indenting encoder.
+arrays as lists, but renders each non-empty finite ``(k, 2)`` ``float64``
+array, such as a ``matrix_document``'s ``entries``, in one pass (a
+``repr`` of each item, then one join with the layout between the items)
+instead of through the pure-Python indenting encoder. Everything else,
+lists of ``[re, im]`` pairs included, goes through ``json.dumps``.
 
 A Hermitian matrix is written with each mirrored float rendered once. When
 a strictly-lower entry's real part has the same bits as its transposed
@@ -103,8 +104,11 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, M) -> None:
-    """Write a matrix document to ``path``."""
-    Path(path).write_text(dumps(matrix_document(M)) + "\n", encoding="utf-8")
+    """Write a matrix document to ``path``; a non-finite ``M`` raises ParseError."""
+    document = matrix_document(M)
+    if not np.isfinite(document["entries"]).all():
+        raise ParseError("matrix entries must be finite to be saved")
+    Path(path).write_text(dumps(document) + "\n", encoding="utf-8")
 
 
 def dumps(payload) -> str:
@@ -125,8 +129,8 @@ def _emit(value, newline: str, chunks: list) -> None:
             opening = ","
         chunks.append(newline + "}")
         return
-    blocks = _float_pair_blocks(value)
-    if blocks is None:
+    items = _pair_items(value)
+    if items is None:
         if type(value) is np.ndarray:
             value = value.tolist()
         # json.dumps escapes newlines inside strings, so every "\n" it
@@ -134,36 +138,33 @@ def _emit(value, newline: str, chunks: list) -> None:
         chunks.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
         return
     deeper = inner + "  "
-    pair = f"{inner}[{deeper}%s,{deeper}%s{inner}]"
-    opening = "["
-    for items in blocks:
-        chunks.append(opening + ",".join([pair] * (len(items) // 2)) % tuple(items))
-        opening = ","
-    chunks.append(newline + "]")
+    # each item followed by the layout up to the next one, joined once
+    pieces = [None, f",{deeper}", None, f"{inner}],{inner}[{deeper}"] * (len(items) // 2)
+    pieces[::2] = items
+    pieces[-1] = f"{inner}]{newline}]"
+    chunks += [f"[{inner}[{deeper}", "".join(pieces)]
 
 
-def _float_pair_blocks(value):
-    """The items of a non-empty list of finite [float, float] lists, or of a
-    non-empty finite ``(k, 2)`` float64 array, in row-major order as
-    consecutive lists of whole pairs; else None.
-
-    An item is a float or its ``repr``; ``%s`` of either is how json writes
-    a finite float. A finite sum proves every list item finite; a sum that
-    overflows sends finite pairs to json.dumps, which is slower, not wrong.
+def _pair_items(value):
+    """The ``repr`` of each item of a non-empty finite ``(k, 2)`` float64
+    array in row-major order, each mirrored item its twin's string; else None.
     """
-    if type(value) is np.ndarray and value.dtype == np.float64 and value.shape[1:] == (2,):
-        if not value.size or not np.isfinite(value).all():
-            return None
-        return _array_blocks(value)
-    if type(value) is list and set(map(type, value)) == {list} and set(map(len, value)) == {2}:
-        flat = list(chain.from_iterable(value))
-        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
-            return [flat]
-    return None
+    if type(value) is not np.ndarray or value.dtype != np.float64 or value.shape[1:] != (2,):
+        return None
+    if not value.size or not np.isfinite(value).all():
+        return None
+    mirrored = mirrored_items(value)
+    if mirrored is None:
+        return list(map(repr, value.ravel().tolist()))
+    strings = np.empty(mirrored.shape, dtype=object)
+    own = ~mirrored
+    strings[own] = list(map(repr, value.reshape(mirrored.shape)[own].tolist()))
+    twins = strings.transpose(1, 0, 2)
+    real, imag = mirrored[..., 0], mirrored[..., 1]
+    strings[..., 0][real] = twins[..., 0][real]
+    strings[..., 1][imag] = [s[1:] if s[0] == "-" else "-" + s for s in twins[..., 1][imag]]
+    return strings.ravel().tolist()
 
-
-# Rows of a mirrored matrix rendered per block: about this many entries each.
-_BLOCK_ENTRIES = 1 << 14
 
 _SIGN_BIT = np.array([0, 1 << 63], dtype=np.uint64)
 
@@ -184,36 +185,3 @@ def mirrored_items(entries):
     mask = bits == (bits.transpose(1, 0, 2) ^ _SIGN_BIT)
     mask &= np.tri(n, k=-1, dtype=bool)[:, :, None]
     return mask if mask.any() else None
-
-
-def _array_blocks(entries):
-    """The items of finite ``(k, 2)`` float64 ``entries`` as blocks of pairs.
-
-    A matrix that mirrors itself is rendered a block of rows at a time:
-    each row's own items are ``repr``-ed, its mirrored items are taken from
-    the twins' strings above the diagonal, and a string is dropped once the
-    rows that read it are rendered, so at most about a quarter of the
-    matrix's strings are held at once.
-    """
-    mirrored = mirrored_items(entries)
-    if mirrored is None:
-        yield entries.ravel().tolist()
-        return
-    n = mirrored.shape[0]
-    values = entries.reshape(n, n, 2)
-    strings = np.empty((n, n, 2), dtype=object)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        block, mirror = strings[r0:r1], mirrored[r0:r1, :r1]
-        own = ~mirrored[r0:r1]
-        floats = values[r0:r1][own].tolist()
-        # one %r format and a split make the strings faster than a repr each
-        block[own] = (" ".join(["%r"] * len(floats)) % tuple(floats)).split(" ")
-        twins = strings[:r1, r0:r1].transpose(1, 0, 2)
-        real, imag = mirror[..., 0], mirror[..., 1]
-        block[:, :r1, 0][real] = twins[..., 0][real]
-        block[:, :r1, 1][imag] = [s[1:] if s[0] == "-" else "-" + s for s in twins[..., 1][imag]]
-        yield block.ravel().tolist()
-        strings[:r1, r0:r1] = None  # every row that reads these is rendered
-        block[:, :r0] = None

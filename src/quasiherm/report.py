@@ -13,13 +13,13 @@ A report is a frozen dataclass. ``matrices`` holds the complex arrays
 report's byte layout is a contract: indent 2, sorted keys, one
 ``[re, im]`` pair per matrix entry in row-major order, and floats in
 shortest round-trip ``repr``. ``to_json`` equals
-``json.dumps(to_payload(), indent=2, sort_keys=True)`` byte for byte; it
-renders from the arrays on its first call and returns that same string
-afterwards, so the ``out=`` file and a caller's ``to_json`` are one
-rendering. ``eta``, ``rho`` and ``h`` are Hermitian bit for bit, so each
-float below the diagonal reuses the string of its mirror image above it
-(:mod:`~quasiherm.matrixio`): every mirrored float is rendered once and
-the bytes are the same.
+``json.dumps(to_payload(), indent=2, sort_keys=True)`` byte for byte. Its
+first call renders each matrix in one pass, from its array into one
+joined string, and later calls return that text, so the ``out=`` file and
+a caller's ``to_json`` are one rendering. ``eta``, ``rho`` and ``h`` are
+Hermitian bit for bit, so each float below the diagonal takes the string
+of its mirror image above it (:mod:`~quasiherm.matrixio`): every mirrored
+float is ``repr``-ed once, and the eigenvalue pairs go through json.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     QuasiHermError,
     ResidualExceeded,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm
 from .matrixio import dumps, load_matrix, matrix_document, matrix_from_payload, matrix_to_payload
 from .metric import full_pipeline
 from .models import ModelSpec, build_model, describe_model
@@ -169,6 +169,7 @@ def _resolve_input(source, max_dim: int):
             raise ParseError(str(exc)) from exc
         descriptor = {"source": "in-memory", "dim": int(H.shape[0])}
     _check_dim(H.shape[0], max_dim)
+    frobenius_norm(H)  # ParseError before any stage when ‖H‖_F overflows
     return H, descriptor
 
 

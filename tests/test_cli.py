@@ -209,6 +209,20 @@ def test_huge_integer_entry_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["file", "model"])
+def test_overflowing_norm_exits_one_without_traceback(tmp_path, capsys, kind):
+    path = tmp_path / "big.json"
+    save_matrix(path, 6e153 * np.array([[1.0, 1.0], [0.0, 2.0]]))
+    model = ["--model", "two_level", "--b", "1e300", "--c", "1e300"]
+    source = [str(path)] if kind == "file" else model
+    code, payload, err = run_cli(capsys, "analyze", *source)
+    assert code == 1
+    assert payload["verdict"] == "error"
+    assert payload["error"]["type"] == "ParseError"
+    assert "Frobenius norm overflows" in err
+    assert "Traceback" not in err
+
+
 def test_family_subcommand(capsys):
     code, payload, _ = run_cli(
         capsys, "family", "--model", "two_level", "--c", "4", "--samples", "2"

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -47,6 +46,15 @@ def test_save_matrix_writes_indented_json(tmp_path):
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_payload(M), indent=2) + "\n"
     save_matrix(path, np.asfortranarray(M))
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_payload(M), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_save_matrix_refuses_a_non_finite_matrix(tmp_path, bad):
+    # load_matrix refuses NaN and Infinity tokens, so they are never written
+    path = tmp_path / "m.json"
+    with pytest.raises(ParseError, match="finite"):
+        save_matrix(path, np.array([[1.0, bad], [0.0, 2.0]]))
+    assert not path.exists()
 
 
 def test_matrix_payload_of_a_noncontiguous_matrix():
@@ -276,6 +284,35 @@ def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, s
     assert report.family == []
 
 
+@pytest.mark.parametrize(
+    "H",
+    [
+        np.array([[1e200, 1e200], [0.0, 2e200]]),
+        two_level(1e300, 1e300, 0),
+        ModelSpec("two_level", {"b": 1e300, "c": 1e300, "d": 0.0}, dim=2),
+        6e153 * np.array([[1.0, 1.0], [0.0, 2.0]]),
+    ],
+    ids=["1e200", "two_level-1e300", "two_level-model-1e300", "6e153"],
+)
+@pytest.mark.parametrize("run", [run_analyze, run_family, run_spectrum])
+def test_overflowing_norm_is_an_input_error(H, run):
+    # ‖H‖_F overflows a float64: every residual divided by it would read 0
+    report = run(H)
+    assert report.verdict == "error"
+    assert report.exit_code == 1
+    assert report.error["type"] == "ParseError"
+    assert "Frobenius norm overflows" in report.error["message"]
+    assert report.residuals == {} and report.family == []
+
+
+def test_largest_norm_below_the_overflow_passes():
+    # ‖H‖_F = 7.3e153 squares to 5.4e307 < max float: real residuals, no refusal
+    report = run_analyze(3e153 * np.array([[1.0, 1.0], [0.0, 2.0]]), samples=2)
+    assert report.verdict == "pass"
+    assert 0.0 < report.residuals["H=H"] <= DEFAULT_TOLERANCES.residual_tol
+    assert all(member.residuals["sim"] > 0.0 for member in report.family)
+
+
 def test_missing_file_is_an_input_error(tmp_path):
     report = run_analyze(tmp_path / "nope.json")
     assert report.verdict == "error"
@@ -398,12 +435,19 @@ def _mirrored_arrays(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_mirrored_arrays(), st.sampled_from([1, 3, 1 << 14]))
-def test_dumps_renders_mirrored_matrices_byte_for_byte(entries, block_entries):
+@given(_mirrored_arrays())
+def test_dumps_renders_mirrored_matrices_byte_for_byte(entries):
     document = {"dim": 0, "entries": entries}
-    with mock.patch.object(matrixio, "_BLOCK_ENTRIES", block_entries):
-        text = dumps(document)
-    assert text == json.dumps(_as_lists(document), indent=2, sort_keys=True)
+    assert dumps(document) == json.dumps(_as_lists(document), indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mirrored_arrays() | hnp.arrays(np.float64, _PAIR_ROWS, elements=_FINITE))
+def test_pair_lists_and_arrays_render_alike(entries):
+    # a list of [float, float] pairs takes json.dumps, the equal array the one-pass render
+    pairs = entries.tolist()
+    expected = json.dumps({"entries": pairs}, indent=2, sort_keys=True)
+    assert dumps({"entries": pairs}) == dumps({"entries": entries}) == expected
 
 
 def test_mirrored_render_of_edge_floats():

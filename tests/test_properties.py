@@ -1,7 +1,8 @@
 """Every input the models can produce ends as pass, a named fail or a typed error.
 
-``run_family`` is drawn over the parameter space of each model and over
-clustered ``H = T0⁻¹·D·T0``; no exception may leave it, an error must be a
+``run_family`` is drawn over the parameter space of each model, over
+clustered ``H = T0⁻¹·D·T0`` and over scales on both sides of the Frobenius
+norm's overflow; no exception may leave it, an error must be a
 :class:`QuasiHermError`, and a fail must name the identity that tripped.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiherm import ModelSpec, QuasiHermError, run_family
+from quasiherm import ModelSpec, QuasiHermError, random_diagonalizable, run_family
 from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
@@ -22,6 +23,8 @@ _FAIL_NAMES = re.compile(
     + ")"
 )
 _SETTINGS = settings(max_examples=100, deadline=None)
+# the largest ‖H‖_F whose sum of squares is a finite float64
+_NORM_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
 _finite = st.floats(-3.0, 3.0, allow_nan=False)
 
 
@@ -98,3 +101,21 @@ def test_clustered_spectra_pass(levels, multiplicities, seed, cond_bound):
     assert_ends_typed(report)
     assert report.verdict == "pass", report.failure or report.error
     assert report.commutant["cluster_sizes"] == multiplicities[: len(levels)]
+
+
+@_SETTINGS
+@given(
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_scales_across_the_norm_overflow(dim, seed, log_scale):
+    # ‖H‖_F = 10**log_scale times the limit: refused above it, not refused far
+    # below it, and in between refused only where a product's norm overflows
+    H, _ = random_diagonalizable(dim, seed)
+    H = H * (10.0**log_scale * _NORM_LIMIT / np.linalg.norm(H))
+    report = run_family(H, samples=2, seed=seed % 1000)
+    assert_ends_typed(report)
+    refused = report.error is not None and report.error["type"] == "ParseError"
+    if log_scale > 1e-3 or log_scale < -2.0:
+        assert refused == (log_scale > 0), report.error
