@@ -24,17 +24,23 @@ from .errors import IllConditioned, ParseError, SingularTransform
 # Frobenius norms below this are indistinguishable from zero in double precision.
 ZERO_NORM_FLOOR = 1e-300
 
+# Below this plain Frobenius norm its squares may have lost digits to underflow.
+RESCALED_NORM_BELOW = 1e-140
+
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical gates shared across the pipeline.
 
     spectral_reality_tol
-        Relative bound on |Im lambda| for an eigenvalue to count as real.
+        Bound on |Im lambda| / max(|lambda|, min(rho, 1)) for an eigenvalue
+        to count as real, rho = max|lambda|: relative with a floor of 1 at
+        rho >= 1, and never absolute for a small H.
     residual_tol
         Relative bound on every certified operator-identity residual.
     degeneracy_cluster_tol
-        Relative eigenvalue gap below which two eigenvalues share a cluster.
+        Bound on an eigenvalue gap / max(spread, min(rho, 1)) below which
+        two eigenvalues share a cluster.
     positivity_floor
         Floor on the smallest singular value, relative to the Frobenius
         norm, below which a matrix counts as singular.
@@ -85,21 +91,41 @@ def as_matrix(M) -> np.ndarray:
 
 
 def frobenius_norm(M) -> float:
-    """Frobenius norm sqrt(sum |entries|^2); ParseError if it overflows, as x/inf reads 0."""
-    with np.errstate(over="ignore"):  # an overflow is refused, not warned about
+    """Frobenius norm sqrt(sum |entries|^2), accurate over the whole float64 range.
+
+    The plain sum of squares overflows above ‖M‖_F ≈ 1.34e154 and loses
+    digits to underflow below ``RESCALED_NORM_BELOW``; only then is the
+    norm taken again of M divided by its largest real or imaginary part,
+    which no division can overflow. A norm above the largest float64 is a
+    :class:`ParseError`, as every x/inf would read 0.
+    """
+    with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(M))
-        if norm == np.inf:
-            raise ParseError(f"a Frobenius norm overflows (max |entry| {np.abs(M).max():.3e})")
+        if not RESCALED_NORM_BELOW <= norm < np.inf:
+            parts = (np.real(M), np.imag(M))  # a complex division could read 0/0
+            scale = max(float(np.abs(part).max()) for part in parts)
+            if scale > 0:
+                norm = scale * float(np.hypot(*(np.linalg.norm(part / scale) for part in parts)))
+    if norm == np.inf:
+        raise ParseError(f"a Frobenius norm overflows (‖M‖_F above {np.finfo(float).max:.3e})")
     return norm
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, no tolerance gate."""
-    return (M + M.conj().T) / 2
+    """(M + M†)/2, no tolerance gate; halved first, so no finite M overflows."""
+    P = M / 2
+    P += P.conj().T
+    return P
 
 
 def relative_residual(numerator: float, denominator: float) -> float:
-    """numerator / denominator, or the numerator itself for a ~zero denominator."""
+    """numerator / denominator, or the numerator itself for a ~zero denominator.
+
+    An infinite denominator (a product of finite norms that overflows) is a
+    :class:`ParseError`: the quotient would read 0 whatever the numerator.
+    """
+    if denominator == np.inf:
+        raise ParseError(f"a product of Frobenius norms overflows (numerator {numerator:.3e})")
     return numerator if denominator <= ZERO_NORM_FLOOR else numerator / denominator
 
 

@@ -60,9 +60,8 @@ class MetricOperator:
 
 @dataclass
 class EquivalencePair:
-    """A Hamiltonian H together with its Hermitian equivalent h = rho·H·rho⁻¹."""
+    """The Hermitian equivalent h = rho·H·rho⁻¹ of a Hamiltonian H."""
 
-    H: np.ndarray
     h: np.ndarray
     metric: MetricOperator
     similarity_residual: float
@@ -141,7 +140,7 @@ def hermitian_equivalent(
     if similarity_residual > tol.residual_tol:
         raise ResidualExceeded("H=H", similarity_residual, tol.residual_tol)
 
-    return EquivalencePair(H=A, h=h, metric=metric, similarity_residual=similarity_residual)
+    return EquivalencePair(h=h, metric=metric, similarity_residual=similarity_residual)
 
 
 def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:

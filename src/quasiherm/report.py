@@ -256,11 +256,16 @@ def _run(
     }
     failure = None  # (value, identity, bound) of the identity that failed
     try:
-        # the stages' own matrices die on return, before the report is written
-        _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
+        # the stages' own matrices die on return, before the report is written;
+        # an overflow is an input beyond float64's range, refused, not warned
+        with np.errstate(over="raise"):
+            _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
     except ResidualExceeded as exc:
         fields["residuals"][exc.identity] = float(exc.value)
         failure = (exc.value, exc.identity, exc.bound)
+    except FloatingPointError as exc:
+        fields["error"] = _error_payload(ParseError(f"a value overflows float64: {exc}"))
+        fields["verdict"] = "error"
     except (ParseError, QuasiHermError, OSError) as exc:
         fields["error"] = _error_payload(exc)
         fields["verdict"] = "error"

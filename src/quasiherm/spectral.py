@@ -2,6 +2,7 @@
 
 Produces the row transform ``T`` with ``H = T⁻¹ · H_d · T``: rows of T are
 left eigenvectors of H, computed as right eigenvectors of H† and conjugated.
+Every input, a Hermitian one included, takes this one ``eig`` route.
 The downstream construction only needs *some* invertible diagonalizer, so a
 fixed normalization convention picks one deterministically:
 
@@ -22,22 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComplexSpectrum, NonDiagonalizable, ResidualExceeded
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    as_matrix,
-    frobenius_norm,
-    hermitian_part,
-    hermiticity_defect,
-)
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm, relative_residual
 
 # Entries below this magnitude (in a unit-norm row) never anchor the phase
 # convention; they may be pure roundoff with arbitrary sign.
 PHASE_ANCHOR_FLOOR = 1e-10
-
-# Inputs this close to Hermitian are routed through the Hermitian eigensolver,
-# which returns exactly orthonormal eigenvectors (so T†T = I to roundoff).
-HERMITIAN_ROUTE_TOL = 1e-13
 
 
 @dataclass
@@ -62,9 +52,10 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     """Partition ascending real eigenvalues into degeneracy clusters.
 
     Two eigenvalues share a cluster iff their gap is at most
-    ``degeneracy_cluster_tol * max(spread, 1)``; the partition is the
-    transitive closure of that relation, so on sorted input it reduces to
-    walking adjacent gaps.
+    ``degeneracy_cluster_tol * max(spread, min(rho, 1))`` with
+    ``rho = max|lambda|``, so below unit scale the bound follows the
+    spectrum; the partition is the transitive closure of that relation,
+    so on sorted input it reduces to walking adjacent gaps.
     """
     values = np.real(np.asarray(eigenvalues)).astype(np.float64)
     if values.ndim != 1 or values.size == 0:
@@ -72,7 +63,8 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     if np.any(np.diff(values) < 0):
         raise ValueError("eigenvalues must be ascending")
     spread = float(values[-1] - values[0])
-    gap_tol = tol.degeneracy_cluster_tol * max(spread, 1.0)
+    radius = float(np.abs(values).max())
+    gap_tol = tol.degeneracy_cluster_tol * max(spread, min(radius, 1.0))
     clusters: list[list[int]] = [[0]]
     for i in range(1, values.size):
         if values[i] - values[i - 1] <= gap_tol:
@@ -103,7 +95,8 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     """Diagonalize H, certifying real spectrum and numerical diagonalizability.
 
     Raises :class:`ComplexSpectrum` when any eigenvalue fails the reality
-    gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, 1)`` and
+    gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, min(rho, 1))``
+    with ``rho = max|lambda|``, and
     :class:`NonDiagonalizable` when the eigenvector matrix is defective
     (condition estimate beyond ``condition_cap``, before and after the
     normalization). The certificate ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)``
@@ -124,6 +117,8 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
 def diagonalize(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     """:func:`eig_decompose` short of one condition number.
 
+    One ``eig`` of H† serves every input, Hermitian or not; a Hermitian
+    H's rows come out orthonormal to roundoff, its metric the identity.
     With singleton clusters only, the normalized T is the raw eigenvector
     rows times a diagonal unitary, so ``cond_T`` is the raw rows' condition
     number, already computed for the defectiveness gate. When a cluster's
@@ -131,25 +126,17 @@ def diagonalize(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     take from an SVD of T that it makes anyway.
     """
     A = as_matrix(H)
-    norm_H = frobenius_norm(A)
-
-    if hermiticity_defect(A) <= HERMITIAN_ROUTE_TOL:
-        # Hermitian input: eigh gives exactly orthonormal rows, making the
-        # downstream metric the identity by convention.
-        w, V = np.linalg.eigh(hermitian_part(A))
-        eigenvalues = w.astype(np.complex128)
-        T = V.conj().T
-    else:
-        # rows of T = left eigenvectors = conjugated right eigenvectors of H†
-        w, V = np.linalg.eig(A.conj().T)
-        eigenvalues = np.conj(w)
-        T = V.conj().T
+    # rows of T = left eigenvectors = conjugated right eigenvectors of H†
+    w, V = np.linalg.eig(A.conj().T)
+    eigenvalues = np.conj(w)
+    T = V.conj().T
 
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
     T = T[order]
 
-    scale = np.maximum(np.abs(eigenvalues), 1.0)
+    magnitudes = np.abs(eigenvalues)
+    scale = np.maximum(magnitudes, min(magnitudes.max(), 1.0))
     offenders = np.flatnonzero(np.abs(eigenvalues.imag) > tol.spectral_reality_tol * scale)
     if offenders.size:
         bad = [complex(eigenvalues[i]) for i in offenders]
@@ -183,7 +170,7 @@ def diagonalize(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
 
     H_d = np.diag(eigenvalues.real).astype(np.complex128)
     commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
-    relative = commutation / (max(norm_H, 1e-300) * frobenius_norm(T))
+    relative = relative_residual(commutation, frobenius_norm(A) * frobenius_norm(T))
     if relative > tol.residual_tol:
         raise ResidualExceeded("eig", relative, tol.residual_tol)
 

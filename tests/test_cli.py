@@ -212,8 +212,8 @@ def test_huge_integer_entry_exits_one_without_traceback(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["file", "model"])
 def test_overflowing_norm_exits_one_without_traceback(tmp_path, capsys, kind):
     path = tmp_path / "big.json"
-    save_matrix(path, 6e153 * np.array([[1.0, 1.0], [0.0, 2.0]]))
-    model = ["--model", "two_level", "--b", "1e300", "--c", "1e300"]
+    save_matrix(path, 1.5e308 * np.eye(2))
+    model = ["--model", "two_level", "--b", "1.5e308", "--c", "1.5e308"]
     source = [str(path)] if kind == "file" else model
     code, payload, err = run_cli(capsys, "analyze", *source)
     assert code == 1

@@ -57,6 +57,16 @@ def test_full_pipeline_factorizations(linalg_calls):
     assert linalg_calls == Counter(eig=1, svd=2)
 
 
+def test_hermitian_input_takes_the_same_eig(linalg_calls):
+    U = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
+    H = (U * np.arange(1.0, 7.0)) @ U.T
+    linalg_calls.clear()
+    pair = full_pipeline(H)
+    # no Hermitian eigensolver: eig, the raw condition SVD and the metric's SVD
+    assert linalg_calls == Counter(eig=1, svd=2)
+    np.testing.assert_allclose(pair.metric.eta, np.eye(6), atol=1e-12)
+
+
 def test_family_member_is_one_svd(linalg_calls):
     H, _ = random_diagonalizable(6, seed=3)
     pair = full_pipeline(H)

@@ -295,6 +295,24 @@ def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, s
     ids=["1e200", "two_level-1e300", "two_level-model-1e300", "6e153"],
 )
 @pytest.mark.parametrize("run", [run_analyze, run_family, run_spectrum])
+def test_norm_past_the_square_root_of_max_float_certifies(H, run):
+    # ‖H‖_F above 1.34e154 squares past max float, but the norm is finite
+    report = run(H)
+    assert report.verdict == "pass", report.error
+    assert report.exit_code == 0
+    assert all(value > 0.0 for value in report.residuals.values())
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        1.5e308 * np.eye(2),
+        two_level(1.5e308, 1.5e308, 0),
+        ModelSpec("two_level", {"b": 1.5e308, "c": 1.5e308, "d": 0.0}, dim=2),
+    ],
+    ids=["1.5e308", "two_level-1.5e308", "two_level-model-1.5e308"],
+)
+@pytest.mark.parametrize("run", [run_analyze, run_family, run_spectrum])
 def test_overflowing_norm_is_an_input_error(H, run):
     # ‖H‖_F overflows a float64: every residual divided by it would read 0
     report = run(H)
@@ -305,9 +323,31 @@ def test_overflowing_norm_is_an_input_error(H, run):
     assert report.residuals == {} and report.family == []
 
 
+@pytest.mark.parametrize("run", [run_analyze, run_family])
+def test_overflowing_product_of_norms_is_an_input_error(run):
+    # ‖H‖_F = 1.9e307 is finite, a member residual's ‖rho'‖·‖H‖ is not
+    H = 1e306 * random_diagonalizable(6, 3)[0]
+    report = run(H, samples=2)
+    assert report.verdict == "error"
+    assert report.exit_code == 1
+    assert report.error["type"] == "ParseError"
+    assert "product of Frobenius norms overflows" in report.error["message"]
+    assert run_spectrum(H).verdict == "pass"
+
+
+@pytest.mark.parametrize("run", [run_analyze, run_family, run_spectrum])
+def test_overflowing_intermediate_is_an_input_error(run):
+    # ‖H‖_F = 1.4e308 is finite, the eigenvalue spread 2e308 is not
+    report = run(np.diag([-1e308, 1e308]))
+    assert report.verdict == "error"
+    assert report.exit_code == 1
+    assert report.error["type"] == "ParseError"
+    assert "overflow" in report.error["message"]
+
+
 def test_largest_norm_below_the_overflow_passes():
-    # ‖H‖_F = 7.3e153 squares to 5.4e307 < max float: real residuals, no refusal
-    report = run_analyze(3e153 * np.array([[1.0, 1.0], [0.0, 2.0]]), samples=2)
+    # ‖H‖_F = 1.2e307: every norm and every product of norms is finite
+    report = run_analyze(5e306 * np.array([[1.0, 1.0], [0.0, 2.0]]), samples=2)
     assert report.verdict == "pass"
     assert 0.0 < report.residuals["H=H"] <= DEFAULT_TOLERANCES.residual_tol
     assert all(member.residuals["sim"] > 0.0 for member in report.family)

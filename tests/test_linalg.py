@@ -5,6 +5,7 @@ import pytest
 from quasiherm import (
     IllConditioned,
     NotHermitian,
+    ParseError,
     SingularTransform,
     Tolerances,
     commutant_basis,
@@ -16,6 +17,7 @@ from quasiherm.linalg import (
     haar_unitary,
     hermitian_part,
     hermiticity_defect,
+    relative_residual,
 )
 
 
@@ -39,6 +41,23 @@ def test_frobenius_norm_known_values():
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
     assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
     assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("c", [5e-324, 1e-310, 1e-300, 1e-160, 1e-154, 1.0, 1e154, 1e300])
+def test_frobenius_norm_is_accurate_across_the_float64_range(c):
+    # the plain sum of squares reads 0 below 1.5e-154 and inf above 1.34e154
+    M = c * np.array([[1.0, 1.0j], [0.0, 2.0]])
+    # within two units of the last place, subnormal ones included
+    assert frobenius_norm(M) == pytest.approx(np.sqrt(6.0) * c, rel=4e-16, abs=1e-323)
+
+
+def test_frobenius_norm_and_relative_residual_refuse_overflow():
+    # an entry whose modulus overflows still has a finite norm
+    assert frobenius_norm(np.array([[1e308 + 1e308j]])) == pytest.approx(np.sqrt(2.0) * 1e308)
+    with pytest.raises(ParseError, match="Frobenius norm overflows"):
+        frobenius_norm(1.5e308 * np.eye(2))
+    with pytest.raises(ParseError, match="product of Frobenius norms overflows"):
+        relative_residual(1.0, 1e300 * 1e300)
 
 
 def test_hermitian_part_and_defect(rng):

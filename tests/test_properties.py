@@ -4,16 +4,26 @@
 clustered ``H = T0⁻¹·D·T0`` and over scales on both sides of the Frobenius
 norm's overflow; no exception may leave it, an error must be a
 :class:`QuasiHermError`, and a fail must name the identity that tripped.
+A table of scales from 1e-280 to 1e280 pins each verdict to its input.
 """
 
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiherm import ModelSpec, QuasiHermError, random_diagonalizable, run_family
+from quasiherm import (
+    ModelSpec,
+    QuasiHermError,
+    random_diagonalizable,
+    run_family,
+    swanson,
+    two_level,
+)
 from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary
+from quasiherm.metric import verify_pseudo_hermitian
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
 TOL = DEFAULT_TOLERANCES.residual_tol
@@ -23,8 +33,8 @@ _FAIL_NAMES = re.compile(
     + ")"
 )
 _SETTINGS = settings(max_examples=100, deadline=None)
-# the largest ‖H‖_F whose sum of squares is a finite float64
-_NORM_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
+# the largest finite ‖H‖_F
+_NORM_LIMIT = float(np.finfo(np.float64).max)
 _finite = st.floats(-3.0, 3.0, allow_nan=False)
 
 
@@ -113,9 +123,47 @@ def test_scales_across_the_norm_overflow(dim, seed, log_scale):
     # ‖H‖_F = 10**log_scale times the limit: refused above it, not refused far
     # below it, and in between refused only where a product's norm overflows
     H, _ = random_diagonalizable(dim, seed)
-    H = H * (10.0**log_scale * _NORM_LIMIT / np.linalg.norm(H))
+    with np.errstate(over="ignore"):  # an entry beyond float64 is an input error too
+        H = H / np.linalg.norm(H) * 10.0**log_scale * _NORM_LIMIT
     report = run_family(H, samples=2, seed=seed % 1000)
     assert_ends_typed(report)
     refused = report.error is not None and report.error["type"] == "ParseError"
     if log_scale > 1e-3 or log_scale < -2.0:
         assert refused == (log_scale > 0), report.error
+
+
+def _hermitian_5x5():
+    rng = np.random.default_rng(5)
+    U = haar_unitary(5, rng)
+    H = (U * np.array([-2.0, -1.0, 0.5, 1.0, 3.0])) @ U.conj().T
+    return (H + H.conj().T) / 2
+
+
+_CERTIFIABLE = {
+    "upper-triangular": np.array([[1.0, 1.0], [0.0, 2.0]]),
+    "random_diagonalizable": random_diagonalizable(6, 3)[0],
+    "swanson": swanson(12, 2, 0.3, 0.5),
+    "two_level": two_level(1, 4, 0),
+    "hermitian": _hermitian_5x5(),
+}
+_REFUSED = {
+    "ComplexSpectrum": np.array([[0.0, -1.0], [1.0, 0.0]]),
+    "NonDiagonalizable": np.array([[1.0, 1.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("k", [-280, -200, -150, -100, -20, -8, -3, 0, 3, 20, 100, 150, 200, 280])
+def test_verdicts_do_not_depend_on_the_scale(k):
+    # H and c·H share eigenvectors, verdicts and relative residuals; any
+    # warning is an error under this suite's pytest settings
+    c = 10.0**k
+    for name, H in _CERTIFIABLE.items():
+        report = run_family(c * H, samples=2)
+        assert report.verdict == "pass", (name, report.failure or report.error)
+        expected = verify_pseudo_hermitian(H, np.eye(H.shape[0]))
+        scaled = verify_pseudo_hermitian(c * H, np.eye(H.shape[0]))
+        assert scaled == pytest.approx(expected, rel=1e-12, abs=0)
+    for error_type, H in _REFUSED.items():
+        report = run_family(c * H, samples=2)
+        assert report.verdict == "error"
+        assert report.error["type"] == error_type

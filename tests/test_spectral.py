@@ -8,6 +8,8 @@ from quasiherm import (
     cluster_degeneracies,
     eig_decompose,
     random_diagonalizable,
+    run_family,
+    two_level,
 )
 from quasiherm.linalg import haar_unitary
 
@@ -22,6 +24,25 @@ def test_cluster_groups_repeats_and_near_repeats():
     # gap 5e-8 is below the 1e-7 * max(spread, 1) threshold, 5e-7 above it
     assert cluster_degeneracies(np.array([0.0, 5e-8, 1.0])) == [[0, 1], [2]]
     assert cluster_degeneracies(np.array([0.0, 5e-7, 1.0])) == [[0], [1], [2]]
+
+
+def test_cluster_gap_below_unit_scale_follows_the_spectrum():
+    # below |lambda| = 1 the gap bound scales with the spectrum itself
+    assert cluster_degeneracies(np.array([1e-8, 2e-8])) == [[0], [1]]
+    assert cluster_degeneracies(np.array([1e-8, 1e-8 + 1e-16, 2e-8])) == [[0, 1], [2]]
+    assert cluster_degeneracies(np.zeros(3)) == [[0, 1, 2]]
+    # at or above unit scale the bound is degeneracy_cluster_tol * spread
+    assert cluster_degeneracies(np.array([-1.0, -1.0 + 5e-8, 1e-8, 2e-8])) == [[0, 1], [2, 3]]
+
+
+def test_small_eigenvalue_gap_is_certified_not_merged():
+    # gap 6.2e-8, eigenvector condition 7.2e4: two clusters, and the eig
+    # certificate holds (merging the pair read 7.1e-3 against 1e-8)
+    H = two_level(0.0022266290707282366, 4.2857408727550583e-13, -0.155816221421043)
+    data = eig_decompose(H)
+    assert data.clusters == [[0], [1]]
+    report = run_family(H, samples=2)
+    assert report.verdict == "pass", report.failure
 
 
 def test_cluster_rejects_unsorted_and_empty():
