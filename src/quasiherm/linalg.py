@@ -51,7 +51,8 @@ class Tolerances:
     of the factor being rooted or inverted (``T``, ``sigma·rho``, ``rho``,
     ``sigma``), never on its square ``eta``: a factor within both gates
     yields a metric, its root and the root's inverse, although the
-    condition number of ``eta`` itself may reach the cap squared.
+    condition number of ``eta`` itself may reach the cap squared. T's gate
+    runs once, in the spectral stage, as ``NonDiagonalizable``.
     """
 
     spectral_reality_tol: float = 1e-9
@@ -143,17 +144,19 @@ def hermiticity_defect(M: np.ndarray) -> float:
     return relative_residual(adjoint_defect(M), frobenius_norm(M))
 
 
-def gate_condition(smax: float, smin: float, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """Gate the condition number smax/smin of a matrix about to be inverted.
+def gate_singular_values(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """Gate the singular values s of a matrix M about to be rooted or inverted.
 
-    Raises :class:`SingularTransform` when the smallest singular value is at
-    roundoff relative to the largest and :class:`IllConditioned` beyond
+    :class:`SingularTransform` at or below ``positivity_floor·‖M‖_F`` or at
+    roundoff relative to σ_max, and :class:`IllConditioned` beyond
     ``condition_cap``.
     """
-    eps = np.finfo(np.float64).eps
-    if smin <= ZERO_NORM_FLOOR or smin <= eps * smax:
+    smax, smin = float(s.max()), float(s.min())
+    floor = tol.positivity_floor * max(float(np.linalg.norm(s)), ZERO_NORM_FLOOR)
+    if smin <= max(floor, ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax):
         raise SingularTransform(
-            f"smallest singular value {smin:.3e} is at roundoff relative to {smax:.3e}"
+            f"smallest singular value {smin:.3e} at or below floor {floor:.3e} "
+            f"or at roundoff relative to {smax:.3e}"
         )
     cond = smax / smin
     if cond > tol.condition_cap:
@@ -161,21 +164,9 @@ def gate_condition(smax: float, smin: float, tol: Tolerances = DEFAULT_TOLERANCE
 
 
 def gated_svd(M, tol: Tolerances = DEFAULT_TOLERANCES):
-    """SVD ``M = W·Σ·V†`` of an invertible M, as ``(W, singular_values, V†)``.
-
-    The singular values, descending, are gated once:
-    :class:`SingularTransform` at or below ``positivity_floor·‖M‖_F`` or at
-    roundoff relative to σ_max, and :class:`IllConditioned` beyond
-    ``condition_cap``.
-    """
-    A = as_matrix(M)
-    W, s, Vh = np.linalg.svd(A)
-    floor = tol.positivity_floor * max(float(np.linalg.norm(s)), ZERO_NORM_FLOOR)
-    if s[-1] <= floor:
-        raise SingularTransform(
-            f"smallest singular value {s[-1]:.3e} at or below floor {floor:.3e}"
-        )
-    gate_condition(s[0], s[-1], tol)
+    """SVD ``M = W·Σ·V†`` of an invertible M as ``(W, Σ, V†)``, Σ descending and gated."""
+    W, s, Vh = np.linalg.svd(as_matrix(M))
+    gate_singular_values(s, tol)
     return W, s, Vh
 
 

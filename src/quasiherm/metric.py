@@ -4,7 +4,8 @@ The existence construction: diagonalize H with row transform T, set
 ``eta = T†T`` (Hermitian positive-definite), ``rho = sqrt(eta)``, and
 ``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. One SVD of T
 gives eta, rho, the polar unitary U of ``T = U·rho`` and, when read,
-rho⁻¹ (:func:`metric_from_T`); its singular values give ``cond(T)``.
+rho⁻¹; in the pipeline it is the spectral stage's SVD, which gates
+``cond(T)`` once, as NonDiagonalizable.
 Since ``T·H = H_d·T``, ``rho·H·rho⁻¹ = U†·H_d·U``, and h is built that
 way: Hermitian and isospectral with ``H_d`` by construction, certified by
 the similarity residual ``rho·H = h·rho``.
@@ -29,7 +30,7 @@ from .linalg import (
     hermitian_part,
     relative_residual,
 )
-from .spectral import SpectralData, diagonalize
+from .spectral import SpectralData, eig_decompose
 
 
 @dataclass
@@ -97,6 +98,11 @@ def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOper
     certified against ``residual_tol``.
     """
     W, s, Vh = gated_svd(T, tol)
+    return _metric_from_polar(W @ Vh, s, Vh, tol, H)
+
+
+def _metric_from_polar(X, s, Vh, tol: Tolerances, H) -> MetricOperator:
+    """:func:`metric_from_T` of M = X·rho from its polar unitary X and gated Σ, V†."""
     eta = hermitian_from_basis(Vh, s**2)
 
     pseudo = None
@@ -108,7 +114,7 @@ def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOper
     return MetricOperator(
         eta=eta,
         rho=hermitian_from_basis(Vh, s),
-        unitary=W @ Vh,
+        unitary=X,
         singular_values=s,
         right_vectors=Vh,
         pseudo_hermiticity_residual=pseudo,
@@ -146,19 +152,16 @@ def hermitian_equivalent(
 def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     """Existence construction end to end: H -> (T, H_d) -> eta, rho -> h.
 
-    Composes :func:`~quasiherm.spectral.diagonalize`, :func:`metric_from_T`
-    and :func:`hermitian_equivalent`, retaining every intermediate
-    certificate on the returned pair. Propagates ComplexSpectrum,
-    NonDiagonalizable and ResidualExceeded (``eig``) from the spectral
-    stage. When degeneracy clusters were orthonormalized, ``cond_T`` is read
-    from the metric's SVD of T, whose gate enforces the same
-    ``condition_cap`` (as IllConditioned or SingularTransform).
+    Composes :func:`~quasiherm.spectral.eig_decompose`, the body of
+    :func:`metric_from_T` on the spectral stage's SVD of T
+    (``spectral.polar``) and :func:`hermitian_equivalent`, retaining every
+    intermediate certificate on the returned pair. T's condition gate runs
+    once, in the spectral stage, as NonDiagonalizable; it propagates with
+    ComplexSpectrum and ResidualExceeded (``eig``).
     """
     A = as_matrix(H)
-    spectral = diagonalize(A, tol)
-    metric = metric_from_T(spectral.T, tol, H=A)
-    if spectral.cond_T is None:
-        spectral.cond_T = float(metric.singular_values[0] / metric.singular_values[-1])
+    spectral = eig_decompose(A, tol)
+    metric = _metric_from_polar(*spectral.polar, tol, A)
     pair = hermitian_equivalent(A, metric, spectral.H_d, tol)
     pair.spectral = spectral
     return pair

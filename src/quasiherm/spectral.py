@@ -14,6 +14,10 @@ fixed normalization convention picks one deterministically:
 
 Rescaling rows of T changes the metric T†T downstream, so this convention
 fixes *which* metric the pipeline produces out of the whole family.
+
+One SVD of the normalized T gives its condition number, gated here, once,
+as :class:`NonDiagonalizable`, and the factors the metric is built from
+(``SpectralData.polar``): no later stage factorizes T again.
 """
 
 from __future__ import annotations
@@ -22,8 +26,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComplexSpectrum, NonDiagonalizable, ResidualExceeded
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm, relative_residual
+from .errors import (
+    ComplexSpectrum,
+    IllConditioned,
+    NonDiagonalizable,
+    ParseError,
+    ResidualExceeded,
+    SingularTransform,
+)
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    as_matrix,
+    frobenius_norm,
+    gate_singular_values,
+    relative_residual,
+)
 
 # Entries below this magnitude (in a unit-norm row) never anchor the phase
 # convention; they may be pure roundoff with arbitrary sign.
@@ -37,15 +55,18 @@ class SpectralData:
     ``eigenvalues`` are the raw (complex) eigenvalues after sorting;
     ``H_d`` carries their certified real parts on the diagonal, and
     ``T H = H_d T`` holds within the residual tolerance. ``cond_T`` is the
-    condition number of the normalized T (None only between
-    :func:`diagonalize` and the SVD that supplies it).
+    condition number of the normalized T. ``polar`` is T's one SVD
+    T = W·Σ·V†, held as ``(X, Σ, V†)`` with the polar unitary X = W·V† of
+    T = X·rho in place of W: the factors the metric is built from (None on
+    eigendata that :func:`eig_decompose` did not produce).
     """
 
     eigenvalues: np.ndarray
     T: np.ndarray
     H_d: np.ndarray
-    cond_T: float | None
+    cond_T: float
     clusters: list[list[int]] = field(default_factory=list)
+    polar: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> list[list[int]]:
@@ -55,14 +76,20 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     ``degeneracy_cluster_tol * max(spread, min(rho, 1))`` with
     ``rho = max|lambda|``, so below unit scale the bound follows the
     spectrum; the partition is the transitive closure of that relation,
-    so on sorted input it reduces to walking adjacent gaps.
+    so on sorted input it reduces to walking adjacent gaps. A spread that
+    overflows float64 is a :class:`ParseError`; below it no gap overflows.
     """
     values = np.real(np.asarray(eigenvalues)).astype(np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d array of real eigenvalues")
-    if np.any(np.diff(values) < 0):
+    if np.any(values[1:] < values[:-1]):
         raise ValueError("eigenvalues must be ascending")
-    spread = float(values[-1] - values[0])
+    # Python floats: an overflowing difference reads inf without a warning
+    spread = float(values[-1]) - float(values[0])
+    if spread == np.inf:
+        raise ParseError(
+            f"the eigenvalue spread overflows float64 ({values[0]:.3e} to {values[-1]:.3e})"
+        )
     radius = float(np.abs(values).max())
     gap_tol = tol.degeneracy_cluster_tol * max(spread, min(radius, 1.0))
     clusters: list[list[int]] = [[0]]
@@ -84,46 +111,30 @@ def _fix_row_phases(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _condition(M: np.ndarray) -> float:
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= 0 or not np.isfinite(s[-1]):
-        return np.inf
-    return float(s[0] / s[-1])
+def _gated_condition(s: np.ndarray, tol: Tolerances, rows: str) -> float:
+    """s[0]/s[-1] of ``rows``; their factor gate's trip is :class:`NonDiagonalizable`."""
+    with np.errstate(over="ignore", divide="ignore"):
+        cond = float(s[0] / s[-1])
+    try:
+        gate_singular_values(s, tol)
+    except (SingularTransform, IllConditioned) as exc:
+        raise NonDiagonalizable(f"{rows} are numerically defective: {exc}", cond=cond) from exc
+    return cond
 
 
 def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     """Diagonalize H, certifying real spectrum and numerical diagonalizability.
 
-    Raises :class:`ComplexSpectrum` when any eigenvalue fails the reality
-    gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, min(rho, 1))``
-    with ``rho = max|lambda|``, and
-    :class:`NonDiagonalizable` when the eigenvector matrix is defective
-    (condition estimate beyond ``condition_cap``, before and after the
-    normalization). The certificate ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)``
-    beyond ``residual_tol`` is a residual failure,
-    :class:`ResidualExceeded` naming ``"eig"``.
-    """
-    spectral = diagonalize(H, tol)
-    if spectral.cond_T is None:
-        cond_T = _condition(spectral.T)
-        if cond_T > tol.condition_cap:
-            raise NonDiagonalizable(
-                f"normalized transform condition {cond_T:.3e} exceeds cap", cond=cond_T
-            )
-        spectral.cond_T = cond_T
-    return spectral
-
-
-def diagonalize(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
-    """:func:`eig_decompose` short of one condition number.
-
     One ``eig`` of H† serves every input, Hermitian or not; a Hermitian
     H's rows come out orthonormal to roundoff, its metric the identity.
-    With singleton clusters only, the normalized T is the raw eigenvector
-    rows times a diagonal unitary, so ``cond_T`` is the raw rows' condition
-    number, already computed for the defectiveness gate. When a cluster's
-    rows were orthonormalized, ``cond_T`` is left None for the caller to
-    take from an SVD of T that it makes anyway.
+    Raises :class:`ComplexSpectrum` when any eigenvalue fails the reality
+    gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, min(rho, 1))``
+    with ``rho = max|lambda|``, and :class:`NonDiagonalizable` when the
+    singular values of the normalized T (from the SVD that gives ``polar``)
+    or, before a cluster's rows are orthonormalized, of the raw rows fail
+    the factor gate. The certificate ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)``
+    beyond ``residual_tol`` is a residual failure,
+    :class:`ResidualExceeded` naming ``"eig"``.
     """
     A = as_matrix(H)
     # rows of T = left eigenvectors = conjugated right eigenvectors of H†
@@ -146,27 +157,21 @@ def diagonalize(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
         )
 
     T = T / np.linalg.norm(T, axis=1, keepdims=True)
-
-    # Gate on the raw eigenvector matrix *before* any within-cluster
-    # orthonormalization: a defective matrix (Jordan block) produces nearly
-    # parallel rows that orthonormalization would silently repair.
-    cond_raw = _condition(T)
-    if cond_raw > tol.condition_cap:
-        raise NonDiagonalizable(
-            f"eigenvector condition estimate {cond_raw:.3e} exceeds cap "
-            f"{tol.condition_cap:.3e}; matrix is numerically defective",
-            cond=cond_raw,
-        )
-
     clusters = cluster_degeneracies(eigenvalues.real, tol)
-    cond_T = cond_raw
-    for cluster in clusters:
-        if len(cluster) > 1:
-            idx = np.asarray(cluster)
-            q, _ = np.linalg.qr(T[idx].conj().T)
-            T[idx] = q.conj().T
-            cond_T = None
+    merged = [np.asarray(cluster) for cluster in clusters if len(cluster) > 1]
+    if merged:
+        # Gate the raw rows *before* orthonormalization: a defective matrix
+        # (Jordan block) produces nearly parallel rows that orthonormalization
+        # would silently repair. With singleton clusters only, the normalized
+        # T is the raw rows times a diagonal unitary: same singular values.
+        _gated_condition(np.linalg.svd(T, compute_uv=False), tol, "raw eigenvector rows")
+    for idx in merged:
+        q, _ = np.linalg.qr(T[idx].conj().T)
+        T[idx] = q.conj().T
     T = _fix_row_phases(T)
+
+    W, s, Vh = np.linalg.svd(T)
+    cond_T = _gated_condition(s, tol, "normalized transform rows")
 
     H_d = np.diag(eigenvalues.real).astype(np.complex128)
     commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
@@ -180,4 +185,5 @@ def diagonalize(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
         H_d=H_d,
         cond_T=cond_T,
         clusters=clusters,
+        polar=(W @ Vh, s, Vh),
     )

@@ -73,7 +73,7 @@ from .linalg import (
     adjoint_defect,
     as_matrix,
     frobenius_norm,
-    gate_condition,
+    gate_singular_values,
     haar_unitary,
     hermitian_from_basis,
     hermitian_part,
@@ -136,7 +136,6 @@ class SymmetryGenerator:
 
     matrix: np.ndarray
     sqrt: np.ndarray
-    commutation_residual: float
     h: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -279,7 +278,6 @@ def symmetry_from_coefficients(
     return SymmetryGenerator(
         matrix=S,
         sqrt=sigma,
-        commutation_residual=commutation,
         h=cb.h,
         eigenvalues=spectrum,
         eigenvectors=Q,
@@ -365,7 +363,7 @@ def metric_from_symmetry(
     h = generator.h
 
     root = np.sqrt(generator.eigenvalues)
-    gate_condition(float(root.max()), float(root.min()), tol)
+    gate_singular_values(root, tol)
     Q = generator.eigenvectors
     sigma_inv = (Q / root) @ Q.conj().T
 

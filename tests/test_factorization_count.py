@@ -7,6 +7,7 @@ import pytest
 
 from quasiherm import (
     ModelSpec,
+    Tolerances,
     commutant_basis,
     eig_decompose,
     full_pipeline,
@@ -14,6 +15,7 @@ from quasiherm import (
     metric_from_symmetry,
     random_diagonalizable,
     run_analyze,
+    run_spectrum,
     sample_positive_symmetry,
 )
 
@@ -51,10 +53,34 @@ def test_full_pipeline_factorizations(linalg_calls):
     H, _ = random_diagonalizable(6, seed=3)
     linalg_calls.clear()
     full_pipeline(H)
-    # eig_decompose: eig and the raw condition SVD (singleton clusters: the
-    # normalized T's condition is the raw one); metric_from_T: one SVD;
-    # hermitian_equivalent factorizes nothing
-    assert linalg_calls == Counter(eig=1, svd=2)
+    # eig_decompose: eig and one SVD of T, which gives cond_T and the
+    # metric's factors; hermitian_equivalent factorizes nothing
+    assert linalg_calls == Counter(eig=1, svd=1)
+
+
+def test_cond_T_is_the_metric_svd_on_singleton_clusters():
+    H, _ = random_diagonalizable(6, seed=3)
+    pair = full_pipeline(H)
+    assert all(len(cluster) == 1 for cluster in pair.spectral.clusters)
+    s = pair.metric.singular_values
+    assert pair.spectral.cond_T == s[0] / s[-1]
+
+
+def test_run_spectrum_factorizations(linalg_calls):
+    H, _ = random_diagonalizable(6, seed=3)
+    linalg_calls.clear()
+    assert run_spectrum(H).verdict == "pass"
+    # eig and the one SVD of T that gives cond_T
+    assert linalg_calls == Counter(eig=1, svd=1)
+
+
+def test_run_spectrum_factorizations_on_a_clustered_spectrum(linalg_calls):
+    H = clustered_hamiltonian()
+    linalg_calls.clear()
+    assert run_spectrum(H).verdict == "pass"
+    # eig, the raw rows' singular values, one QR per cluster of two or more
+    # and the SVD of the normalized T
+    assert linalg_calls == Counter(eig=1, svd=2, qr=2)
 
 
 def test_hermitian_input_takes_the_same_eig(linalg_calls):
@@ -62,8 +88,8 @@ def test_hermitian_input_takes_the_same_eig(linalg_calls):
     H = (U * np.arange(1.0, 7.0)) @ U.T
     linalg_calls.clear()
     pair = full_pipeline(H)
-    # no Hermitian eigensolver: eig, the raw condition SVD and the metric's SVD
-    assert linalg_calls == Counter(eig=1, svd=2)
+    # no Hermitian eigensolver: eig and the one SVD of T
+    assert linalg_calls == Counter(eig=1, svd=1)
     np.testing.assert_allclose(pair.metric.eta, np.eye(6), atol=1e-12)
 
 
@@ -94,9 +120,9 @@ def test_run_analyze_factorizations(linalg_calls):
     report = run_analyze(spec, samples=2)
     assert report.verdict == "pass"
     # build_model: two Haar QRs and one solve, no ground truth; full_pipeline:
-    # eig + 2 SVDs; the commutant certifies the metric's eigenbasis of h
-    # without a factorization; each member: one SVD
-    assert linalg_calls == Counter(qr=2, solve=1, eig=1, svd=4)
+    # eig + one SVD of T; the commutant certifies the metric's eigenbasis of
+    # h without a factorization; each member: one SVD
+    assert linalg_calls == Counter(qr=2, solve=1, eig=1, svd=3)
 
 
 def test_run_analyze_factorizations_on_a_clustered_spectrum(linalg_calls):
@@ -104,8 +130,9 @@ def test_run_analyze_factorizations_on_a_clustered_spectrum(linalg_calls):
     linalg_calls.clear()
     report = run_analyze(H, samples=2)
     assert report.verdict == "pass"
-    # full_pipeline: eig, 2 SVDs and one QR per cluster of two or more; each
-    # member: one Haar QR per such cluster and one SVD; no eigh
+    # full_pipeline: eig, the raw rows' singular values, one QR per cluster
+    # of two or more and the SVD of T; each member: one Haar QR per such
+    # cluster and one SVD; no eigh
     assert linalg_calls == Counter(eig=1, svd=4, qr=6)
 
 
@@ -113,10 +140,24 @@ def test_clustered_spectrum_condition_comes_from_the_metric_svd(linalg_calls):
     H = clustered_hamiltonian()
     linalg_calls.clear()
     eig_decompose(H)
-    # eig, the raw condition SVD, one QR per cluster of two or more, and
-    # the SVD of the normalized T
+    # eig, the raw rows' singular values, one QR per cluster of two or more,
+    # and the SVD of the normalized T
     assert linalg_calls == Counter(eig=1, svd=2, qr=2)
     linalg_calls.clear()
     full_pipeline(H)
-    # the normalized T's condition number is metric_from_T's SVD
+    # the metric is built from the spectral stage's SVD of T
     assert linalg_calls == Counter(eig=1, svd=2, qr=2)
+
+
+@pytest.mark.parametrize("clustered", [False, True], ids=["singletons", "clusters"])
+def test_spectrum_and_analyze_refuse_the_same_T_alike(clustered):
+    # T's gate runs once, in the spectral stage: a floor that refuses the
+    # normalized T is NonDiagonalizable under every command
+    H = clustered_hamiltonian() if clustered else random_diagonalizable(6, seed=3)[0]
+    s = np.linalg.svd(eig_decompose(H).T, compute_uv=False)
+    tol = Tolerances(positivity_floor=2 * s[-1] / np.linalg.norm(s))
+    for run in (run_spectrum, run_analyze):
+        report = run(H, tol)
+        assert report.verdict == "error"
+        assert report.error["type"] == "NonDiagonalizable"
+        assert report.error["cond"] >= s[0] / s[-1] * (1 - 1e-12)

@@ -5,8 +5,10 @@ import pytest
 from quasiherm import (
     ComplexSpectrum,
     NonDiagonalizable,
+    ParseError,
     cluster_degeneracies,
     eig_decompose,
+    full_pipeline,
     random_diagonalizable,
     run_family,
     two_level,
@@ -156,3 +158,12 @@ def test_scaled_rotation_lists_both_complex_eigenvalues():
     theta = np.array([[2.0, 5.0], [-5.0, 2.0]], dtype=complex)
     with pytest.raises(ComplexSpectrum):
         eig_decompose(theta)
+
+
+@pytest.mark.parametrize("stage", [cluster_degeneracies, eig_decompose, full_pipeline])
+def test_overflowing_spread_is_an_input_error_without_a_warning(stage):
+    # ‖H‖_F = 1.4e308 is finite, the eigenvalue spread 2e308 is not; the
+    # suite turns warnings into errors, so an overflow warning fails here
+    H = np.diag([-1e308, 1e308])
+    with pytest.raises(ParseError, match="overflow"):
+        stage(np.diagonal(H) if stage is cluster_degeneracies else H)

@@ -357,7 +357,8 @@ def test_sampled_symmetry_commutes_and_is_positive():
     eigs = np.linalg.eigvalsh(gen.matrix)
     assert eigs[0] > 1.0 / 8.0 - 1e-9
     assert eigs[-1] < 8.0 + 1e-9
-    assert gen.commutation_residual <= 1e-12
+    S, h = gen.matrix, gen.h
+    assert _relative(np.linalg.norm(S @ h - h @ S), S, h) <= 1e-12
     npt.assert_allclose(gen.sqrt @ gen.sqrt, gen.matrix, atol=1e-12)
 
 
@@ -681,8 +682,12 @@ def test_one_product_residuals_equal_the_two_product_forms():
         for name, value in two_product.items():
             assert abs(member.residuals[name] - value) <= 16 * eps, name
             assert member.residuals[name] <= 1e-13, name
+        # the generator's sym gate reads [S, h] off the one product S·h,
+        # since S and h are Hermitian bit for bit
+        assert np.array_equal(S, S.conj().T) and np.array_equal(h, h.conj().T)
+        generator_one_product = _relative(np.linalg.norm(S @ h - (S @ h).conj().T), S, h)
         generator_two_product = _relative(np.linalg.norm(S @ h - h @ S), S, h)
-        assert abs(gen.commutation_residual - generator_two_product) <= 16 * eps
+        assert abs(generator_one_product - generator_two_product) <= 16 * eps
         # the one product is formed on A·rho, not on the SVD's eta'
         scale = np.linalg.norm(eta_prime)
         npt.assert_allclose(A_rho.conj().T @ A_rho, eta_prime, atol=1e-12 * scale)
