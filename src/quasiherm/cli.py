@@ -7,8 +7,9 @@ or a built-in model selected with --model. The JSON report goes to stdout
 and, with --out, to a file. Exit status: 0 verdict pass, 1 input or
 spectral error, 2 residual failure.
 
-Tolerances resolve in three layers: built-in defaults, then QUASIHERM_*
-environment variables, then flags.
+Tolerances resolve in three layers: built-in defaults, then one
+environment variable per Tolerances field, QUASIHERM_<FIELD> (e.g.
+QUASIHERM_RESIDUAL_TOL), then flags.
 """
 
 from __future__ import annotations
@@ -23,23 +24,16 @@ from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .models import ModelSpec
 from .report import DEFAULT_MAX_DIM, run_analyze, run_family, run_spectrum
 
-ENV_FIELDS = {
-    "QUASIHERM_SPECTRAL_REALITY_TOL": "spectral_reality_tol",
-    "QUASIHERM_RESIDUAL_TOL": "residual_tol",
-    "QUASIHERM_DEGENERACY_CLUSTER_TOL": "degeneracy_cluster_tol",
-    "QUASIHERM_POSITIVITY_FLOOR": "positivity_floor",
-    "QUASIHERM_CONDITION_CAP": "condition_cap",
-}
-
 
 def _resolve_tolerances(args, environ) -> Tolerances:
     values = dataclasses.asdict(DEFAULT_TOLERANCES)
-    for var, fieldname in ENV_FIELDS.items():
+    for name in values:
+        var = f"QUASIHERM_{name.upper()}"
         raw = environ.get(var)
         if raw is None:
             continue
         try:
-            values[fieldname] = float(raw)
+            values[name] = float(raw)
         except ValueError as exc:
             raise ParseError(f"{var}={raw!r} is not a number") from exc
     if getattr(args, "tol", None) is not None:

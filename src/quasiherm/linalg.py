@@ -15,7 +15,7 @@ norm is below ``ZERO_NORM_FLOOR`` is treated as zero and checked absolutely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,16 +62,10 @@ class Tolerances:
     condition_cap: float = 1e8
 
     def __post_init__(self):
-        for name in (
-            "spectral_reality_tol",
-            "residual_tol",
-            "degeneracy_cluster_tol",
-            "positivity_floor",
-            "condition_cap",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive")
+                raise ValueError(f"{f.name} must be finite and strictly positive")
         if self.condition_cap <= 1:
             raise ValueError("condition_cap must exceed 1")
 

@@ -162,6 +162,6 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     A = as_matrix(H)
     spectral = eig_decompose(A, tol)
     metric = _metric_from_polar(*spectral.polar, tol, A)
-    pair = hermitian_equivalent(A, metric, spectral.H_d, tol)
+    pair = hermitian_equivalent(A, metric, np.diag(spectral.eigenvalues.real), tol)
     pair.spectral = spectral
     return pair

@@ -138,7 +138,6 @@ def random_diagonalizable(
     ground_truth = SpectralData(
         eigenvalues=D.astype(np.complex128),
         T=T,
-        H_d=np.diag(D).astype(np.complex128),
         cond_T=float(singular[0] / singular[-1]),
         clusters=cluster_degeneracies(D.astype(np.complex128), tol),
     )

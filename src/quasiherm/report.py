@@ -8,8 +8,11 @@ Reports are deterministic for identical inputs apart from the timestamp,
 on one numpy/BLAS build at one BLAS thread count: BLAS rounds differently
 with the thread count, so the low digits of residuals can move.
 
-A report is a frozen dataclass. ``matrices`` holds the complex arrays
-``eta``, ``rho`` and ``h``; ``to_payload`` gives plain JSON lists. The
+A report is a frozen dataclass, and its document has one key per field:
+``to_payload`` renders only ``matrices``, the complex arrays ``eta``,
+``rho`` and ``h``, as plain JSON lists, and each ``family`` member as its
+fields plus ``max_residual``. ``from_payload`` is its inverse; a malformed
+document is a :class:`~quasiherm.errors.ParseError` naming the key. The
 report's byte layout is a contract: indent 2, sorted keys, one
 ``[re, im]`` pair per matrix entry in row-major order, and floats in
 shortest round-trip ``repr``. ``to_json`` equals
@@ -66,12 +69,7 @@ class FamilyMemberSummary:
         return max(self.residuals.values())
 
     def to_payload(self) -> dict:
-        return {
-            "seed": self.seed,
-            "spread": self.spread,
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "max_residual": float(self.max_residual),
-        }
+        return {**dataclasses.asdict(self), "max_residual": self.max_residual}
 
 
 @dataclass(frozen=True)
@@ -99,24 +97,12 @@ class VerificationReport:
         return self._payload(matrix_to_payload)
 
     def _payload(self, matrix) -> dict:
-        """The report document, each matrix rendered by ``matrix``."""
-        return {
-            "command": self.command,
-            "input": self.input,
-            "tolerances": self.tolerances,
-            "generated_at": self.generated_at,
-            "eigenvalues": self.eigenvalues,
-            "clusters": self.clusters,
-            "cond_T": self.cond_T,
-            "commutant": self.commutant,
-            "matrices": None if self.matrices is None
-            else {name: matrix(M) for name, M in self.matrices.items()},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "family": [m.to_payload() for m in self.family],
-            "failure": self.failure,
-            "error": self.error,
-            "verdict": self.verdict,
-        }
+        """The report document, one key per field, each matrix rendered by ``matrix``."""
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if self.matrices is not None:
+            payload["matrices"] = {name: matrix(M) for name, M in self.matrices.items()}
+        payload["family"] = [m.to_payload() for m in self.family]
+        return payload
 
     def to_json(self) -> str:
         return self._json
@@ -127,29 +113,35 @@ class VerificationReport:
 
     @staticmethod
     def from_payload(payload: dict) -> "VerificationReport":
-        members = [
-            FamilyMemberSummary(
-                seed=m["seed"], spread=m["spread"], residuals=dict(m["residuals"])
-            )
-            for m in payload.get("family", [])
+        """The report whose document is ``payload``, the inverse of :meth:`to_payload`;
+        a malformed document is a :class:`ParseError` naming the key.
+        """
+        values = _field_values(VerificationReport, payload, "a report document")
+        if values["verdict"] not in _EXIT_CODES:
+            raise ParseError(f"report key 'verdict' is not one of {sorted(_EXIT_CODES)}")
+        if values["matrices"] is not None:
+            if not isinstance(values["matrices"], dict):
+                raise ParseError("report key 'matrices' must be an object or null")
+            values["matrices"] = {
+                name: matrix_from_payload(m) for name, m in values["matrices"].items()
+            }
+        if not isinstance(values["family"], list):
+            raise ParseError("report key 'family' must be a list")
+        values["family"] = [
+            FamilyMemberSummary(**_field_values(FamilyMemberSummary, m, f"family member {i}"))
+            for i, m in enumerate(values["family"])
         ]
-        return VerificationReport(
-            command=payload["command"],
-            input=payload["input"],
-            tolerances=payload["tolerances"],
-            generated_at=payload["generated_at"],
-            eigenvalues=payload.get("eigenvalues"),
-            clusters=payload.get("clusters"),
-            cond_T=payload.get("cond_T"),
-            commutant=payload.get("commutant"),
-            matrices=None if payload.get("matrices") is None
-            else {name: matrix_from_payload(m) for name, m in payload["matrices"].items()},
-            residuals=dict(payload.get("residuals", {})),
-            family=members,
-            failure=payload.get("failure"),
-            error=payload.get("error"),
-            verdict=payload["verdict"],
-        )
+        return VerificationReport(**values)
+
+
+def _field_values(cls, document, where: str) -> dict:
+    """The value of each of ``cls``'s fields, read from ``document`` by its name."""
+    if not isinstance(document, dict):
+        raise ParseError(f"{where} must be a JSON object, got {type(document).__name__}")
+    try:
+        return {f.name: document[f.name] for f in dataclasses.fields(cls)}
+    except KeyError as exc:
+        raise ParseError(f"{where} lacks the key {exc.args[0]!r}") from None
 
 
 def _resolve_input(source, max_dim: int):

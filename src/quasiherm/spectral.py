@@ -1,7 +1,8 @@
 """Diagonalization of general matrices with real-spectrum certification.
 
-Produces the row transform ``T`` with ``H = T⁻¹ · H_d · T``: rows of T are
-left eigenvectors of H, computed as right eigenvectors of H† and conjugated.
+Produces the row transform ``T`` with ``H = T⁻¹ · H_d · T``, ``H_d`` the
+diagonal of the real eigenvalues: rows of T are left eigenvectors of H,
+computed as right eigenvectors of H† and conjugated.
 Every input, a Hermitian one included, takes this one ``eig`` route.
 The downstream construction only needs *some* invertible diagonalizer, so a
 fixed normalization convention picks one deterministically:
@@ -52,9 +53,9 @@ PHASE_ANCHOR_FLOOR = 1e-10
 class SpectralData:
     """Certified eigendata of a diagonalizable matrix with real spectrum.
 
-    ``eigenvalues`` are the raw (complex) eigenvalues after sorting;
-    ``H_d`` carries their certified real parts on the diagonal, and
-    ``T H = H_d T`` holds within the residual tolerance. ``cond_T`` is the
+    ``eigenvalues`` are the raw (complex) eigenvalues after sorting, and
+    ``T H = diag(eigenvalues.real) T`` holds within the residual tolerance
+    (their imaginary parts have passed the reality gate). ``cond_T`` is the
     condition number of the normalized T. ``polar`` is T's one SVD
     T = W·Σ·V†, held as ``(X, Σ, V†)`` with the polar unitary X = W·V† of
     T = X·rho in place of W: the factors the metric is built from (None on
@@ -63,7 +64,6 @@ class SpectralData:
 
     eigenvalues: np.ndarray
     T: np.ndarray
-    H_d: np.ndarray
     cond_T: float
     clusters: list[list[int]] = field(default_factory=list)
     polar: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -173,7 +173,6 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     W, s, Vh = np.linalg.svd(T)
     cond_T = _gated_condition(s, tol, "normalized transform rows")
 
-    H_d = np.diag(eigenvalues.real).astype(np.complex128)
     commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
     relative = relative_residual(commutation, frobenius_norm(A) * frobenius_norm(T))
     if relative > tol.residual_tol:
@@ -182,7 +181,6 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     return SpectralData(
         eigenvalues=eigenvalues,
         T=T,
-        H_d=H_d,
         cond_T=cond_T,
         clusters=clusters,
         polar=(W @ Vh, s, Vh),

@@ -117,7 +117,10 @@ class CommutantBasis:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: list[list[int]]
-    real_dimension: int
+
+    @property
+    def real_dimension(self) -> int:
+        return sum(len(c) ** 2 for c in self.clusters)
 
 
 @dataclass
@@ -211,7 +214,6 @@ def _certified_commutant(h, eigenvalues, W, clusters, tol: Tolerances) -> Commut
         eigenvalues=eigenvalues,
         eigenvectors=W,
         clusters=clusters,
-        real_dimension=sum(len(c) ** 2 for c in clusters),
     )
 
 

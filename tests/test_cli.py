@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from quasiherm import save_matrix
 from quasiherm.cli import main
+from quasiherm.linalg import DEFAULT_TOLERANCES, Tolerances
 from quasiherm.matrixio import dumps
 
 
@@ -105,12 +107,30 @@ def test_flag_overrides_env_var(tmp_path, capsys, monkeypatch):
     assert payload["tolerances"]["residual_tol"] == 1e-8
 
 
-def test_bad_env_var_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("QUASIHERM_RESIDUAL_TOL", "not-a-number")
+# the variable names README documents; each field of Tolerances has one
+DOCUMENTED_ENV_VARS = {
+    "QUASIHERM_SPECTRAL_REALITY_TOL",
+    "QUASIHERM_RESIDUAL_TOL",
+    "QUASIHERM_DEGENERACY_CLUSTER_TOL",
+    "QUASIHERM_POSITIVITY_FLOOR",
+    "QUASIHERM_CONDITION_CAP",
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+def test_each_env_var_reaches_its_tolerance(capsys, monkeypatch, name):
+    var = f"QUASIHERM_{name.upper()}"
+    assert var in DOCUMENTED_ENV_VARS
+    value = getattr(DEFAULT_TOLERANCES, name) / 2
+    monkeypatch.setenv(var, repr(value))
+    code, payload, _ = run_cli(capsys, "spectrum", "--model", "two_level")
+    assert code == 0
+    assert payload["tolerances"] == {**dataclasses.asdict(DEFAULT_TOLERANCES), name: value}
+
+    monkeypatch.setenv(var, "not-a-number")
     code, payload, err = run_cli(capsys, "analyze", "--model", "two_level")
-    assert code == 1
-    assert payload is None
-    assert "QUASIHERM_RESIDUAL_TOL" in err
+    assert (code, payload) == (1, None)
+    assert var in err
 
 
 def test_input_and_model_are_mutually_exclusive(tmp_path, capsys):

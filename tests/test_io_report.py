@@ -532,7 +532,7 @@ def _fail_report():
     return report
 
 
-@pytest.mark.parametrize(
+REPORTS = pytest.mark.parametrize(
     "make",
     [
         lambda tmp_path: run_analyze(two_level(1, 4, 0), samples=2),
@@ -546,9 +546,48 @@ def _fail_report():
     ],
     ids=["analyze", "family", "spectrum", "error", "fail", "restored"],
 )
+
+
+@REPORTS
 def test_to_json_is_indented_sorted_json(make, tmp_path):
     report = make(tmp_path)
     assert report.to_json() == json.dumps(report.to_payload(), indent=2, sort_keys=True)
+
+
+@REPORTS
+def test_report_document_is_its_fields_and_restores_byte_for_byte(make, tmp_path):
+    report = make(tmp_path)
+    fields = {f.name for f in dataclasses.fields(VerificationReport)}
+    assert set(report.to_payload()) == fields
+    text = report.to_json()
+    assert VerificationReport.from_payload(json.loads(text)).to_json() == text
+
+
+def _family_document():
+    return json.loads(run_family(two_level(1, 4, 0), samples=1).to_json())
+
+
+def _without_member_spread():
+    document = _family_document()
+    del document["family"][0]["spread"]
+    return document
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (dict, "lacks the key 'command'"),
+        (list, "must be a JSON object, got list"),
+        (_without_member_spread, "family member 0 lacks the key 'spread'"),
+        (lambda: {**_family_document(), "verdict": "maybe"}, "'verdict'"),
+        (lambda: {**_family_document(), "matrices": []}, "'matrices'"),
+        (lambda: {**_family_document(), "family": {}}, "'family'"),
+    ],
+    ids=["empty", "not-an-object", "member-without-spread", "verdict", "matrices", "family"],
+)
+def test_from_payload_refuses_a_malformed_document(make, match):
+    with pytest.raises(ParseError, match=match):
+        VerificationReport.from_payload(make())
 
 
 def test_to_json_peak_memory_is_linear_in_output():

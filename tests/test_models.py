@@ -93,7 +93,7 @@ def test_random_diagonalizable_round_trip():
         H, ground_truth = random_diagonalizable(6, seed=seed)
         # rows of the ground-truth transform are left eigenvectors
         residual = np.linalg.norm(
-            ground_truth.T @ H - ground_truth.H_d @ ground_truth.T
+            ground_truth.T @ H - ground_truth.eigenvalues.real[:, None] * ground_truth.T
         )
         assert residual <= 1e-10 * np.linalg.norm(H)
         pair = full_pipeline(H)
