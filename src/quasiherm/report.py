@@ -3,16 +3,25 @@
 A report is a JSON document holding the input descriptor, the tolerances
 used, the certified spectrum, the constructed operators, a residual table
 keyed by identity name, and one residual table per sampled family member.
-The verdict is pass iff every recorded residual is within residual_tol.
+A stage's gate that trips is one more entry in the table it belongs to: a
+member's in that member's row, after which no member is drawn. The
+``failure`` is the largest entry above residual_tol over all the tables,
+ties to the larger name, and the verdict is ``error`` when a stage raised
+anything else, else ``fail`` when there is a failure, else ``pass``; both
+are read from the tables, never stored beside them.
 Reports are deterministic for identical inputs apart from the timestamp,
 on one numpy/BLAS build at one BLAS thread count: BLAS rounds differently
 with the thread count, so the low digits of residuals can move.
 
-A report is a frozen dataclass, and its document has one key per field:
-``to_payload`` renders only ``matrices``, the complex arrays ``eta``,
-``rho`` and ``h``, as plain JSON lists, and each ``family`` member as its
-fields plus ``max_residual``. ``from_payload`` is its inverse; a malformed
-document is a :class:`~quasiherm.errors.ParseError` naming the key. The
+A report is a frozen dataclass, and its document has one key per field
+plus ``failure`` and ``verdict``: ``to_payload`` renders only
+``matrices``, the complex arrays ``eta``, ``rho`` and ``h``, as plain
+JSON lists, and each ``family`` member as its fields plus
+``max_residual``. ``from_payload`` is its inverse. A malformed document
+is a :class:`~quasiherm.errors.ParseError` naming the key, and so is one
+whose tolerances are not a :class:`~quasiherm.linalg.Tolerances`, whose
+residual is not a finite float, whose member has no residual, or whose
+``failure``, ``verdict`` or ``max_residual`` is not what its tables give. The
 report's byte layout is a contract: indent 2, sorted keys, one
 ``[re, im]`` pair per matrix entry in row-major order, and floats in
 shortest round-trip ``repr``. ``to_json`` equals
@@ -28,6 +37,7 @@ float is ``repr``-ed once, and the eigenvalue pairs go through json.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -85,9 +95,22 @@ class VerificationReport:
     matrices: dict | None = None
     residuals: dict = field(default_factory=dict)
     family: list = field(default_factory=list)
-    failure: dict | None = None
     error: dict | None = None
-    verdict: str = "pass"
+
+    @property
+    def failure(self) -> dict | None:
+        """The worst residual above ``residual_tol`` in any table; None once ``error`` is set."""
+        bound = self.tolerances["residual_tol"]
+        tables = [self.residuals, *(m.residuals for m in self.family)]
+        bad = [(value, name) for t in tables for name, value in t.items() if value > bound]
+        if self.error is not None or not bad:
+            return None
+        value, identity = max(bad)
+        return {"identity": identity, "value": float(value), "bound": float(bound)}
+
+    @property
+    def verdict(self) -> str:
+        return "error" if self.error is not None else "pass" if self.failure is None else "fail"
 
     @property
     def exit_code(self) -> int:
@@ -99,6 +122,7 @@ class VerificationReport:
     def _payload(self, matrix) -> dict:
         """The report document, one key per field, each matrix rendered by ``matrix``."""
         payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        payload.update(failure=self.failure, verdict=self.verdict)
         if self.matrices is not None:
             payload["matrices"] = {name: matrix(M) for name, M in self.matrices.items()}
         payload["family"] = [m.to_payload() for m in self.family]
@@ -114,11 +138,18 @@ class VerificationReport:
     @staticmethod
     def from_payload(payload: dict) -> "VerificationReport":
         """The report whose document is ``payload``, the inverse of :meth:`to_payload`;
-        a malformed document is a :class:`ParseError` naming the key.
+        a malformed document, or a ``failure`` or ``verdict`` other than the
+        one its residual tables give, is a :class:`ParseError` naming the key.
         """
         values = _field_values(VerificationReport, payload, "a report document")
-        if values["verdict"] not in _EXIT_CODES:
-            raise ParseError(f"report key 'verdict' is not one of {sorted(_EXIT_CODES)}")
+        tolerances = values["tolerances"]
+        try:
+            valid = dataclasses.asdict(Tolerances(**tolerances)) == tolerances
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ParseError(f"report key 'tolerances' is not a set of tolerances: {tolerances!r}")
+        _check_residuals(values["residuals"], "report key 'residuals'")
         if values["matrices"] is not None:
             if not isinstance(values["matrices"], dict):
                 raise ParseError("report key 'matrices' must be an object or null")
@@ -128,10 +159,14 @@ class VerificationReport:
         if not isinstance(values["family"], list):
             raise ParseError("report key 'family' must be a list")
         values["family"] = [
-            FamilyMemberSummary(**_field_values(FamilyMemberSummary, m, f"family member {i}"))
-            for i, m in enumerate(values["family"])
+            _member_from_payload(m, f"family member {i}") for i, m in enumerate(values["family"])
         ]
-        return VerificationReport(**values)
+        report = VerificationReport(**values)
+        for key in ("failure", "verdict"):
+            derived = getattr(report, key)
+            if key not in payload or payload[key] != derived:
+                raise ParseError(f"report key {key!r} must be {derived!r}, as its residuals give")
+        return report
 
 
 def _field_values(cls, document, where: str) -> dict:
@@ -142,6 +177,24 @@ def _field_values(cls, document, where: str) -> dict:
         return {f.name: document[f.name] for f in dataclasses.fields(cls)}
     except KeyError as exc:
         raise ParseError(f"{where} lacks the key {exc.args[0]!r}") from None
+
+
+def _check_residuals(table, where: str) -> None:
+    # a NaN compares false against the bound, so it would read as a pass
+    if not isinstance(table, dict) or not all(
+        isinstance(value, float) and math.isfinite(value) for value in table.values()
+    ):
+        raise ParseError(f"{where} must map identity names to finite floats")
+
+
+def _member_from_payload(document, where: str) -> FamilyMemberSummary:
+    member = FamilyMemberSummary(**_field_values(FamilyMemberSummary, document, where))
+    _check_residuals(member.residuals, f"{where} key 'residuals'")
+    if not member.residuals:
+        raise ParseError(f"{where} key 'residuals' is empty")
+    if document.get("max_residual") != member.max_residual:
+        raise ParseError(f"{where} key 'max_residual' is not the largest of its residuals")
+    return member
 
 
 def _resolve_input(source, max_dim: int):
@@ -215,12 +268,16 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
             "cluster_sizes": [len(c) for c in cb.clusters],
         }
         for member_seed in range(seed, seed + samples):
-            generator = sample_positive_symmetry(cb, member_seed, spread, tol)
-            # keep the residuals only: a member's matrices die here
-            residuals = metric_from_symmetry(pair.metric, generator, H, tol).residuals
-            fields["family"].append(
-                FamilyMemberSummary(seed=member_seed, spread=spread, residuals=residuals)
-            )
+            try:
+                generator = sample_positive_symmetry(cb, member_seed, spread, tol)
+                # keep the residuals only: a member's matrices die here
+                residuals = metric_from_symmetry(pair.metric, generator, H, tol).residuals
+            except ResidualExceeded as exc:
+                # the member whose gate tripped holds the residual; no later one is drawn
+                residuals = {exc.identity: float(exc.value)}
+                fields["family"].append(FamilyMemberSummary(member_seed, spread, residuals))
+                break
+            fields["family"].append(FamilyMemberSummary(member_seed, spread, residuals))
 
 
 def _run(
@@ -246,7 +303,6 @@ def _run(
         "residuals": {},
         "family": [],
     }
-    failure = None  # (value, identity, bound) of the identity that failed
     try:
         # the stages' own matrices die on return, before the report is written;
         # an overflow is an input beyond float64's range, refused, not warned
@@ -254,24 +310,10 @@ def _run(
             _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
     except ResidualExceeded as exc:
         fields["residuals"][exc.identity] = float(exc.value)
-        failure = (exc.value, exc.identity, exc.bound)
     except FloatingPointError as exc:
         fields["error"] = _error_payload(ParseError(f"a value overflows float64: {exc}"))
-        fields["verdict"] = "error"
     except (ParseError, QuasiHermError, OSError) as exc:
         fields["error"] = _error_payload(exc)
-        fields["verdict"] = "error"
-    else:
-        labeled = list(fields["residuals"].items())
-        for member in fields["family"]:
-            labeled.extend(member.residuals.items())
-        bad = [(value, key) for key, value in labeled if value > tol.residual_tol]
-        if bad:
-            failure = (*max(bad), tol.residual_tol)
-    if failure is not None:
-        value, identity, bound = failure
-        fields["failure"] = {"identity": identity, "value": float(value), "bound": float(bound)}
-        fields["verdict"] = "fail"
 
     report = VerificationReport(**fields)
     if out is not None:
@@ -279,7 +321,7 @@ def _run(
             with open(out, "w", encoding="utf-8") as f:
                 print(report.to_json(), file=f)  # as the CLI prints it: no text + "\n" copy
         except OSError as exc:
-            return dataclasses.replace(report, error=_error_payload(exc), verdict="error")
+            return dataclasses.replace(report, error=_error_payload(exc))
     return report
 
 

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from quasiherm import (
     ModelSpec,
     ParseError,
+    ResidualExceeded,
     load_matrix,
     matrix_from_payload,
     matrix_to_payload,
@@ -25,10 +26,10 @@ from quasiherm import (
     save_matrix,
     two_level,
 )
-from quasiherm import matrixio
+from quasiherm import matrixio, symmetry
 from quasiherm.linalg import DEFAULT_TOLERANCES
 from quasiherm.matrixio import dumps
-from quasiherm.report import DEFAULT_MAX_DIM, VerificationReport
+from quasiherm.report import DEFAULT_MAX_DIM, FamilyMemberSummary, VerificationReport
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
 
@@ -558,7 +559,7 @@ def test_to_json_is_indented_sorted_json(make, tmp_path):
 def test_report_document_is_its_fields_and_restores_byte_for_byte(make, tmp_path):
     report = make(tmp_path)
     fields = {f.name for f in dataclasses.fields(VerificationReport)}
-    assert set(report.to_payload()) == fields
+    assert set(report.to_payload()) == fields | {"failure", "verdict"}
     text = report.to_json()
     assert VerificationReport.from_payload(json.loads(text)).to_json() == text
 
@@ -573,21 +574,101 @@ def _without_member_spread():
     return document
 
 
+def _edited(**changes):
+    """The family document with ``changes`` made, each a function of the document."""
+
+    def make():
+        document = _family_document()
+        for key, change in changes.items():
+            document[key] = change(document)
+        return document
+
+    return make
+
+
+_PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
+
+
 @pytest.mark.parametrize(
     "make, match",
     [
         (dict, "lacks the key 'command'"),
         (list, "must be a JSON object, got list"),
         (_without_member_spread, "family member 0 lacks the key 'spread'"),
-        (lambda: {**_family_document(), "verdict": "maybe"}, "'verdict'"),
-        (lambda: {**_family_document(), "matrices": []}, "'matrices'"),
-        (lambda: {**_family_document(), "family": {}}, "'family'"),
+        (_edited(verdict=lambda d: "maybe"), "'verdict'"),
+        (_edited(matrices=lambda d: []), "'matrices'"),
+        (_edited(family=lambda d: {}), "'family'"),
+        (_edited(failure=lambda d: _PH_FAILS), "key 'failure' must be None"),
+        (_edited(verdict=lambda d: "fail"), "key 'verdict' must be 'pass'"),
+        (
+            _edited(
+                residuals=lambda d: {**d["residuals"], "ph": 1e-3, "H=H": 1e-2},
+                failure=lambda d: _PH_FAILS,
+                verdict=lambda d: "fail",
+            ),
+            "key 'failure' must be .*'H=H'",
+        ),
+        (_edited(tolerances=lambda d: 5), "key 'tolerances'"),
+        (_edited(tolerances=lambda d: {"residual_tol": 1e-8}), "key 'tolerances'"),
+        (_edited(tolerances=lambda d: {**d["tolerances"], "residual_tol": -1.0}), "'tolerances'"),
+        (
+            _edited(family=lambda d: [{**d["family"][0], "residuals": {}}]),
+            "family member 0 key 'residuals' is empty",
+        ),
+        (
+            _edited(family=lambda d: [{**d["family"][0], "max_residual": 0.5}]),
+            "family member 0 key 'max_residual'",
+        ),
+        (_edited(residuals=lambda d: {**d["residuals"], "ph": math.nan}), "key 'residuals'"),
+        (_edited(residuals=lambda d: {**d["residuals"], "ph": "0"}), "key 'residuals'"),
     ],
-    ids=["empty", "not-an-object", "member-without-spread", "verdict", "matrices", "family"],
+    ids=[
+        "empty", "not-an-object", "member-without-spread", "verdict", "matrices", "family",
+        "pass-with-a-failure", "fail-over-a-clean-table", "failure-not-the-worst",
+        "tolerances-not-an-object", "tolerances-partial", "tolerances-out-of-range",
+        "member-without-residuals", "member-max-residual", "nan-residual", "string-residual",
+    ],
 )
 def test_from_payload_refuses_a_malformed_document(make, match):
     with pytest.raises(ParseError, match=match):
         VerificationReport.from_payload(make())
+
+
+@pytest.mark.parametrize("ph, a_us, worst", [(3e-8, 2e-8, "ph"), (2e-8, 3e-8, "A=US")])
+def test_the_largest_residual_above_the_bound_names_the_failure(ph, a_us, worst):
+    report = run_family(two_level(1, 4, 0), samples=2)
+    first, second = report.family
+    second = FamilyMemberSummary(second.seed, second.spread, {**second.residuals, "A=US": a_us})
+    report = dataclasses.replace(
+        report, residuals={**report.residuals, "ph": ph}, family=[first, second]
+    )
+    assert report.failure == {"identity": worst, "value": max(ph, a_us), "bound": 1e-8}
+    assert (report.verdict, report.exit_code) == ("fail", 2)
+    text = report.to_json()
+    assert VerificationReport.from_payload(json.loads(text)).to_json() == text
+
+
+def test_a_member_gate_trips_in_its_own_row(monkeypatch):
+    base = run_family(two_level(1, 4, 0), samples=4)
+    original = symmetry.hermitian_equivalent
+    members = []
+
+    def trips_on_member_seed_2(*args, **kwargs):
+        members.append(None)
+        if len(members) == 3:
+            raise ResidualExceeded("H=H", 5e-8, 1e-8)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "hermitian_equivalent", trips_on_member_seed_2)
+    report = run_family(two_level(1, 4, 0), samples=4)
+    assert report.residuals == base.residuals  # the base H=H is kept
+    assert [m.seed for m in report.family] == [0, 1, 2]  # no member after the trip
+    assert report.family[:2] == base.family[:2]
+    assert report.family[2].residuals == {"H=H": 5e-8}
+    assert report.failure == {"identity": "H=H", "value": 5e-8, "bound": 1e-8}
+    assert report.exit_code == 2
+    text = report.to_json()
+    assert VerificationReport.from_payload(json.loads(text)).to_json() == text
 
 
 def test_to_json_peak_memory_is_linear_in_output():
@@ -619,15 +700,19 @@ class _FullDisk(io.StringIO):
 
 
 def test_failed_write_after_rendering_is_an_error_report(tmp_path, monkeypatch):
-    # the pass text is rendered before the write fails; the report that
-    # comes back must render its own verdict
+    # the text is rendered before the write fails; the report that comes
+    # back must render its own verdict, and an error names no failure
     monkeypatch.setattr("quasiherm.report.open", lambda *args, **kw: _FullDisk(), raising=False)
-    report = run_analyze(two_level(1, 4, 0), samples=1, out=tmp_path / "r.json")
-    assert report.verdict == "error"
-    assert report.error["type"] == "OSError"
-    payload = json.loads(report.to_json())
-    assert payload["verdict"] == "error"
-    assert payload["error"] == report.error
+    for H, residual_tol in [(two_level(1, 4, 0), 1e-8), (np.diag([1.0, 1.0 + 1e-9, 3.0]), 1e-13)]:
+        tol = dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=residual_tol)
+        report = run_analyze(H, tol, samples=1, out=tmp_path / "r.json")
+        assert report.verdict == "error"
+        assert report.failure is None
+        assert report.error["type"] == "OSError"
+        payload = json.loads(report.to_json())
+        assert payload["verdict"] == "error"
+        assert payload["failure"] is None
+        assert payload["error"] == report.error
 
 
 @pytest.fixture
