@@ -1,13 +1,14 @@
 """Dense complex matrix kernels.
 
-Arithmetic, norms and the gated SVD, all on square complex128 arrays.
-These are the primitives everything else in the package composes. Every
-metric comes from one SVD of its factor M = W·Σ·V† (:func:`gated_svd`):
-the metric V·Σ²·V†, its root V·Σ·V†, the root's inverse V·Σ⁻¹·V† and the
-polar unitary W·V† (:func:`~quasiherm.metric.metric_from_T`), so no
-inverse is applied through a linear solve. Each Hermitian factor is made
-Hermitian bit for bit (:func:`hermitian_from_basis`), which lets a
-commutator with it be read off one product P as P − P†.
+Arithmetic, norms and the singular-value gate, all on square complex128
+arrays. These are the primitives everything else in the package composes.
+Every metric comes from one SVD of its factor M = W·Σ·V†, its Σ gated
+(:func:`gate_singular_values`): the metric V·Σ²·V†, its root V·Σ·V†, the
+root's inverse V·Σ⁻¹·V† and the polar unitary W·V†
+(:func:`~quasiherm.metric.metric_from_T`), so no inverse is applied
+through a linear solve. Each Hermitian factor is made Hermitian bit for
+bit (:func:`hermitian_from_basis`), which lets a commutator with it be
+read off one product P as P − P†.
 
 All residual checks are relative to operand norms; a matrix whose Frobenius
 norm is below ``ZERO_NORM_FLOOR`` is treated as zero and checked absolutely.
@@ -155,13 +156,6 @@ def gate_singular_values(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) ->
     cond = smax / smin
     if cond > tol.condition_cap:
         raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
-
-
-def gated_svd(M, tol: Tolerances = DEFAULT_TOLERANCES):
-    """SVD ``M = W·Σ·V†`` of an invertible M as ``(W, Σ, V†)``, Σ descending and gated."""
-    W, s, Vh = np.linalg.svd(as_matrix(M))
-    gate_singular_values(s, tol)
-    return W, s, Vh
 
 
 def hermitian_from_basis(Vh: np.ndarray, d: np.ndarray) -> np.ndarray:

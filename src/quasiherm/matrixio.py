@@ -91,11 +91,10 @@ def _number_pairs(value):
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix document from ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a matrix document from ``path``; an OSError from opening it propagates."""
     try:
-        payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return matrix_from_payload(payload)

@@ -25,7 +25,7 @@ from .linalg import (
     adjoint_defect,
     as_matrix,
     frobenius_norm,
-    gated_svd,
+    gate_singular_values,
     hermitian_from_basis,
     hermitian_part,
     relative_residual,
@@ -42,9 +42,10 @@ class MetricOperator:
     descending, and ``right_vectors`` the V† of its SVD M = W·Σ·V†.
     ``rho_inv`` = V·Σ⁻¹·V† is formed from that SVD on its first read, so a
     metric whose inverse root nothing reads, such as a family member's,
-    never forms it. ``pseudo_hermiticity_residual`` is the certified
-    ``H†eta - eta H`` residual against the generating Hamiltonian (None
-    when the metric was built without one).
+    never forms it. A metric is built from M alone;
+    ``pseudo_hermiticity_residual``, the ``H†eta - eta H`` residual against
+    the generating Hamiltonian, is set by the stage that holds H
+    (:func:`full_pipeline`, or the family member's own), else None.
     """
 
     eta: np.ndarray
@@ -86,38 +87,28 @@ def verify_pseudo_hermitian(H, eta) -> float:
     return relative_residual(defect, frobenius_norm(E) * frobenius_norm(A))
 
 
-def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES, H=None) -> MetricOperator:
+def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES) -> MetricOperator:
     """Metric ``eta = T†T`` of an invertible factor T, with ``rho = sqrt(eta)``.
 
-    The one constructor of a :class:`MetricOperator`. One SVD
+    The one constructor of a :class:`MetricOperator`, from T alone. One SVD
     T = W·Σ·V†, whose singular values are gated
-    (:func:`~quasiherm.linalg.gated_svd`), not those of the squared eta,
-    gives eta = V·Σ²·V†, rho = V·Σ·V† and the polar unitary X = W·V† of
-    T = X·rho; rho⁻¹ = V·Σ⁻¹·V† is formed from it when read. When the
-    generating Hamiltonian is supplied, its pseudo-Hermiticity residual is
-    certified against ``residual_tol``.
+    (:func:`~quasiherm.linalg.gate_singular_values`), not those of the
+    squared eta, gives eta = V·Σ²·V†, rho = V·Σ·V† and the polar unitary
+    X = W·V† of T = X·rho; rho⁻¹ = V·Σ⁻¹·V† is formed from it when read.
     """
-    W, s, Vh = gated_svd(T, tol)
-    return _metric_from_polar(W @ Vh, s, Vh, tol, H)
+    W, s, Vh = np.linalg.svd(as_matrix(T))
+    gate_singular_values(s, tol)
+    return _metric_from_polar(W @ Vh, s, Vh)
 
 
-def _metric_from_polar(X, s, Vh, tol: Tolerances, H) -> MetricOperator:
+def _metric_from_polar(X, s, Vh) -> MetricOperator:
     """:func:`metric_from_T` of M = X·rho from its polar unitary X and gated Σ, V†."""
-    eta = hermitian_from_basis(Vh, s**2)
-
-    pseudo = None
-    if H is not None:
-        pseudo = verify_pseudo_hermitian(H, eta)
-        if pseudo > tol.residual_tol:
-            raise ResidualExceeded("ph", pseudo, tol.residual_tol)
-
     return MetricOperator(
-        eta=eta,
+        eta=hermitian_from_basis(Vh, s**2),
         rho=hermitian_from_basis(Vh, s),
         unitary=X,
         singular_values=s,
         right_vectors=Vh,
-        pseudo_hermiticity_residual=pseudo,
     )
 
 
@@ -155,13 +146,17 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     Composes :func:`~quasiherm.spectral.eig_decompose`, the body of
     :func:`metric_from_T` on the spectral stage's SVD of T
     (``spectral.polar``) and :func:`hermitian_equivalent`, retaining every
-    intermediate certificate on the returned pair. T's condition gate runs
-    once, in the spectral stage, as NonDiagonalizable; it propagates with
-    ComplexSpectrum and ResidualExceeded (``eig``).
+    intermediate certificate on the returned pair. It holds H, so it
+    certifies the metric's pseudo-Hermiticity (``ph``) before ``H=H``. T's
+    condition gate runs once, in the spectral stage, as NonDiagonalizable;
+    it propagates with ComplexSpectrum and ResidualExceeded (``eig``).
     """
     A = as_matrix(H)
     spectral = eig_decompose(A, tol)
-    metric = _metric_from_polar(*spectral.polar, tol, A)
+    metric = _metric_from_polar(*spectral.polar)
+    ph = metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A, metric.eta)
+    if ph > tol.residual_tol:
+        raise ResidualExceeded("ph", ph, tol.residual_tol)
     pair = hermitian_equivalent(A, metric, np.diag(spectral.eigenvalues.real), tol)
     pair.spectral = spectral
     return pair

@@ -235,7 +235,7 @@ def _error_payload(exc: Exception) -> dict:
 def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim) -> None:
     """Run the stages ``command`` selects, recording their results in ``fields``."""
     for name, value in (("samples", samples), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
             raise ParseError(f"{name} must be an integer >= 0, got {value!r}")
     if not 1.0 <= spread < np.inf:
         raise ParseError(f"spread must be finite and >= 1, got {spread}")

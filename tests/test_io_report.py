@@ -156,6 +156,23 @@ def test_load_matrix_rejects_bad_json(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"dim": 1}', b"[" * 100_000],
+    ids=["not-utf-8", "nested-past-the-recursion-limit"],
+)
+def test_a_malformed_file_is_a_parse_error_naming_it(tmp_path, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as exc_info:
+        load_matrix(path)
+    assert str(exc_info.value).startswith(f"{path}: ")
+    report = run_analyze(path)
+    assert report.verdict == "error"
+    assert report.exit_code == 1
+    assert report.error["type"] == "ParseError"
+
+
 def test_analyze_in_memory_passes():
     report = run_analyze(two_level(1, 4, 0), samples=3, seed=0)
     assert report.verdict == "pass"
@@ -270,7 +287,7 @@ def test_dimension_cap_precedes_model_construction(monkeypatch):
 @pytest.mark.parametrize(
     "samples, seed, spread",
     [(1, 0, 0.5), (1, 0, float("nan")), (1, 0, float("inf")), (-1, 0, 10.0), (1, -1, 10.0),
-     (2.5, 0, 10.0), (1, 1.5, 10.0)],
+     (2.5, 0, 10.0), (1, 1.5, 10.0), (True, 0, 10.0), (1, False, 10.0)],
 )
 def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, spread):
     def refuse(spec):
@@ -358,6 +375,7 @@ def test_missing_file_is_an_input_error(tmp_path):
     report = run_analyze(tmp_path / "nope.json")
     assert report.verdict == "error"
     assert report.exit_code == 1
+    assert report.error["type"] == "FileNotFoundError"  # an OSError, not a ParseError
 
 
 def test_tight_tolerance_fails_verdict():

@@ -10,7 +10,7 @@ KERNELS = (
     "DEFAULT_TOLERANCES",
     "as_matrix",
     "frobenius_norm",
-    "gated_svd",
+    "gate_singular_values",
     "haar_unitary",
     "hermitian_from_basis",
     "hermitian_part",

@@ -26,6 +26,7 @@ from quasiherm import (
     two_level,
 )
 from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary, hermitian_part
+from quasiherm.metric import verify_pseudo_hermitian
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
 
@@ -316,7 +317,8 @@ def test_member_gates_generator_condition():
     # rho' = sqrt(rho·S·rho) both have condition 1000^(1/4) ~ 5.6: only the
     # gate on sigma can refuse this member
     H = np.diag([1.0, 2.0]).astype(complex)
-    metric = metric_from_T(np.diag([1.0, 1000.0**-0.25]), H=H)
+    metric = metric_from_T(np.diag([1.0, 1000.0**-0.25]))
+    assert verify_pseudo_hermitian(H, metric.eta) <= 1e-12
     cb = commutant_basis(H, [[0], [1]])
     gen = symmetry_from_coefficients(cb, [np.array([1.0]), np.array([1000.0])])
     assert metric_from_symmetry(metric, gen, H).max_residual <= 1e-12
@@ -528,8 +530,9 @@ def test_converse_direction_with_row_rescaled_eigenbasis():
     H, _ = random_diagonalizable(5, seed=40)
     data = eig_decompose(H)
     scale = np.random.default_rng(1).uniform(0.5, 2.0, 5)
-    m1 = metric_from_T(data.T, H=H)
-    m2 = metric_from_T(scale[:, None] * data.T, H=H)
+    m1 = metric_from_T(data.T)
+    m2 = metric_from_T(scale[:, None] * data.T)
+    assert max(verify_pseudo_hermitian(H, m.eta) for m in (m1, m2)) <= 1e-12
     # rescaled rows still intertwine H with H_d: (D·T)·H = H_d·(D·T)
     h1 = hermitian_equivalent(H, m1, np.diag(data.eigenvalues.real)).h
     h2 = hermitian_equivalent(H, m2, np.diag(data.eigenvalues.real)).h
