@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidModelParameters
-from .linalg import DEFAULT_TOLERANCES, Tolerances, haar_unitary
+from .linalg import haar_unitary
 from .spectral import SpectralData, _fix_row_phases, cluster_degeneracies
 
 MODEL_KINDS = ("two_level", "swanson", "random_diagonalizable")
@@ -119,10 +119,7 @@ def _random_transform(n: int, seed: int, cond_bound: float):
 
 
 def random_diagonalizable(
-    n: int,
-    seed: int,
-    cond_bound: float = 100.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    n: int, seed: int, cond_bound: float = 100.0
 ) -> tuple[np.ndarray, SpectralData]:
     """Random H = T₀⁻¹·D·T₀ with real spectrum, plus its generating data.
 
@@ -139,7 +136,7 @@ def random_diagonalizable(
         eigenvalues=D.astype(np.complex128),
         T=T,
         cond_T=float(singular[0] / singular[-1]),
-        clusters=cluster_degeneracies(D.astype(np.complex128), tol),
+        clusters=cluster_degeneracies(D.astype(np.complex128)),
     )
     return H, ground_truth
 

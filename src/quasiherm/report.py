@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -234,11 +235,11 @@ def _error_payload(exc: Exception) -> dict:
 
 def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim) -> None:
     """Run the stages ``command`` selects, recording their results in ``fields``."""
-    for name, value in (("samples", samples), ("seed", seed)):
+    for name, value in (("samples", samples), ("seed", seed), ("max_dim", max_dim)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
             raise ParseError(f"{name} must be an integer >= 0, got {value!r}")
-    if not 1.0 <= spread < np.inf:
-        raise ParseError(f"spread must be finite and >= 1, got {spread}")
+    if not isinstance(spread, Real) or isinstance(spread, bool) or not 1.0 <= spread < np.inf:
+        raise ParseError(f"spread must be a finite real number >= 1, got {spread!r}")
     H, fields["input"] = _resolve_input(source, max_dim)
 
     if command == "spectrum":
@@ -267,6 +268,9 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
             "real_dimension": cb.real_dimension,
             "cluster_sizes": [len(c) for c in cb.clusters],
         }
+        # cond(sigma) <= spread and cond(rho) = cond_T, so each member's
+        # factor sigma·rho stays within the condition cap
+        spread = min(spread, tol.condition_cap / spectral.cond_T)
         for member_seed in range(seed, seed + samples):
             try:
                 generator = sample_positive_symmetry(cb, member_seed, spread, tol)

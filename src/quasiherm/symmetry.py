@@ -62,7 +62,6 @@ is a separate path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -295,9 +294,9 @@ def sample_positive_symmetry(
     """Draw a random positive-definite symmetry generator of h.
 
     Spectral coefficients are log-uniform on [1/spread, spread], for a
-    finite spread >= 1, and the intra-cluster mixers Haar unitaries, all
-    from one seeded generator: identical (seed, spread) reproduce the
-    generator bit for bit.
+    finite spread >= 1, and the intra-cluster mixers Haar unitaries (the
+    identity for a singleton), drawn cluster by cluster from one seeded
+    generator: identical (seed, spread) reproduce the generator bit for bit.
     """
     if not 1.0 <= spread < np.inf:
         raise ValueError(f"spread must be finite and >= 1, got {spread}")
@@ -305,16 +304,9 @@ def sample_positive_symmetry(
     low, high = np.log(1.0 / spread), np.log(spread)
     values = []
     mixers = []
-    for singleton, run in groupby(map(len, cb.clusters), key=lambda d: d == 1):
-        sizes = list(run)
-        if singleton:
-            # one draw for the run takes the stream that one per cluster takes
-            values.extend(np.exp(rng.uniform(low, high, size=(len(sizes), 1))))
-            mixers.extend(np.ones((len(sizes), 1, 1), dtype=np.complex128))
-            continue
-        for d in sizes:
-            values.append(np.exp(rng.uniform(low, high, size=d)))
-            mixers.append(haar_unitary(d, rng))
+    for d in map(len, cb.clusters):
+        values.append(np.exp(rng.uniform(low, high, size=d)))
+        mixers.append(haar_unitary(d, rng) if d > 1 else np.eye(1, dtype=np.complex128))
     return symmetry_from_coefficients(cb, values, mixers, tol)
 
 

@@ -133,6 +133,22 @@ def test_each_env_var_reaches_its_tolerance(capsys, monkeypatch, name):
     assert var in err
 
 
+@pytest.mark.parametrize(
+    "env, flags, message",
+    [({"QUASIHERM_CONDITION_CAP": "1"}, (), "error: condition_cap must exceed 1"),
+     ({}, ("--tol", "-1"), "error: residual_tol must be finite and strictly positive")],
+    ids=["condition-cap-1", "tol-negative"],
+)
+def test_invalid_tolerances_exit_one_with_no_report(capsys, monkeypatch, env, flags, message):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code = main(["analyze", "--model", "two_level", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 def test_input_and_model_are_mutually_exclusive(tmp_path, capsys):
     path = tmp_path / "h.json"
     save_matrix(path, np.eye(2))

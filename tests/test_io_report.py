@@ -16,6 +16,7 @@ from quasiherm import (
     ModelSpec,
     ParseError,
     ResidualExceeded,
+    full_pipeline,
     load_matrix,
     matrix_from_payload,
     matrix_to_payload,
@@ -55,6 +56,13 @@ def test_save_matrix_refuses_a_non_finite_matrix(tmp_path, bad):
     path = tmp_path / "m.json"
     with pytest.raises(ParseError, match="finite"):
         save_matrix(path, np.array([[1.0, bad], [0.0, 2.0]]))
+    assert not path.exists()
+
+
+def test_save_matrix_refuses_a_matrix_that_is_not_square(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(ParseError, match="expected a square matrix"):
+        save_matrix(path, np.ones((2, 3)))
     assert not path.exists()
 
 
@@ -287,7 +295,8 @@ def test_dimension_cap_precedes_model_construction(monkeypatch):
 @pytest.mark.parametrize(
     "samples, seed, spread",
     [(1, 0, 0.5), (1, 0, float("nan")), (1, 0, float("inf")), (-1, 0, 10.0), (1, -1, 10.0),
-     (2.5, 0, 10.0), (1, 1.5, 10.0), (True, 0, 10.0), (1, False, 10.0)],
+     (2.5, 0, 10.0), (1, 1.5, 10.0), (True, 0, 10.0), (1, False, 10.0), (1, 0, "10"),
+     (1, 0, 2 + 0j), (1, 0, True)],
 )
 def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, spread):
     def refuse(spec):
@@ -300,6 +309,36 @@ def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, s
     assert report.exit_code == 1
     assert report.error["type"] == "ParseError"
     assert report.family == []
+
+
+def test_a_commutant_basis_that_is_not_unitary_fails_projector_completeness(monkeypatch):
+    def scaled(H, tol):
+        # the pair's eigenbasis X† of h, 1e-6 off unitary
+        pair = full_pipeline(H, tol)
+        pair.metric.unitary = pair.metric.unitary * (1 + 1e-6)
+        return pair
+
+    monkeypatch.setattr("quasiherm.report.full_pipeline", scaled)
+    report = run_analyze(two_level(1, 4, 0), samples=1)
+    assert report.verdict == "fail"
+    assert report.exit_code == 2
+    assert report.failure["identity"] == "projector completeness"
+    assert report.failure["value"] == pytest.approx(2 * math.sqrt(2) * 1e-6, rel=1e-3)
+    assert report.family == []
+
+
+@pytest.mark.parametrize("max_dim", ["3", None, 2.5])
+def test_a_bad_max_dim_is_an_input_error(monkeypatch, max_dim):
+    def refuse(spec):
+        raise AssertionError("build_model ran before max_dim was checked")
+
+    monkeypatch.setattr("quasiherm.report.build_model", refuse)
+    spec = ModelSpec("two_level", {"b": 1.0, "c": 4.0, "d": 0.0}, dim=2)
+    report = run_analyze(spec, max_dim=max_dim)
+    assert report.verdict == "error"
+    assert report.exit_code == 1
+    assert report.error["type"] == "ParseError"
+    assert "max_dim" in report.error["message"]
 
 
 @pytest.mark.parametrize(
@@ -790,20 +829,31 @@ def test_swanson_200_passes_with_cond_T_far_below_the_cap():
         assert max(member.residuals.values()) <= 1e-8
 
 
+@pytest.mark.parametrize("dim", [258, 260])
+def test_swanson_members_stay_within_the_condition_cap(dim):
+    # cond_T is 4.2e7 at 258 and 4.9e7 at 260: a member drawn at spread 10
+    # would give sigma·rho a condition of up to 4.9e8, past the 1e8 cap, so
+    # each member is drawn at spread condition_cap / cond_T instead
+    spec = ModelSpec("swanson", {"omega": 2.0, "alpha": 0.3, "beta": 0.5}, dim=dim)
+    report = run_family(spec, samples=3)
+    assert report.verdict == "pass"
+    assert len(report.family) == 3
+    for member in report.family:
+        assert member.spread == DEFAULT_TOLERANCES.condition_cap / report.cond_T
+        assert 1.0 < member.spread < 10.0
+        assert set(member.residuals) == set(FAMILY_IDENTITIES)
+
+
 @pytest.mark.parametrize(
     "dim, outcome",
-    [(260, "IllConditioned"), (320, "NonDiagonalizable"), (400, "ComplexSpectrum"),
-     (512, "ComplexSpectrum")],
+    [(320, "NonDiagonalizable"), (400, "ComplexSpectrum"), (512, "ComplexSpectrum")],
 )
 def test_swanson_sweep_verdicts(dim, outcome):
-    # 200 passes (above); at 260 the base is within the condition cap and
-    # a member's sigma·rho is not; from 320 the spectral stage refuses H
+    # 200 to 260 pass (above); from 320 the spectral stage refuses H
     spec = ModelSpec("swanson", {"omega": 2.0, "alpha": 0.3, "beta": 0.5}, dim=dim)
     report = run_family(spec, samples=1)
     assert report.verdict == "error"
     assert report.error["type"] == outcome
-    if dim == 260:
-        assert report.cond_T < DEFAULT_TOLERANCES.condition_cap
 
 
 def test_cluster_merge_beyond_the_certificate_fails():

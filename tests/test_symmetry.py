@@ -285,6 +285,10 @@ def test_symmetry_from_coefficients_validation():
         symmetry_from_coefficients(cb, [np.array([-1.0]), np.array([1.0])])
     with pytest.raises(ValueError):
         symmetry_from_coefficients(cb, [np.ones(2)])
+    # one array per cluster, but each of the wrong size: stacked, not ragged
+    message = r"expected 1 coefficients per cluster of size 1, got \(2, 2\)"
+    with pytest.raises(ValueError, match=message):
+        symmetry_from_coefficients(cb, [np.ones(2), np.ones(2)])
     with pytest.raises(ValueError):
         # mixer is not unitary
         symmetry_from_coefficients(
@@ -590,7 +594,7 @@ def test_member_residuals_flag_a_metric_that_is_not_rho_squared():
 
 
 def _per_cluster_sample(cb, seed, spread=10.0):
-    """The sampler as a per-cluster loop: one uniform draw per cluster."""
+    """The reference draw: per cluster, one uniform draw, then its mixer."""
     rng = np.random.default_rng(seed)
     values, mixers = [], []
     for cluster in cb.clusters:
@@ -623,7 +627,7 @@ def test_singleton_runs_match_the_per_cluster_loop(sizes):
     for seed in range(3):
         gen = sample_positive_symmetry(cb, seed)
         values, mixers = _per_cluster_sample(cb, seed)
-        # one draw per run of singletons consumes the same stream, and the
+        # the sampler reads the reference's stream bit for bit, and the
         # clusters of one size, assembled together, match one at a time
         for cluster, s_ref, V_ref in zip(cb.clusters, values, mixers, strict=True):
             npt.assert_array_equal(gen.eigenvalues[cluster], s_ref)
