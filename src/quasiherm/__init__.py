@@ -21,7 +21,7 @@ from .errors import (
     SingularTransform,
 )
 from .linalg import Tolerances
-from .matrixio import load_matrix, matrix_from_payload, matrix_to_payload, save_matrix
+from .matrixio import load_matrix, save_matrix
 from .metric import full_pipeline, hermitian_equivalent, metric_from_T
 from .models import ModelSpec, build_model, random_diagonalizable, swanson, two_level
 from .report import VerificationReport, run_analyze, run_family, run_spectrum
@@ -31,7 +31,6 @@ from .symmetry import (
     intertwiner_from_metrics,
     metric_from_symmetry,
     sample_positive_symmetry,
-    symmetry_from_coefficients,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +55,6 @@ __all__ = [
     "hermitian_equivalent",
     "full_pipeline",
     "commutant_basis",
-    "symmetry_from_coefficients",
     "sample_positive_symmetry",
     "metric_from_symmetry",
     "intertwiner_from_metrics",
@@ -67,8 +65,6 @@ __all__ = [
     "build_model",
     "load_matrix",
     "save_matrix",
-    "matrix_to_payload",
-    "matrix_from_payload",
     "VerificationReport",
     "run_analyze",
     "run_family",

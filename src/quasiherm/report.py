@@ -195,7 +195,19 @@ def _member_from_payload(document, where: str) -> FamilyMemberSummary:
         raise ParseError(f"{where} key 'residuals' is empty")
     if document.get("max_residual") != member.max_residual:
         raise ParseError(f"{where} key 'max_residual' is not the largest of its residuals")
+    _check_count(member.seed, f"{where} key 'seed'")
+    _check_spread(member.spread, f"{where} key 'spread'")
     return member
+
+
+def _check_count(value, name: str) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ParseError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _check_spread(value, name: str) -> None:
+    if not isinstance(value, Real) or isinstance(value, bool) or not 1.0 <= value < np.inf:
+        raise ParseError(f"{name} must be a finite real number >= 1, got {value!r}")
 
 
 def _resolve_input(source, max_dim: int):
@@ -236,10 +248,8 @@ def _error_payload(exc: Exception) -> dict:
 def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim) -> None:
     """Run the stages ``command`` selects, recording their results in ``fields``."""
     for name, value in (("samples", samples), ("seed", seed), ("max_dim", max_dim)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-            raise ParseError(f"{name} must be an integer >= 0, got {value!r}")
-    if not isinstance(spread, Real) or isinstance(spread, bool) or not 1.0 <= spread < np.inf:
-        raise ParseError(f"spread must be a finite real number >= 1, got {spread!r}")
+        _check_count(value, name)
+    _check_spread(spread, "spread")
     H, fields["input"] = _resolve_input(source, max_dim)
 
     if command == "spectrum":

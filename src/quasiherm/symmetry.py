@@ -228,43 +228,32 @@ def symmetry_from_coefficients(
     ``mixers`` the optional intra-cluster unitaries (identity by default).
     With Q = W·blockdiag(V_k) and s the coefficients laid out alike,
     S = Q·diag(s)·Q† and sigma = Q·diag(√s)·Q† take one product each, so the
-    root is exact up to roundoff. The clusters of each size d are assembled
-    together, as one stacked product of their (n×d) eigenvector blocks with
-    their (d×d) mixers, each mixer checked by ‖V†V − I‖_F (||v|² − 1| at
-    d = 1).
+    root is exact up to roundoff. Q is written one cluster at a time, as the
+    product of its (n×d) eigenvector block with its (d×d) mixer, each mixer
+    checked by ‖V†V − I‖_F (||v|² − 1| at d = 1).
     """
     n = cb.h.shape[0]
     clusters = cb.clusters
-    if len(values) != len(clusters):
-        raise ValueError("one coefficient array required per degeneracy cluster")
-
-    by_size: dict[int, list[int]] = {}
-    for k, cluster in enumerate(clusters):
-        by_size.setdefault(len(cluster), []).append(k)
+    if mixers is None:
+        mixers = [np.eye(len(cluster)) for cluster in clusters]
+    if len(values) != len(clusters) or len(mixers) != len(clusters):
+        raise ValueError("one coefficient array and one mixer required per degeneracy cluster")
 
     Q = np.zeros((n, n), dtype=np.complex128)
     spectrum = np.zeros(n)
-    for d, ks in by_size.items():
-        m = len(ks)
-        s = np.asarray([values[k] for k in ks], dtype=np.float64)
-        if s.shape != (m, d):
+    for cluster, s, V in zip(clusters, values, mixers):
+        d = len(cluster)
+        s = np.asarray(s, dtype=np.float64)
+        if s.shape != (d,):
             raise ValueError(f"expected {d} coefficients per cluster of size {d}, got {s.shape}")
-        V = (
-            np.broadcast_to(np.eye(d, dtype=np.complex128), (m, d, d))
-            if mixers is None
-            else np.asarray([mixers[k] for k in ks], dtype=np.complex128)
-        )
-        # ‖V†V − I‖_F per cluster; `not <=` refuses NaN entries too
-        if V.shape != (m, d, d) or not np.linalg.norm(
-            V.conj().transpose(0, 2, 1) @ V - np.eye(d), axis=(1, 2)
-        ).max() <= tol.residual_tol:
+        V = np.asarray(V, dtype=np.complex128)
+        # `not <=` refuses NaN entries too
+        if V.shape != (d, d) or not np.linalg.norm(V.conj().T @ V - np.eye(d)) <= tol.residual_tol:
             raise ValueError("cluster mixer must be a unitary of the cluster size")
-        idx = np.asarray([clusters[k] for k in ks])  # (m, d) column indices
-        # Q[:, idx] is (n, m, d): stack the m blocks W_k, multiply, restack
-        Q[:, idx] = (cb.eigenvectors[:, idx].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
-        spectrum[idx] = s
-    if np.any(spectrum <= 0):
-        raise NotPositiveDefinite("symmetry coefficients must be strictly positive")
+        Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
+        spectrum[cluster] = s
+    if not np.all((spectrum > 0) & (spectrum < np.inf)):  # NaN fails both
+        raise NotPositiveDefinite("symmetry coefficients must be finite and strictly positive")
 
     Qh = Q.conj().T
     S = hermitian_from_basis(Qh, spectrum)

@@ -18,8 +18,6 @@ from quasiherm import (
     ResidualExceeded,
     full_pipeline,
     load_matrix,
-    matrix_from_payload,
-    matrix_to_payload,
     random_diagonalizable,
     run_analyze,
     run_family,
@@ -29,7 +27,7 @@ from quasiherm import (
 )
 from quasiherm import matrixio, symmetry
 from quasiherm.linalg import DEFAULT_TOLERANCES
-from quasiherm.matrixio import dumps
+from quasiherm.matrixio import dumps, matrix_from_payload, matrix_to_payload
 from quasiherm.report import DEFAULT_MAX_DIM, FamilyMemberSummary, VerificationReport
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
@@ -643,6 +641,11 @@ def _edited(**changes):
     return make
 
 
+def _member_with(**fields):
+    """The family document with its first member's ``fields`` replaced."""
+    return _edited(family=lambda d: [{**d["family"][0], **fields}])
+
+
 _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
 
 
@@ -678,12 +681,18 @@ _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
         ),
         (_edited(residuals=lambda d: {**d["residuals"], "ph": math.nan}), "key 'residuals'"),
         (_edited(residuals=lambda d: {**d["residuals"], "ph": "0"}), "key 'residuals'"),
+        (_member_with(seed=-3.5), "family member 0 key 'seed'"),
+        (_member_with(seed=True), "family member 0 key 'seed'"),
+        (_member_with(spread="x"), "family member 0 key 'spread'"),
+        (_member_with(spread=math.nan), "family member 0 key 'spread'"),
+        (_member_with(spread=0.5), "family member 0 key 'spread'"),
     ],
     ids=[
         "empty", "not-an-object", "member-without-spread", "verdict", "matrices", "family",
         "pass-with-a-failure", "fail-over-a-clean-table", "failure-not-the-worst",
         "tolerances-not-an-object", "tolerances-partial", "tolerances-out-of-range",
         "member-without-residuals", "member-max-residual", "nan-residual", "string-residual",
+        "fractional-seed", "bool-seed", "string-spread", "nan-spread", "spread-below-one",
     ],
 )
 def test_from_payload_refuses_a_malformed_document(make, match):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import quasiherm
@@ -24,16 +25,28 @@ def test_every_public_name_resolves_once():
         assert hasattr(quasiherm, name), name
 
 
-def test_acceptance_imports_are_public():
-    source = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
-    imported = {
+def _imported_from_quasiherm(source: str) -> set[str]:
+    return {
         alias.name
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) and node.module == "quasiherm"
         for alias in node.names
     }
+
+
+def test_acceptance_imports_are_public():
+    source = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+    imported = _imported_from_quasiherm(source)
     assert imported
     assert imported <= set(quasiherm.__all__)
+
+
+def test_readme_imports_are_public():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    imported = set().union(*map(_imported_from_quasiherm, blocks))
+    assert imported
+    assert imported <= set(quasiherm.__all__), imported - set(quasiherm.__all__)
 
 
 def test_kernels_import_from_linalg_only():

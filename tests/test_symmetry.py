@@ -22,12 +22,11 @@ from quasiherm import (
     run_analyze,
     sample_positive_symmetry,
     symmetry,
-    symmetry_from_coefficients,
     two_level,
 )
 from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary, hermitian_part
 from quasiherm.metric import verify_pseudo_hermitian
-from quasiherm.symmetry import FAMILY_IDENTITIES
+from quasiherm.symmetry import FAMILY_IDENTITIES, symmetry_from_coefficients
 
 
 def hermitian_basis(n):
@@ -281,14 +280,18 @@ def test_symmetry_from_coefficients_identity_case():
 def test_symmetry_from_coefficients_validation():
     h = conjugated_diagonal([1.0, 2.0], seed=2)
     cb = commutant_basis(h, cluster_degeneracies(np.array([1.0, 2.0])))
-    with pytest.raises(NotPositiveDefinite):
-        symmetry_from_coefficients(cb, [np.array([-1.0]), np.array([1.0])])
+    for bad in (-1.0, np.nan, np.inf):  # a NaN or infinite value would give a NaN S
+        with pytest.raises(NotPositiveDefinite):
+            symmetry_from_coefficients(cb, [np.array([bad]), np.array([1.0])])
     with pytest.raises(ValueError):
         symmetry_from_coefficients(cb, [np.ones(2)])
-    # one array per cluster, but each of the wrong size: stacked, not ragged
-    message = r"expected 1 coefficients per cluster of size 1, got \(2, 2\)"
+    # one array per cluster, but each of the wrong size
+    message = r"expected 1 coefficients per cluster of size 1, got \(2,\)"
     with pytest.raises(ValueError, match=message):
         symmetry_from_coefficients(cb, [np.ones(2), np.ones(2)])
+    for count in (1, 3):  # one mixer per cluster, neither fewer nor more
+        with pytest.raises(ValueError, match="one mixer required per degeneracy cluster"):
+            symmetry_from_coefficients(cb, [np.ones(1), np.ones(1)], mixers=[np.eye(1)] * count)
     with pytest.raises(ValueError):
         # mixer is not unitary
         symmetry_from_coefficients(
@@ -627,8 +630,8 @@ def test_singleton_runs_match_the_per_cluster_loop(sizes):
     for seed in range(3):
         gen = sample_positive_symmetry(cb, seed)
         values, mixers = _per_cluster_sample(cb, seed)
-        # the sampler reads the reference's stream bit for bit, and the
-        # clusters of one size, assembled together, match one at a time
+        # the sampler reads the reference's stream bit for bit, and each
+        # cluster's columns are its eigenvector block times its mixer
         for cluster, s_ref, V_ref in zip(cb.clusters, values, mixers, strict=True):
             npt.assert_array_equal(gen.eigenvalues[cluster], s_ref)
             block = cb.eigenvectors[:, cluster] @ V_ref
@@ -649,8 +652,7 @@ def test_singleton_phase_mixers_match_the_per_cluster_loop():
     mixers = [haar_unitary(d, rng) for d in sizes]  # 1×1: a unit phase
     gen = symmetry_from_coefficients(cb, values, mixers)
     Q, spectrum_ref = _per_cluster_layout(cb, values, mixers)
-    # a phase times a column, against a 1×1 product: the same to an ulp
-    npt.assert_allclose(gen.eigenvectors, Q, rtol=0, atol=4 * np.finfo(float).eps)
+    npt.assert_array_equal(gen.eigenvectors, Q)
     npt.assert_array_equal(gen.eigenvalues, spectrum_ref)
     with pytest.raises(ValueError):  # two coefficients for a singleton
         symmetry_from_coefficients(cb, [np.ones(2), np.ones(2), np.ones(1), np.ones(1)])
