@@ -9,7 +9,8 @@ spectral error, 2 residual failure.
 
 Tolerances resolve in three layers: built-in defaults, then one
 environment variable per Tolerances field, QUASIHERM_<FIELD> (e.g.
-QUASIHERM_RESIDUAL_TOL), then flags.
+QUASIHERM_RESIDUAL_TOL), then flags. Any other QUASIHERM_* variable
+is refused, so a misspelt one never runs at the default.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from .report import DEFAULT_MAX_DIM, run_analyze, run_family, run_spectrum
 
 def _resolve_tolerances(args, environ) -> Tolerances:
     values = dataclasses.asdict(DEFAULT_TOLERANCES)
-    for name in values:
-        var = f"QUASIHERM_{name.upper()}"
-        raw = environ.get(var)
-        if raw is None:
-            continue
+    names = {f"QUASIHERM_{name.upper()}": name for name in values}
+    for var in sorted(v for v in environ if v.startswith("QUASIHERM_")):
+        if var not in names:
+            raise ParseError(f"{var} names no tolerance; expected one of {', '.join(names)}")
+        raw = environ[var]
         try:
-            values[name] = float(raw)
+            values[names[var]] = float(raw)
         except ValueError as exc:
             raise ParseError(f"{var}={raw!r} is not a number") from exc
     if getattr(args, "tol", None) is not None:

@@ -20,8 +20,7 @@ class NotPositiveDefinite(QuasiHermError):
 
 
 class SingularTransform(QuasiHermError):
-    """Matrix is numerically singular (smallest singular value at noise level
-    or below the positivity floor)."""
+    """Matrix is singular at roundoff: σ_min ≤ max(ZERO_NORM_FLOOR, ε·σ_max)."""
 
 
 class IllConditioned(QuasiHermError):

@@ -42,24 +42,21 @@ class Tolerances:
     degeneracy_cluster_tol
         Bound on an eigenvalue gap / max(spread, min(rho, 1)) below which
         two eigenvalues share a cluster.
-    positivity_floor
-        Floor on the smallest singular value, relative to the Frobenius
-        norm, below which a matrix counts as singular.
     condition_cap
         Largest acceptable condition number σ_max/σ_min.
 
-    ``positivity_floor`` and ``condition_cap`` act on the singular values
-    of the factor being rooted or inverted (``T``, ``sigma·rho``, ``rho``,
-    ``sigma``), never on its square ``eta``: a factor within both gates
+    ``condition_cap`` is the one bound on the singular values of the
+    factor being rooted or inverted (``T``, ``sigma·rho``, ``rho``,
+    ``sigma``), never on its square ``eta``: a factor within the cap
     yields a metric, its root and the root's inverse, although the
-    condition number of ``eta`` itself may reach the cap squared. T's gate
-    runs once, in the spectral stage, as ``NonDiagonalizable``.
+    condition number of ``eta`` itself may reach the cap squared. A factor
+    singular at roundoff is a ``SingularTransform`` whatever the cap. T's
+    gate runs once, in the spectral stage, as ``NonDiagonalizable``.
     """
 
     spectral_reality_tol: float = 1e-9
     residual_tol: float = 1e-8
     degeneracy_cluster_tol: float = 1e-7
-    positivity_floor: float = 1e-10
     condition_cap: float = 1e8
 
     def __post_init__(self):
@@ -142,17 +139,14 @@ def hermiticity_defect(M: np.ndarray) -> float:
 def gate_singular_values(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     """Gate the singular values s of a matrix M about to be rooted or inverted.
 
-    :class:`SingularTransform` at or below ``positivity_floor·‖M‖_F`` or at
-    roundoff relative to σ_max, and :class:`IllConditioned` beyond
-    ``condition_cap``.
+    :class:`SingularTransform` when M is singular at roundoff, σ_min at or
+    below max(``ZERO_NORM_FLOOR``, ε·σ_max); otherwise
+    :class:`IllConditioned` when σ_max/σ_min exceeds ``condition_cap``.
     """
     smax, smin = float(s.max()), float(s.min())
-    floor = tol.positivity_floor * max(float(np.linalg.norm(s)), ZERO_NORM_FLOOR)
-    if smin <= max(floor, ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax):
-        raise SingularTransform(
-            f"smallest singular value {smin:.3e} at or below floor {floor:.3e} "
-            f"or at roundoff relative to {smax:.3e}"
-        )
+    floor = max(ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax)
+    if smin <= floor:
+        raise SingularTransform(f"smallest singular value {smin:.3e} at roundoff, ≤ {floor:.3e}")
     cond = smax / smin
     if cond > tol.condition_cap:
         raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {tol.condition_cap:.3e}")

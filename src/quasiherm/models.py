@@ -9,6 +9,7 @@ together with their generating data.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,15 @@ class ModelSpec:
             raise InvalidModelParameters("model dimension must be positive")
 
 
-def _require_real(value, name: str) -> float:
+def _require_finite(value, name: str) -> complex:
     z = complex(value)
+    if not cmath.isfinite(z):
+        raise InvalidModelParameters(f"{name} must be finite, got {value!r}")
+    return z
+
+
+def _require_real(value, name: str) -> float:
+    z = _require_finite(value, name)
     if abs(z.imag) > PARAM_TOL * max(abs(z), 1.0):
         raise InvalidModelParameters(f"{name} must be real, got {value!r}")
     return z.real
@@ -57,8 +65,8 @@ def two_level(b, c, d=0.0) -> np.ndarray:
     The spectrum is real iff bc is real and positive, or in the Hermitian
     subcase b = conj(c) (then bc = |b|² ≥ 0). Anything else is rejected.
     """
-    b = complex(b)
-    c = complex(c)
+    b = _require_finite(b, "b")
+    c = _require_finite(c, "c")
     d = _require_real(d, "d")
 
     product = b * c
@@ -107,8 +115,10 @@ def _random_transform(n: int, seed: int, cond_bound: float):
     n = int(n)
     if n < 1:
         raise InvalidModelParameters("matrix size must be positive")
-    if cond_bound < 1.0:
-        raise InvalidModelParameters("cond_bound must be >= 1")
+    if not 1.0 <= cond_bound < np.inf:
+        raise InvalidModelParameters(f"cond_bound must be finite and >= 1, got {cond_bound!r}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidModelParameters(f"seed must be an integer >= 0, got {seed!r}")
 
     rng = np.random.default_rng(seed)
     D = np.sort(rng.uniform(-5.0, 5.0, size=n))
@@ -159,7 +169,7 @@ def build_model(spec: ModelSpec) -> np.ndarray:
         )
     if "seed" not in p:
         raise InvalidModelParameters("random_diagonalizable requires a seed")
-    return _random_transform(spec.dim, int(p["seed"]), cond_bound)[2]
+    return _random_transform(spec.dim, p["seed"], cond_bound)[2]
 
 
 def describe_model(spec: ModelSpec) -> dict:

@@ -112,7 +112,6 @@ DOCUMENTED_ENV_VARS = {
     "QUASIHERM_SPECTRAL_REALITY_TOL",
     "QUASIHERM_RESIDUAL_TOL",
     "QUASIHERM_DEGENERACY_CLUSTER_TOL",
-    "QUASIHERM_POSITIVITY_FLOOR",
     "QUASIHERM_CONDITION_CAP",
 }
 
@@ -131,6 +130,15 @@ def test_each_env_var_reaches_its_tolerance(capsys, monkeypatch, name):
     code, payload, err = run_cli(capsys, "analyze", "--model", "two_level")
     assert (code, payload) == (1, None)
     assert var in err
+
+
+@pytest.mark.parametrize("var", ["QUASIHERM_RESIDUAL_TOLL", "QUASIHERM_POSITIVITY_FLOOR"])
+def test_a_variable_naming_no_tolerance_exits_one_with_no_report(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "1e-3")
+    code = main(["spectrum", "--model", "two_level"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {var} names no tolerance")
 
 
 @pytest.mark.parametrize(
@@ -169,6 +177,25 @@ def test_invalid_model_parameters_exit_one(capsys):
     )
     assert code == 1
     assert payload["error"]["type"] == "InvalidModelParameters"
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [(("--model", "swanson", "--omega", "nan"), "omega"),
+     (("--model", "swanson", "--dim", "6", "--alpha", "inf"), "alpha"),
+     (("--model", "two_level", "--d", "nan"), "d"),
+     (("--model", "two_level", "--b", "inf"), "b"),
+     (("--model", "random", "--dim", "4", "--cond-bound", "nan"), "cond_bound"),
+     (("--model", "random", "--dim", "4", "--model-seed", "-1"), "seed")],
+    ids=["omega-nan", "alpha-inf", "d-nan", "b-inf", "cond-bound-nan", "model-seed-negative"],
+)
+def test_bad_model_parameters_exit_one_without_traceback(capsys, flags, name):
+    code, payload, err = run_cli(capsys, "analyze", *flags)
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidModelParameters"
+    assert err.splitlines() == [f"error: {payload['error']['message']}"]
+    assert payload["error"]["message"].startswith(f"{name} must be")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -151,13 +151,12 @@ def test_clustered_spectrum_condition_comes_from_the_metric_svd(linalg_calls):
 
 @pytest.mark.parametrize("clustered", [False, True], ids=["singletons", "clusters"])
 def test_spectrum_and_analyze_refuse_the_same_T_alike(clustered):
-    # T's gate runs once, in the spectral stage: a floor that refuses the
-    # normalized T is NonDiagonalizable under every command
+    # T's gate runs once, in the spectral stage: a cap just under cond_T
+    # refuses the normalized T as NonDiagonalizable under every command
     H = clustered_hamiltonian() if clustered else random_diagonalizable(6, seed=3)[0]
-    s = np.linalg.svd(eig_decompose(H).T, compute_uv=False)
-    tol = Tolerances(positivity_floor=2 * s[-1] / np.linalg.norm(s))
+    tol = Tolerances(condition_cap=eig_decompose(H).cond_T * (1 - 1e-6))
     for run in (run_spectrum, run_analyze):
         report = run(H, tol)
         assert report.verdict == "error"
         assert report.error["type"] == "NonDiagonalizable"
-        assert report.error["cond"] >= s[0] / s[-1] * (1 - 1e-12)
+        assert report.error["cond"] > tol.condition_cap

@@ -219,6 +219,29 @@ def test_analyze_model_spec_input():
     assert report.input["kind"] == "two_level"
 
 
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        (ModelSpec("swanson", {"omega": math.nan}, dim=20), "omega"),
+        (ModelSpec("swanson", {"alpha": math.inf}, dim=6), "alpha"),
+        (ModelSpec("two_level", {"d": math.nan}), "d"),
+        (ModelSpec("two_level", {"b": math.inf}), "b"),
+        (ModelSpec("two_level", {"c": math.inf}), "c"),
+        (ModelSpec("random_diagonalizable", {"seed": 0, "cond_bound": math.nan}, dim=4),
+         "cond_bound"),
+        (ModelSpec("random_diagonalizable", {"seed": -1}, dim=4), "seed"),
+        (ModelSpec("random_diagonalizable", {"seed": 1.5}, dim=4), "seed"),
+    ],
+    ids=["omega-nan", "alpha-inf", "d-nan", "b-inf", "c-inf", "cond-bound-nan",
+         "seed-negative", "seed-fractional"],
+)
+def test_a_non_finite_or_bad_model_parameter_is_an_error_report(spec, name):
+    report = run_analyze(spec, samples=1)
+    assert (report.verdict, report.exit_code) == ("error", 1)
+    assert report.error["type"] == "InvalidModelParameters"
+    assert report.error["message"].startswith(f"{name} must be")
+
+
 def test_analyze_file_input(tmp_path):
     path = tmp_path / "h.json"
     save_matrix(path, two_level(1, 4, 0))
@@ -672,6 +695,10 @@ _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
         (_edited(tolerances=lambda d: {"residual_tol": 1e-8}), "key 'tolerances'"),
         (_edited(tolerances=lambda d: {**d["tolerances"], "residual_tol": -1.0}), "'tolerances'"),
         (
+            _edited(tolerances=lambda d: {**d["tolerances"], "positivity_floor": 1e-10}),
+            "'tolerances'",
+        ),
+        (
             _edited(family=lambda d: [{**d["family"][0], "residuals": {}}]),
             "family member 0 key 'residuals' is empty",
         ),
@@ -691,6 +718,7 @@ _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
         "empty", "not-an-object", "member-without-spread", "verdict", "matrices", "family",
         "pass-with-a-failure", "fail-over-a-clean-table", "failure-not-the-worst",
         "tolerances-not-an-object", "tolerances-partial", "tolerances-out-of-range",
+        "tolerances-with-a-removed-field",
         "member-without-residuals", "member-max-residual", "nan-residual", "string-residual",
         "fractional-seed", "bool-seed", "string-spread", "nan-spread", "spread-below-one",
     ],

@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quasiherm import (
     IllConditioned,
@@ -12,8 +15,10 @@ from quasiherm import (
     metric_from_T,
 )
 from quasiherm.linalg import (
+    ZERO_NORM_FLOOR,
     as_matrix,
     frobenius_norm,
+    gate_singular_values,
     haar_unitary,
     hermitian_part,
     hermiticity_defect,
@@ -220,12 +225,37 @@ def test_solve_gates_singular_and_ill_conditioned():
     with pytest.raises(SingularTransform):
         # below machine-relative rank floor
         metric_from_T(np.diag([1.0, 1e-17]).astype(complex))
-    with pytest.raises(SingularTransform):
-        # below the positivity floor 1e-10 relative to the Frobenius norm
-        metric_from_T(np.diag([1.0, 1e-11]).astype(complex))
-    with pytest.raises(IllConditioned):
-        # above the floor, but condition 1e9 exceeds the default cap 1e8
-        metric_from_T(np.diag([1.0, 1e-9]).astype(complex))
+    for small in (1e-9, 1e-11):
+        with pytest.raises(IllConditioned):
+            # above roundoff, but the condition exceeds the default cap 1e8
+            metric_from_T(np.diag([1.0, small]).astype(complex))
+
+
+def test_the_condition_cap_alone_bounds_a_factor_above_roundoff():
+    # cond 2e10 is within a cap of 1e12, however small σ_min is against ‖T‖
+    m = metric_from_T(np.diag([1.0, 5e-11]).astype(complex), Tolerances(condition_cap=1e12))
+    npt.assert_allclose(m.singular_values, [1.0, 5e-11])
+
+
+@example(s=np.array([1.0, 5e-11]), cap=1e12)
+@given(
+    s=hnp.arrays(
+        np.float64, st.integers(1, 64), elements=st.floats(0.0, np.finfo(np.float64).max)
+    ),
+    cap=st.floats(10.0, 1e15),
+)
+@settings(max_examples=300, deadline=None)
+def test_gate_singular_values_is_roundoff_then_the_cap(s, cap):
+    smax, smin = s.max(), s.min()
+    tol = Tolerances(condition_cap=cap)
+    if smin <= max(ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax):
+        with pytest.raises(SingularTransform):
+            gate_singular_values(s, tol)
+    elif smax / smin > cap:
+        with pytest.raises(IllConditioned):
+            gate_singular_values(s, tol)
+    else:
+        gate_singular_values(s, tol)
 
 
 def test_solve_right_inverts_from_the_right(rng):
