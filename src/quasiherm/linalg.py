@@ -2,13 +2,13 @@
 
 Arithmetic, norms and the singular-value gate, all on square complex128
 arrays. These are the primitives everything else in the package composes.
-Every metric comes from one SVD of its factor M = W·Σ·V†, its Σ gated
-(:func:`gate_singular_values`): the metric V·Σ²·V†, its root V·Σ·V†, the
-root's inverse V·Σ⁻¹·V† and the polar unitary W·V†
-(:func:`~quasiherm.metric.metric_from_T`), so no inverse is applied
-through a linear solve. Each Hermitian factor is made Hermitian bit for
-bit (:func:`hermitian_from_basis`), which lets a commutator with it be
-read off one product P as P − P†.
+Every metric is one SVD of its factor M = W·Σ·V†, its Σ gated
+(:func:`gate_singular_values`), held with the polar unitary W·V†
+(:class:`~quasiherm.spectral.MetricOperator`): the metric V·Σ²·V†, its
+root V·Σ·V† and the root's inverse V·Σ⁻¹·V† are formed from Σ and V†, so
+no inverse is applied through a linear solve. Each Hermitian factor is
+made Hermitian bit for bit (:func:`hermitian_from_basis`), which lets a
+commutator with it be read off one product P as P − P†.
 
 All residual checks are relative to operand norms; a matrix whose Frobenius
 norm is below ``ZERO_NORM_FLOOR`` is treated as zero and checked absolutely.

@@ -2,10 +2,10 @@
 
 The existence construction: diagonalize H with row transform T, set
 ``eta = T†T`` (Hermitian positive-definite), ``rho = sqrt(eta)``, and
-``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. One SVD of T
-gives eta, rho, the polar unitary U of ``T = U·rho`` and, when read,
-rho⁻¹; in the pipeline it is the spectral stage's SVD, which gates
-``cond(T)`` once, as NonDiagonalizable.
+``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. The metric
+is T's one SVD, from which eta, rho, rho⁻¹ and the polar unitary U of
+``T = U·rho`` come (:class:`~quasiherm.spectral.MetricOperator`); in the
+pipeline it is the spectral stage's SVD, which gates ``cond(T)`` once.
 Since ``T·H = H_d·T``, ``rho·H·rho⁻¹ = U†·H_d·U``, and h is built that
 way: Hermitian and isospectral with ``H_d`` by construction, certified by
 the similarity residual ``rho·H = h·rho``.
@@ -13,8 +13,7 @@ the similarity residual ``rho·H = h·rho``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,38 +25,10 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     gate_singular_values,
-    hermitian_from_basis,
     hermitian_part,
     relative_residual,
 )
-from .spectral import SpectralData, eig_decompose
-
-
-@dataclass
-class MetricOperator:
-    """Positive-definite metric ``eta`` with its positive square root ``rho``.
-
-    ``unitary`` is the polar unitary X of the factor M = X·rho the metric
-    was built from (``eta = M†M``), ``singular_values`` M's singular values,
-    descending, and ``right_vectors`` the V† of its SVD M = W·Σ·V†.
-    ``rho_inv`` = V·Σ⁻¹·V† is formed from that SVD on its first read, so a
-    metric whose inverse root nothing reads, such as a family member's,
-    never forms it. A metric is built from M alone;
-    ``pseudo_hermiticity_residual``, the ``H†eta - eta H`` residual against
-    the generating Hamiltonian, is set by the stage that holds H
-    (:func:`full_pipeline`, or the family member's own), else None.
-    """
-
-    eta: np.ndarray
-    rho: np.ndarray
-    unitary: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray = field(repr=False)
-    pseudo_hermiticity_residual: float | None = None
-
-    @cached_property
-    def rho_inv(self) -> np.ndarray:
-        return hermitian_from_basis(self.right_vectors, 1 / self.singular_values)
+from .spectral import MetricOperator, SpectralData, eig_decompose
 
 
 @dataclass
@@ -90,26 +61,15 @@ def verify_pseudo_hermitian(H, eta) -> float:
 def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES) -> MetricOperator:
     """Metric ``eta = T†T`` of an invertible factor T, with ``rho = sqrt(eta)``.
 
-    The one constructor of a :class:`MetricOperator`, from T alone. One SVD
-    T = W·Σ·V†, whose singular values are gated
+    One SVD T = W·Σ·V†, whose singular values are gated
     (:func:`~quasiherm.linalg.gate_singular_values`), not those of the
-    squared eta, gives eta = V·Σ²·V†, rho = V·Σ·V† and the polar unitary
-    X = W·V† of T = X·rho; rho⁻¹ = V·Σ⁻¹·V† is formed from it when read.
+    squared eta, is the :class:`MetricOperator`: the polar unitary
+    X = W·V† of T = X·rho with Σ and V†, from which eta = V·Σ²·V†,
+    rho = V·Σ·V† and rho⁻¹ = V·Σ⁻¹·V† are formed when read.
     """
     W, s, Vh = np.linalg.svd(as_matrix(T))
     gate_singular_values(s, tol)
-    return _metric_from_polar(W @ Vh, s, Vh)
-
-
-def _metric_from_polar(X, s, Vh) -> MetricOperator:
-    """:func:`metric_from_T` of M = X·rho from its polar unitary X and gated Σ, V†."""
-    return MetricOperator(
-        eta=hermitian_from_basis(Vh, s**2),
-        rho=hermitian_from_basis(Vh, s),
-        unitary=X,
-        singular_values=s,
-        right_vectors=Vh,
-    )
+    return MetricOperator(W @ Vh, s, Vh)
 
 
 def hermitian_equivalent(
@@ -143,17 +103,16 @@ def hermitian_equivalent(
 def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     """Existence construction end to end: H -> (T, H_d) -> eta, rho -> h.
 
-    Composes :func:`~quasiherm.spectral.eig_decompose`, the body of
-    :func:`metric_from_T` on the spectral stage's SVD of T
-    (``spectral.polar``) and :func:`hermitian_equivalent`, retaining every
-    intermediate certificate on the returned pair. It holds H, so it
+    Composes :func:`~quasiherm.spectral.eig_decompose`, whose SVD of T is
+    the pair's metric (``spectral.metric``), and :func:`hermitian_equivalent`,
+    retaining every intermediate certificate on the returned pair. It holds H, so it
     certifies the metric's pseudo-Hermiticity (``ph``) before ``H=H``. T's
     condition gate runs once, in the spectral stage, as NonDiagonalizable;
     it propagates with ComplexSpectrum and ResidualExceeded (``eig``).
     """
     A = as_matrix(H)
     spectral = eig_decompose(A, tol)
-    metric = _metric_from_polar(*spectral.polar)
+    metric = spectral.metric
     ph = metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A, metric.eta)
     if ph > tol.residual_tol:
         raise ResidualExceeded("ph", ph, tol.residual_tol)

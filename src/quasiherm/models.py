@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from numbers import Integral, Number
 
 import numpy as np
 
@@ -18,7 +19,12 @@ from .errors import InvalidModelParameters
 from .linalg import haar_unitary
 from .spectral import SpectralData, _fix_row_phases, cluster_degeneracies
 
-MODEL_KINDS = ("two_level", "swanson", "random_diagonalizable")
+# Each model kind with the parameters it takes and their defaults (None: required).
+MODEL_KINDS = {
+    "two_level": {"b": 1.0, "c": 1.0, "d": 0.0},
+    "swanson": {"omega": 2.0, "alpha": 0.0, "beta": 0.0},
+    "random_diagonalizable": {"seed": None, "cond_bound": 100.0},
+}
 
 # Relative slack for parameter reality/positivity gates.
 PARAM_TOL = 1e-12
@@ -36,9 +42,9 @@ class ModelSpec:
     dim: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in MODEL_KINDS:
             raise InvalidModelParameters(
-                f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}"
+                f"unknown model kind {self.kind!r}, expected one of {tuple(MODEL_KINDS)}"
             )
         self.dim = int(self.dim)
         if self.dim < 1:
@@ -46,7 +52,10 @@ class ModelSpec:
 
 
 def _require_finite(value, name: str) -> complex:
-    z = complex(value)
+    try:
+        z = complex(value)
+    except OverflowError:  # an integer beyond float64's range
+        z = complex(cmath.inf)
     if not cmath.isfinite(z):
         raise InvalidModelParameters(f"{name} must be finite, got {value!r}")
     return z
@@ -152,30 +161,48 @@ def random_diagonalizable(
 
 
 def build_model(spec: ModelSpec) -> np.ndarray:
-    """Realize a ModelSpec as a matrix, enforcing the per-kind invariants."""
-    p = spec.parameters
+    """Realize a ModelSpec as a matrix, enforcing the per-kind invariants.
+
+    A parameter the kind does not take, or a value that is not a number (a
+    bool is not), is an :class:`InvalidModelParameters` naming it.
+    """
+    defaults = MODEL_KINDS[spec.kind]
+    for name, value in spec.parameters.items():
+        if name not in defaults:
+            raise InvalidModelParameters(
+                f"{name} is not a {spec.kind} parameter; it takes {', '.join(defaults)}"
+            )
+        if isinstance(value, bool) or not isinstance(value, Number):
+            raise InvalidModelParameters(f"{name} must be a number, got {value!r}")
+    p = {**defaults, **spec.parameters}
     if spec.kind == "two_level":
         if spec.dim != 2:
             raise InvalidModelParameters("two_level is a 2x2 model")
-        return two_level(p.get("b", 1.0), p.get("c", 1.0), p.get("d", 0.0))
+        return two_level(p["b"], p["c"], p["d"])
     if spec.kind == "swanson":
-        return swanson(
-            spec.dim, p.get("omega", 2.0), p.get("alpha", 0.0), p.get("beta", 0.0)
-        )
-    cond_bound = float(p.get("cond_bound", 100.0))
+        return swanson(spec.dim, p["omega"], p["alpha"], p["beta"])
+    cond_bound = _require_real(p["cond_bound"], "cond_bound")
     if cond_bound > SPEC_COND_CAP:
         raise InvalidModelParameters(
             f"requested condition bound {cond_bound} exceeds the cap {SPEC_COND_CAP}"
         )
-    if "seed" not in p:
+    if p["seed"] is None:
         raise InvalidModelParameters("random_diagonalizable requires a seed")
     return _random_transform(spec.dim, p["seed"], cond_bound)[2]
 
 
 def describe_model(spec: ModelSpec) -> dict:
-    """JSON-friendly descriptor; complex parameters become [re, im] pairs."""
+    """JSON-friendly descriptor of a spec :func:`build_model` accepted.
+
+    An integer parameter is recorded as that integer, any other as a float,
+    or as an [re, im] pair when complex.
+    """
     params = {}
     for key in sorted(spec.parameters):
-        value = complex(spec.parameters[key])
+        value = spec.parameters[key]
+        if isinstance(value, Integral):
+            params[key] = int(value)
+            continue
+        value = complex(value)
         params[key] = value.real if value.imag == 0.0 else [value.real, value.imag]
     return {"kind": spec.kind, "dim": spec.dim, "parameters": params}

@@ -17,13 +17,14 @@ Rescaling rows of T changes the metric T†T downstream, so this convention
 fixes *which* metric the pipeline produces out of the whole family.
 
 One SVD of the normalized T gives its condition number, gated here, once,
-as :class:`NonDiagonalizable`, and the factors the metric is built from
-(``SpectralData.polar``): no later stage factorizes T again.
+as :class:`NonDiagonalizable`, and T's metric (``SpectralData.metric``, a
+:class:`MetricOperator` held as that SVD): no later stage factorizes T again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     gate_singular_values,
+    hermitian_from_basis,
     relative_residual,
 )
 
@@ -50,23 +52,53 @@ PHASE_ANCHOR_FLOOR = 1e-10
 
 
 @dataclass
+class MetricOperator:
+    """The metric ``eta = M†M`` of a factor M = X·rho, held as M's one SVD.
+
+    With M = W·Σ·V†, ``unitary`` is the polar unitary X = W·V†,
+    ``singular_values`` Σ, descending, and ``right_vectors`` V†. ``eta`` =
+    V·Σ²·V†, its root ``rho`` = V·Σ·V† and ``rho_inv`` = V·Σ⁻¹·V† are each
+    formed on first read, so a metric whose inverse root nothing reads,
+    such as a family member's, never forms it. ``pseudo_hermiticity_residual``,
+    the ``H†eta - eta H`` residual against the generating Hamiltonian, is
+    set by the stage that holds H, else None.
+    """
+
+    unitary: np.ndarray
+    singular_values: np.ndarray
+    right_vectors: np.ndarray = field(repr=False)
+    pseudo_hermiticity_residual: float | None = None
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        return hermitian_from_basis(self.right_vectors, self.singular_values**2)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return hermitian_from_basis(self.right_vectors, self.singular_values)
+
+    @cached_property
+    def rho_inv(self) -> np.ndarray:
+        return hermitian_from_basis(self.right_vectors, 1 / self.singular_values)
+
+
+@dataclass
 class SpectralData:
     """Certified eigendata of a diagonalizable matrix with real spectrum.
 
     ``eigenvalues`` are the raw (complex) eigenvalues after sorting, and
     ``T H = diag(eigenvalues.real) T`` holds within the residual tolerance
     (their imaginary parts have passed the reality gate). ``cond_T`` is the
-    condition number of the normalized T. ``polar`` is T's one SVD
-    T = W·Σ·V†, held as ``(X, Σ, V†)`` with the polar unitary X = W·V† of
-    T = X·rho in place of W: the factors the metric is built from (None on
-    eigendata that :func:`eig_decompose` did not produce).
+    condition number of the normalized T. ``metric`` is T's metric, built
+    from T's one SVD (None on eigendata that :func:`eig_decompose` did not
+    produce).
     """
 
     eigenvalues: np.ndarray
     T: np.ndarray
     cond_T: float
     clusters: list[list[int]] = field(default_factory=list)
-    polar: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    metric: MetricOperator | None = field(default=None, repr=False)
 
 
 def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> list[list[int]]:
@@ -130,7 +162,7 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     Raises :class:`ComplexSpectrum` when any eigenvalue fails the reality
     gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, min(rho, 1))``
     with ``rho = max|lambda|``, and :class:`NonDiagonalizable` when the
-    singular values of the normalized T (from the SVD that gives ``polar``)
+    singular values of the normalized T (from the SVD that gives ``metric``)
     or, before a cluster's rows are orthonormalized, of the raw rows fail
     the factor gate. The certificate ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)``
     beyond ``residual_tol`` is a residual failure,
@@ -183,5 +215,5 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
         T=T,
         cond_T=cond_T,
         clusters=clusters,
-        polar=(W @ Vh, s, Vh),
+        metric=MetricOperator(W @ Vh, s, Vh),
     )

@@ -242,6 +242,35 @@ def test_a_non_finite_or_bad_model_parameter_is_an_error_report(spec, name):
     assert report.error["message"].startswith(f"{name} must be")
 
 
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        (ModelSpec("swanson", {"omgea": 3.0}, dim=6), "omgea"),
+        (ModelSpec("random_diagonalizable", {"seed": 0, "cond_bound": "x"}, dim=4), "cond_bound"),
+        (ModelSpec("swanson", {"alpha": "x"}, dim=6), "alpha"),
+        (ModelSpec("two_level", {"b": None}), "b"),
+        (ModelSpec("swanson", {"omega": True}, dim=6), "omega"),
+        (ModelSpec("swanson", {"omega": 10**400}, dim=6), "omega"),
+        (ModelSpec("random_diagonalizable", {"seed": 9007199254740993}, dim=4), None),
+        (ModelSpec("random_diagonalizable", {"seed": 10**400}, dim=4), None),
+    ],
+    ids=["unknown-name", "cond-bound-str", "alpha-str", "b-none", "omega-bool",
+         "omega-huge-int", "seed-2**53+1", "seed-10**400"],
+)
+def test_a_model_parameter_is_refused_by_name_or_recorded_exactly(spec, name):
+    # name None: the spec is valid, and its integer seed must be recorded as is
+    report = run_spectrum(spec)
+    if name is None:
+        assert report.verdict == "pass"
+        seed = spec.parameters["seed"]
+        assert f'"seed": {seed}\n' in report.to_json()
+        assert json.loads(report.to_json())["input"]["parameters"] == {"seed": seed}
+    else:
+        assert (report.verdict, report.exit_code) == ("error", 1)
+        assert report.error["type"] == "InvalidModelParameters"
+        assert report.error["message"].startswith(f"{name} ")
+
+
 def test_analyze_file_input(tmp_path):
     path = tmp_path / "h.json"
     save_matrix(path, two_level(1, 4, 0))

@@ -67,7 +67,7 @@ def test_metric_certifies_against_hamiltonian(monkeypatch):
     H = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     # a unitary row basis is not the left eigenbasis of H
     W, s, Vh = np.linalg.svd(haar_unitary(2, np.random.default_rng(1)))
-    spectral = dataclasses.replace(eig_decompose(H), polar=(W @ Vh, s, Vh))
+    spectral = dataclasses.replace(eig_decompose(H), metric=MetricOperator(W @ Vh, s, Vh))
     monkeypatch.setattr("quasiherm.metric.eig_decompose", lambda A, tol: spectral)
     with pytest.raises(ResidualExceeded) as exc_info:
         full_pipeline(H)
@@ -77,8 +77,6 @@ def test_metric_certifies_against_hamiltonian(monkeypatch):
 def test_hermitian_equivalent_rejects_wrong_metric():
     H = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     identity_metric = MetricOperator(
-        eta=np.eye(2, dtype=complex),
-        rho=np.eye(2, dtype=complex),
         unitary=np.eye(2, dtype=complex),
         singular_values=np.ones(2),
         right_vectors=np.eye(2, dtype=complex),
@@ -170,6 +168,8 @@ def test_pseudo_hermitian_residual_of_a_non_hermitian_eta_takes_both_products():
 def test_rho_inv_is_formed_from_the_svd_when_first_read():
     H, _ = random_diagonalizable(6, seed=4)
     spectral = eig_decompose(H)
+    # the spectral stage's metric is T's SVD alone: nothing is formed yet
+    assert not {"eta", "rho", "rho_inv"} & set(vars(spectral.metric))
     metric = metric_from_T(spectral.T)
     assert verify_pseudo_hermitian(H, metric.eta) <= 1e-12
     assert "rho_inv" not in vars(metric)
@@ -178,6 +178,7 @@ def test_rho_inv_is_formed_from_the_svd_when_first_read():
     assert vars(metric)["rho_inv"] is metric.rho_inv  # kept after the first read
     # a family member's inverse root is never read, so never formed
     pair = full_pipeline(H)
+    assert pair.metric is pair.spectral.metric
     gen = sample_positive_symmetry(commutant_basis(pair.h, pair.spectral.clusters), seed=1)
     member = metric_from_symmetry(pair.metric, gen, H)
     assert "rho_inv" not in vars(member.eta_prime)

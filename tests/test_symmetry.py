@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -590,7 +591,8 @@ def test_member_residuals_flag_a_metric_that_is_not_rho_squared():
     member = metric_from_symmetry(pair.metric, gen, H)
     assert member.residuals["B-ph"] <= 1e-10
     assert member.residuals["eta=BB"] <= 1e-10
-    skewed = dataclasses.replace(pair.metric, eta=pair.metric.eta + 0.5)
+    skewed = copy.copy(pair.metric)
+    skewed.eta = pair.metric.eta + 0.5
     bad = metric_from_symmetry(skewed, gen, H)
     assert bad.residuals["eta=BB"] > 1e-3
     assert bad.residuals["B-ph"] <= 1e-10
