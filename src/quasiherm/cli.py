@@ -22,7 +22,7 @@ import sys
 
 from .errors import ParseError, QuasiHermError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .models import ModelSpec
+from .models import MODEL_KINDS, ModelSpec
 from .report import DEFAULT_MAX_DIM, run_analyze, run_family, run_spectrum
 
 
@@ -52,21 +52,13 @@ def _resolve_source(args):
         return args.input
     if args.input is not None:
         raise ParseError("give either a matrix file or --model, not both")
-    if args.model == "two_level":
-        return ModelSpec(
-            "two_level", {"b": args.b, "c": args.c, "d": args.d}, dim=2
-        )
-    if args.model == "swanson":
-        return ModelSpec(
-            "swanson",
-            {"omega": args.omega, "alpha": args.alpha, "beta": args.beta},
-            dim=args.dim,
-        )
-    return ModelSpec(
-        "random_diagonalizable",
-        {"seed": args.model_seed, "cond_bound": args.cond_bound},
-        dim=args.dim,
-    )
+    kind = "random_diagonalizable" if args.model == "random" else args.model
+    flags = {**vars(args), "seed": args.model_seed}
+    parameters = {
+        name: default if flags[name] is None else flags[name]
+        for name, default in MODEL_KINDS[kind].items()
+    }
+    return ModelSpec(kind, parameters, dim=2 if kind == "two_level" else args.dim)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -76,17 +68,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=("two_level", "swanson", "random"),
         help="use a built-in model instead of a matrix file",
     )
-    parser.add_argument("--b", type=complex, default=1.0, help="two_level upper entry")
-    parser.add_argument("--c", type=complex, default=1.0, help="two_level lower entry")
-    parser.add_argument("--d", type=float, default=0.0, help="two_level diagonal shift")
+    # a model flag left unset (None) takes its default from models.MODEL_KINDS
+    parser.add_argument("--b", type=complex, help="two_level upper entry")
+    parser.add_argument("--c", type=complex, help="two_level lower entry")
+    parser.add_argument("--d", type=float, help="two_level diagonal shift")
     parser.add_argument("--dim", type=int, default=20, help="model dimension")
-    parser.add_argument("--omega", type=float, default=2.0, help="swanson frequency")
-    parser.add_argument("--alpha", type=float, default=0.0, help="swanson a^2 coefficient")
-    parser.add_argument("--beta", type=float, default=0.0, help="swanson a+^2 coefficient")
+    parser.add_argument("--omega", type=float, help="swanson frequency")
+    parser.add_argument("--alpha", type=float, help="swanson a^2 coefficient")
+    parser.add_argument("--beta", type=float, help="swanson a+^2 coefficient")
     parser.add_argument("--model-seed", type=int, default=0, help="random model seed")
-    parser.add_argument(
-        "--cond-bound", type=float, default=100.0, help="random model condition bound"
-    )
+    parser.add_argument("--cond-bound", type=float, help="random model condition bound")
     parser.add_argument("--tol", type=float, default=None, help="residual tolerance")
     parser.add_argument("--out", default=None, help="also write the report here")
     parser.add_argument(

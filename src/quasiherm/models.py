@@ -35,20 +35,24 @@ SPEC_COND_CAP = 100.0
 
 @dataclass
 class ModelSpec:
-    """Named model plus parameters, as accepted from the command line."""
+    """Named model plus parameters, as accepted from the command line: a plain
+    record, checked when it is run, by :func:`build_model` inside ``run_*``."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
     dim: int = 2
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or self.kind not in MODEL_KINDS:
-            raise InvalidModelParameters(
-                f"unknown model kind {self.kind!r}, expected one of {tuple(MODEL_KINDS)}"
-            )
-        self.dim = int(self.dim)
-        if self.dim < 1:
-            raise InvalidModelParameters("model dimension must be positive")
+
+def _require_integer(value, name: str, low: int):
+    """``value``, an int or np.integer (not a bool) >= ``low`` that ``str`` can write."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        try:
+            str(value)  # past sys.get_int_max_str_digits(), no report could record it
+        except ValueError:
+            raise InvalidModelParameters(f"{name} has more digits than Python writes") from None
+        if value >= low:
+            return value
+    raise InvalidModelParameters(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _require_finite(value, name: str) -> complex:
@@ -99,11 +103,10 @@ def swanson(dim: int, omega: float, alpha: float, beta: float) -> np.ndarray:
     Real-valued and non-symmetric for α ≠ β. Matrix elements
     (a²)_{n,n+2} = √((n+1)(n+2)) and its transpose for a†². Hard
     truncation distorts the top of the spectrum, so only interior
-    eigenvalues of the result are physically meaningful.
+    eigenvalues of the result are physically meaningful. ``dim`` is an
+    integer >= 4: a float or a bool is refused, not coerced.
     """
-    dim = int(dim)
-    if dim < 4:
-        raise InvalidModelParameters("swanson truncation needs dim >= 4")
+    _require_integer(dim, "dim", 4)
     omega = _require_real(omega, "omega")
     if omega <= 0:
         raise InvalidModelParameters("omega must be positive")
@@ -121,13 +124,10 @@ def swanson(dim: int, omega: float, alpha: float, beta: float) -> np.ndarray:
 
 def _random_transform(n: int, seed: int, cond_bound: float):
     """Sorted spectrum D, transform T₀ and H = T₀⁻¹·D·T₀ of the random ensemble."""
-    n = int(n)
-    if n < 1:
-        raise InvalidModelParameters("matrix size must be positive")
+    _require_integer(n, "dim", 1)
     if not 1.0 <= cond_bound < np.inf:
         raise InvalidModelParameters(f"cond_bound must be finite and >= 1, got {cond_bound!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidModelParameters(f"seed must be an integer >= 0, got {seed!r}")
+    _require_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     D = np.sort(rng.uniform(-5.0, 5.0, size=n))
@@ -146,6 +146,8 @@ def random_diagonalizable(
     unitaries W and singular values s log-uniform on [1, cond_bound], so
     cond(T₀) ≤ cond_bound by construction. Deterministic per seed. The
     returned ground truth carries T₀ in row-normalized, phase-fixed form.
+    ``n`` is an integer >= 1 and ``seed`` one >= 0 that ``str`` can write,
+    so a report can record it; a float or a bool is refused, not coerced.
     """
     D, T0, H = _random_transform(n, seed, cond_bound)
     T = T0 / np.linalg.norm(T0, axis=1)[:, None]
@@ -161,11 +163,17 @@ def random_diagonalizable(
 
 
 def build_model(spec: ModelSpec) -> np.ndarray:
-    """Realize a ModelSpec as a matrix, enforcing the per-kind invariants.
+    """Realize a ModelSpec as a matrix: the one place a spec is checked.
 
-    A parameter the kind does not take, or a value that is not a number (a
-    bool is not), is an :class:`InvalidModelParameters` naming it.
+    An :class:`InvalidModelParameters` names the field or parameter refused:
+    a ``kind`` not in ``MODEL_KINDS``, a ``dim`` that is not an integer (a
+    bool is not) or not in the kind's range, a name the kind does not take,
+    a value that is not a number (a bool is not), or one its builder refuses.
     """
+    if not isinstance(spec.kind, str) or spec.kind not in MODEL_KINDS:
+        raise InvalidModelParameters(
+            f"kind {spec.kind!r} is not a model; expected one of {', '.join(MODEL_KINDS)}"
+        )
     defaults = MODEL_KINDS[spec.kind]
     for name, value in spec.parameters.items():
         if name not in defaults:
@@ -176,8 +184,8 @@ def build_model(spec: ModelSpec) -> np.ndarray:
             raise InvalidModelParameters(f"{name} must be a number, got {value!r}")
     p = {**defaults, **spec.parameters}
     if spec.kind == "two_level":
-        if spec.dim != 2:
-            raise InvalidModelParameters("two_level is a 2x2 model")
+        if _require_integer(spec.dim, "dim", 2) != 2:
+            raise InvalidModelParameters(f"dim must be 2 for two_level, got {spec.dim!r}")
         return two_level(p["b"], p["c"], p["d"])
     if spec.kind == "swanson":
         return swanson(spec.dim, p["omega"], p["alpha"], p["beta"])
@@ -186,8 +194,6 @@ def build_model(spec: ModelSpec) -> np.ndarray:
         raise InvalidModelParameters(
             f"requested condition bound {cond_bound} exceeds the cap {SPEC_COND_CAP}"
         )
-    if p["seed"] is None:
-        raise InvalidModelParameters("random_diagonalizable requires a seed")
     return _random_transform(spec.dim, p["seed"], cond_bound)[2]
 
 
@@ -205,4 +211,4 @@ def describe_model(spec: ModelSpec) -> dict:
             continue
         value = complex(value)
         params[key] = value.real if value.imag == 0.0 else [value.real, value.imag]
-    return {"kind": spec.kind, "dim": spec.dim, "parameters": params}
+    return {"kind": spec.kind, "dim": int(spec.dim), "parameters": params}

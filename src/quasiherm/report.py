@@ -56,7 +56,7 @@ from .errors import (
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm
 from .matrixio import dumps, load_matrix, matrix_document, matrix_from_payload, matrix_to_payload
 from .metric import full_pipeline
-from .models import ModelSpec, build_model, describe_model
+from .models import ModelSpec, _require_integer, build_model, describe_model
 from .spectral import eig_decompose
 from .symmetry import _certified_commutant, metric_from_symmetry, sample_positive_symmetry
 
@@ -213,8 +213,9 @@ def _check_spread(value, name: str) -> None:
 def _resolve_input(source, max_dim: int):
     """Turn a path, ModelSpec, or array into (H, descriptor)."""
     if isinstance(source, ModelSpec):
-        # gate before building: a model allocates its full dim x dim matrix
-        _check_dim(source.dim, max_dim)
+        # gate before building: a model allocates its full dim x dim matrix,
+        # and only an integer dim can be compared with max_dim
+        _check_dim(_require_integer(source.dim, "dim", 1), max_dim)
         H = build_model(source)
         descriptor = describe_model(source)
     elif isinstance(source, (str, Path)):

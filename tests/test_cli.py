@@ -9,6 +9,7 @@ from quasiherm import save_matrix
 from quasiherm.cli import main
 from quasiherm.linalg import DEFAULT_TOLERANCES, Tolerances
 from quasiherm.matrixio import dumps
+from quasiherm.models import MODEL_KINDS
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +178,19 @@ def test_invalid_model_parameters_exit_one(capsys):
     )
     assert code == 1
     assert payload["error"]["type"] == "InvalidModelParameters"
+
+
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_unset_model_flags_record_the_table_defaults(capsys, kind):
+    # a table parameter with no flag, or a flag default that drifts from the
+    # table, fails here; the random seed's flag defaults to 0
+    model = "random" if kind == "random_diagonalizable" else kind
+    code, payload, _ = run_cli(capsys, "spectrum", "--model", model)
+    assert code == 0
+    assert payload["input"]["kind"] == kind
+    assert payload["input"]["parameters"] == {
+        name: 0 if default is None else default for name, default in MODEL_KINDS[kind].items()
+    }
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from quasiherm import (
     ModelSpec,
     ParseError,
     ResidualExceeded,
+    build_model,
     full_pipeline,
     load_matrix,
     random_diagonalizable,
@@ -253,13 +254,28 @@ def test_a_non_finite_or_bad_model_parameter_is_an_error_report(spec, name):
         (ModelSpec("swanson", {"omega": 10**400}, dim=6), "omega"),
         (ModelSpec("random_diagonalizable", {"seed": 9007199254740993}, dim=4), None),
         (ModelSpec("random_diagonalizable", {"seed": 10**400}, dim=4), None),
+        (ModelSpec("random_diagonalizable", {"seed": 10**5000}, dim=4), "seed"),
+        (ModelSpec("swanson", {}, dim=6.9), "dim"),
+        (ModelSpec("swanson", {}, dim=True), "dim"),
+        (ModelSpec("swanson", {}, dim="x"), "dim"),
+        (ModelSpec("nope", {}, dim=4), "kind"),
+        (ModelSpec("swanson", {}, dim=10**9), "dimension"),
     ],
     ids=["unknown-name", "cond-bound-str", "alpha-str", "b-none", "omega-bool",
-         "omega-huge-int", "seed-2**53+1", "seed-10**400"],
+         "omega-huge-int", "seed-2**53+1", "seed-10**400", "seed-10**5000",
+         "dim-fractional", "dim-bool", "dim-str", "unknown-kind", "dim-past-max-dim"],
 )
-def test_a_model_parameter_is_refused_by_name_or_recorded_exactly(spec, name):
-    # name None: the spec is valid, and its integer seed must be recorded as is
+def test_a_model_parameter_is_refused_by_name_or_recorded_exactly(monkeypatch, spec, name):
+    # name None: the spec is valid, and its integer seed must be recorded as is;
+    # "dimension": the max_dim gate refuses it before build_model runs. A seed
+    # str() cannot write is refused, so every report renders.
+    def build(spec):
+        assert name != "dimension", "build_model ran before the max_dim gate"
+        return build_model(spec)
+
+    monkeypatch.setattr("quasiherm.report.build_model", build)
     report = run_spectrum(spec)
+    report.to_json()
     if name is None:
         assert report.verdict == "pass"
         seed = spec.parameters["seed"]
@@ -267,7 +283,8 @@ def test_a_model_parameter_is_refused_by_name_or_recorded_exactly(spec, name):
         assert json.loads(report.to_json())["input"]["parameters"] == {"seed": seed}
     else:
         assert (report.verdict, report.exit_code) == ("error", 1)
-        assert report.error["type"] == "InvalidModelParameters"
+        refusal = "ParseError" if name == "dimension" else "InvalidModelParameters"
+        assert report.error["type"] == refusal
         assert report.error["message"].startswith(f"{name} ")
 
 

@@ -142,8 +142,9 @@ def test_build_model_dispatch():
 
 
 def test_build_model_gates():
+    # a ModelSpec is a plain record: build_model is what refuses it
     with pytest.raises(InvalidModelParameters):
-        ModelSpec("unknown_kind")
+        build_model(ModelSpec("unknown_kind"))
     with pytest.raises(InvalidModelParameters):
         build_model(ModelSpec("two_level", {}, dim=3))
     with pytest.raises(InvalidModelParameters):
@@ -151,7 +152,7 @@ def test_build_model_gates():
     with pytest.raises(InvalidModelParameters):
         build_model(ModelSpec("random_diagonalizable", {}, dim=4))
     with pytest.raises(InvalidModelParameters):
-        ModelSpec("swanson", {}, dim=0)
+        build_model(ModelSpec("swanson", {}, dim=0))
 
 
 def test_describe_model_serializes_complex_parameters():

@@ -17,7 +17,13 @@ belongs to the clustering rule, not to this oracle.
 * Claim 2, every metric is ``rho·S·rho`` (arXiv:0707.3075): ``dim N`` is
   the report's ``commutant.real_dimension``, and a positive eta₂ drawn
   from N, factored by Cholesky, passes ``intertwiner_from_metrics`` with
-  ``S`` positive.
+  ``S`` positive. Conversely the sampler reaches all of N: the members'
+  eta' = rho·S·rho for 2·dim N consecutive seeds, as real vectors scaled
+  to unit norm, have rank dim N at ``NULL_CUTOFF`` relative to their
+  largest singular value. Over 3000 draws of the strategies below the
+  retained singular values stayed at or above 4.0e-3 of the largest and
+  the others at or below 4.7e-15, so the cutoff sits four decades or more
+  from each.
 * Claim 1, a refused input has no positive metric: for an eigenvector v
   with a complex eigenvalue, or at the head of a Jordan chain,
   ``v†·E·v`` vanishes for every E in N, so no element of N is positive.
@@ -32,11 +38,14 @@ from hypothesis import strategies as st
 from quasiherm import (
     ComplexSpectrum,
     NonDiagonalizable,
+    commutant_basis,
     full_pipeline,
     intertwiner_from_metrics,
     metric_from_T,
+    metric_from_symmetry,
     random_diagonalizable,
     run_family,
+    sample_positive_symmetry,
     swanson,
     two_level,
 )
@@ -158,3 +167,19 @@ def test_a_refused_input_has_no_positive_metric(H, v, refusal):
     eps = np.finfo(np.float64).eps
     for E in space:
         assert abs(v.conj() @ E @ v) <= 4 * eps * np.linalg.norm(E)
+
+
+@_SETTINGS
+@given(H=_INPUTS)
+def test_the_sampled_metrics_span_the_metric_space(H):
+    # twice as many members as dimensions, so a member outside N would
+    # raise the rank as surely as a sampler confined to part of N lowers it
+    pair = full_pipeline(H)
+    cb = commutant_basis(pair.h, pair.spectral.clusters)
+    etas = [
+        metric_from_symmetry(pair.metric, sample_positive_symmetry(cb, seed), H).eta_prime.eta
+        for seed in range(2 * cb.real_dimension)
+    ]
+    rows = np.array([np.concatenate([E.real.ravel(), E.imag.ravel()]) for E in etas])
+    s = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None], compute_uv=False)
+    assert np.count_nonzero(s > NULL_CUTOFF * s[0]) == cb.real_dimension
