@@ -53,12 +53,16 @@ def _resolve_source(args):
     if args.input is not None:
         raise ParseError("give either a matrix file or --model, not both")
     kind = "random_diagonalizable" if args.model == "random" else args.model
+    # the kind's defaults, then every model flag that was set, so that
+    # build_model refuses one the kind does not take
     flags = {**vars(args), "seed": args.model_seed}
     parameters = {
-        name: default if flags[name] is None else flags[name]
-        for name, default in MODEL_KINDS[kind].items()
+        name: 0 if default is None else default for name, default in MODEL_KINDS[kind].items()
     }
-    return ModelSpec(kind, parameters, dim=2 if kind == "two_level" else args.dim)
+    for table in MODEL_KINDS.values():
+        parameters.update((name, flags[name]) for name in table if flags[name] is not None)
+    dim = args.dim if args.dim is not None else (2 if kind == "two_level" else 20)
+    return ModelSpec(kind, parameters, dim=dim)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -72,11 +76,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", type=complex, help="two_level upper entry")
     parser.add_argument("--c", type=complex, help="two_level lower entry")
     parser.add_argument("--d", type=float, help="two_level diagonal shift")
-    parser.add_argument("--dim", type=int, default=20, help="model dimension")
+    parser.add_argument("--dim", type=int, help="model dimension (default 20; two_level: 2)")
     parser.add_argument("--omega", type=float, help="swanson frequency")
     parser.add_argument("--alpha", type=float, help="swanson a^2 coefficient")
     parser.add_argument("--beta", type=float, help="swanson a+^2 coefficient")
-    parser.add_argument("--model-seed", type=int, default=0, help="random model seed")
+    parser.add_argument("--model-seed", type=int, help="random model seed (default 0)")
     parser.add_argument("--cond-bound", type=float, help="random model condition bound")
     parser.add_argument("--tol", type=float, default=None, help="residual tolerance")
     parser.add_argument("--out", default=None, help="also write the report here")

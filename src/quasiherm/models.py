@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidModelParameters
 from .linalg import haar_unitary
-from .spectral import SpectralData, _fix_row_phases, cluster_degeneracies
+from .spectral import SpectralData, cluster_degeneracies
 
 # Each model kind with the parameters it takes and their defaults (None: required).
 MODEL_KINDS = {
@@ -145,13 +145,12 @@ def random_diagonalizable(
     D is a sorted uniform draw on [-5, 5] and T₀ = W₁·diag(s)·W₂ with Haar
     unitaries W and singular values s log-uniform on [1, cond_bound], so
     cond(T₀) ≤ cond_bound by construction. Deterministic per seed. The
-    returned ground truth carries T₀ in row-normalized, phase-fixed form.
+    returned ground truth carries T₀ in row-normalized form.
     ``n`` is an integer >= 1 and ``seed`` one >= 0 that ``str`` can write,
     so a report can record it; a float or a bool is refused, not coerced.
     """
     D, T0, H = _random_transform(n, seed, cond_bound)
     T = T0 / np.linalg.norm(T0, axis=1)[:, None]
-    T = _fix_row_phases(T)
     singular = np.linalg.svd(T, compute_uv=False)
     ground_truth = SpectralData(
         eigenvalues=D.astype(np.complex128),

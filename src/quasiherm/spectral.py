@@ -10,11 +10,12 @@ fixed normalization convention picks one deterministically:
 * eigenvalues sorted ascending by real part, then imaginary part;
 * every row of T has unit Euclidean norm;
 * rows belonging to one degeneracy cluster are orthonormalized among
-  themselves;
-* the first non-negligible entry of each row is made real positive.
+  themselves.
 
 Rescaling rows of T changes the metric T†T downstream, so this convention
-fixes *which* metric the pipeline produces out of the whole family.
+fixes *which* metric the pipeline produces out of the whole family. Row
+phases need none: for a diagonal unitary D, (D·T)†(D·T) = T†T, so the
+metric, its root and the Hermitian equivalent do not depend on them.
 
 One SVD of the normalized T gives its condition number, gated here, once,
 as :class:`NonDiagonalizable`, and T's metric (``SpectralData.metric``, a
@@ -45,11 +46,6 @@ from .linalg import (
     hermitian_from_basis,
     relative_residual,
 )
-
-# Entries below this magnitude (in a unit-norm row) never anchor the phase
-# convention; they may be pure roundoff with arbitrary sign.
-PHASE_ANCHOR_FLOOR = 1e-10
-
 
 @dataclass
 class MetricOperator:
@@ -133,16 +129,6 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     return clusters
 
 
-def _fix_row_phases(T: np.ndarray) -> np.ndarray:
-    """Rotate each (unit-norm) row so its first non-negligible entry is real positive."""
-    out = T.copy()
-    for i in range(out.shape[0]):
-        above = np.flatnonzero(np.abs(out[i]) > PHASE_ANCHOR_FLOOR)
-        anchor = out[i, above[0]] if above.size else out[i, np.argmax(np.abs(out[i]))]
-        out[i] *= np.abs(anchor) / anchor
-    return out
-
-
 def _gated_condition(s: np.ndarray, tol: Tolerances, rows: str) -> float:
     """s[0]/s[-1] of ``rows``; their factor gate's trip is :class:`NonDiagonalizable`."""
     with np.errstate(over="ignore", divide="ignore"):
@@ -195,12 +181,11 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
         # Gate the raw rows *before* orthonormalization: a defective matrix
         # (Jordan block) produces nearly parallel rows that orthonormalization
         # would silently repair. With singleton clusters only, the normalized
-        # T is the raw rows times a diagonal unitary: same singular values.
+        # T is the raw rows: same singular values.
         _gated_condition(np.linalg.svd(T, compute_uv=False), tol, "raw eigenvector rows")
     for idx in merged:
         q, _ = np.linalg.qr(T[idx].conj().T)
         T[idx] = q.conj().T
-    T = _fix_row_phases(T)
 
     W, s, Vh = np.linalg.svd(T)
     cond_T = _gated_condition(s, tol, "normalized transform rows")

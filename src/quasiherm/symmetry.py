@@ -62,6 +62,8 @@ is a separate path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -283,14 +285,16 @@ def sample_positive_symmetry(
     """Draw a random positive-definite symmetry generator of h.
 
     Spectral coefficients are log-uniform on [1/spread, spread], for a
-    finite spread >= 1, and the intra-cluster mixers Haar unitaries (the
-    identity for a singleton), drawn cluster by cluster from one seeded
-    generator: identical (seed, spread) reproduce the generator bit for bit.
+    real spread in [1, float64 max] (a bool is not), and the intra-cluster
+    mixers Haar unitaries (the identity for a singleton), drawn cluster by
+    cluster from one seeded generator: identical (seed, spread) reproduce
+    the generator bit for bit.
     """
-    if not 1.0 <= spread < np.inf:
-        raise ValueError(f"spread must be finite and >= 1, got {spread}")
+    top = float_info.max
+    if isinstance(spread, bool) or not isinstance(spread, Real) or not 1.0 <= spread <= top:
+        raise ValueError(f"spread must be a real number in [1, {top:.6g}], got {spread!r}")
     rng = np.random.default_rng(seed)
-    low, high = np.log(1.0 / spread), np.log(spread)
+    low, high = np.log(1.0 / spread), np.log(float(spread))
     values = []
     mixers = []
     for d in map(len, cb.clusters):

@@ -200,8 +200,10 @@ def test_unset_model_flags_record_the_table_defaults(capsys, kind):
      (("--model", "two_level", "--d", "nan"), "d"),
      (("--model", "two_level", "--b", "inf"), "b"),
      (("--model", "random", "--dim", "4", "--cond-bound", "nan"), "cond_bound"),
-     (("--model", "random", "--dim", "4", "--model-seed", "-1"), "seed")],
-    ids=["omega-nan", "alpha-inf", "d-nan", "b-inf", "cond-bound-nan", "model-seed-negative"],
+     (("--model", "random", "--dim", "4", "--model-seed", "-1"), "seed"),
+     (("--model", "two_level", "--dim", "7"), "dim")],
+    ids=["omega-nan", "alpha-inf", "d-nan", "b-inf", "cond-bound-nan", "model-seed-negative",
+         "two-level-dim-7"],
 )
 def test_bad_model_parameters_exit_one_without_traceback(capsys, flags, name):
     code, payload, err = run_cli(capsys, "analyze", *flags)
@@ -209,6 +211,24 @@ def test_bad_model_parameters_exit_one_without_traceback(capsys, flags, name):
     assert payload["error"]["type"] == "InvalidModelParameters"
     assert err.splitlines() == [f"error: {payload['error']['message']}"]
     assert payload["error"]["message"].startswith(f"{name} must be")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, name, kind",
+    [(("--model", "two_level", "--omega", "3"), "omega", "two_level"),
+     (("--model", "swanson", "--model-seed", "5"), "seed", "swanson"),
+     (("--model", "random", "--dim", "4", "--alpha", "0.3"), "alpha", "random_diagonalizable"),
+     (("--model", "swanson", "--b", "2"), "b", "swanson")],
+    ids=["two-level-omega", "swanson-model-seed", "random-alpha", "swanson-b"],
+)
+def test_a_model_flag_the_kind_does_not_take_exits_one(capsys, flags, name, kind):
+    # a set flag goes into the spec, so one the kind does not take is refused, not ignored
+    code, payload, err = run_cli(capsys, "analyze", *flags)
+    assert code == 1
+    assert payload["error"]["type"] == "InvalidModelParameters"
+    assert err.splitlines() == [f"error: {payload['error']['message']}"]
+    assert payload["error"]["message"].startswith(f"{name} is not a {kind} parameter")
     assert "Traceback" not in err
 
 

@@ -18,6 +18,7 @@ from quasiherm import (
 )
 from quasiherm.linalg import haar_unitary, hermitian_from_basis
 from quasiherm.metric import MetricOperator, verify_pseudo_hermitian
+from test_factorization_count import clustered_hamiltonian
 
 
 def test_metric_from_identity_rows():
@@ -196,3 +197,27 @@ def test_cond_T_of_clustered_spectra_comes_from_the_metric_svd():
     s = pair.metric.singular_values
     assert pair.spectral.cond_T == s[0] / s[-1]
     assert pair.spectral.cond_T == pytest.approx(spectral.cond_T, rel=1e-12)
+
+
+def _relative_gap(A, B):
+    return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("case", [*range(2, 9), "clustered"])
+def test_row_phases_of_T_pick_no_metric(case):
+    # (D·T)†(D·T) = T†T for a diagonal unitary D, and D commutes with
+    # H_d, so eigendata need no row-phase convention
+    if case == "clustered":
+        H = clustered_hamiltonian()  # clusters of sizes 3, 1 and 2
+    else:
+        H, _ = random_diagonalizable(case, seed=case)
+    spectral = eig_decompose(H)
+    n = H.shape[0]
+    H_d = np.diag(spectral.eigenvalues.real)
+    phases = np.exp(2j * np.pi * np.random.default_rng(n).uniform(size=n))
+    base = metric_from_T(spectral.T)
+    rotated = metric_from_T(phases[:, None] * spectral.T)
+    for name in ("eta", "rho", "rho_inv", "singular_values"):
+        assert _relative_gap(getattr(rotated, name), getattr(base, name)) <= 1e-12, name
+    h = hermitian_equivalent(H, base, H_d).h
+    assert _relative_gap(hermitian_equivalent(H, rotated, H_d).h, h) <= 1e-12

@@ -87,15 +87,6 @@ def test_eig_decompose_certifies_row_eigenvector_equation():
     npt.assert_allclose(np.linalg.norm(data.T, axis=1), np.ones(6), atol=1e-13)
 
 
-def test_eig_decompose_phase_convention():
-    H, _ = random_diagonalizable(5, seed=9)
-    data = eig_decompose(H)
-    for row in data.T:
-        anchor = row[np.flatnonzero(np.abs(row) > 1e-10)[0]]
-        assert abs(anchor.imag) < 1e-12
-        assert anchor.real > 0
-
-
 def test_eig_decompose_matches_generating_spectrum():
     for seed in range(10):
         H, ground_truth = random_diagonalizable(7, seed=seed)

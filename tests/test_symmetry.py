@@ -383,11 +383,27 @@ def test_sampled_symmetry_is_seed_deterministic():
     assert not np.allclose(g1.matrix, g3.matrix)
 
 
-@pytest.mark.parametrize("spread", [0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "spread",
+    # a bool or a string is not a spread, and a spread must fit float64
+    [0.5, float("nan"), float("inf"),
+     pytest.param(True, id="bool"), pytest.param(10**400, id="beyond-float64"),
+     pytest.param("10", id="str")],
+)
 def test_sampler_rejects_a_spread_outside_one_to_infinity(spread):
     cb = commutant_basis(np.diag([1.0, 2.0]).astype(complex), [[0], [1]])
     with pytest.raises(ValueError, match="spread"):
         sample_positive_symmetry(cb, seed=0, spread=spread)
+
+
+def test_sampler_takes_an_integer_spread_as_its_float():
+    # np.log takes no int beyond int64: the draw reads the spread's float
+    cb = commutant_basis(np.diag([1.0, 1.0, 2.0]).astype(complex), [[0, 1], [2]])
+    for spread in (10, 10**30):
+        npt.assert_array_equal(
+            sample_positive_symmetry(cb, seed=3, spread=spread).matrix,
+            sample_positive_symmetry(cb, seed=3, spread=float(spread)).matrix,
+        )
 
 
 def test_trivial_symmetry_reproduces_base_metric():
