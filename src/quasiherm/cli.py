@@ -3,9 +3,11 @@
 Three subcommands: ``analyze`` runs the full pipeline plus family sampling,
 ``family`` the symmetry-family sampling without matrix payloads, and
 ``spectrum`` the spectral diagnostics alone. Input is either a matrix file
-or a built-in model selected with --model. The JSON report goes to stdout
-and, with --out, to a file. Exit status: 0 verdict pass, 1 input or
-spectral error, 2 residual failure.
+or a built-in model selected with --model; a model flag given with a file
+is refused. A flag left out takes its runner's default. The JSON report
+goes to stdout and, with --out, to a file. Exit status: 0 verdict pass,
+1 input or spectral error (a malformed or unknown flag, value or command
+too), 2 residual failure.
 
 Tolerances resolve in three layers: built-in defaults, then one
 environment variable per Tolerances field, QUASIHERM_<FIELD> (e.g.
@@ -17,16 +19,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
 from .errors import ParseError, QuasiHermError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .models import MODEL_KINDS, ModelSpec
-from .report import DEFAULT_MAX_DIM, run_analyze, run_family, run_spectrum
+from .report import run_analyze, run_family, run_spectrum
 
 
-def _resolve_tolerances(args, environ) -> Tolerances:
+def _resolve_tolerances(tol, environ) -> Tolerances:
     values = dataclasses.asdict(DEFAULT_TOLERANCES)
     names = {f"QUASIHERM_{name.upper()}": name for name in values}
     for var in sorted(v for v in environ if v.startswith("QUASIHERM_")):
@@ -37,108 +40,104 @@ def _resolve_tolerances(args, environ) -> Tolerances:
             values[names[var]] = float(raw)
         except ValueError as exc:
             raise ParseError(f"{var}={raw!r} is not a number") from exc
-    if getattr(args, "tol", None) is not None:
-        values["residual_tol"] = args.tol
+    if tol is not None:
+        values["residual_tol"] = tol
     try:
         return Tolerances(**values)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _resolve_source(args):
-    if args.model is None:
-        if args.input is None:
+# Each model flag's dest and the ModelSpec parameter it sets.
+_MODEL_FLAGS = {"model_seed" if n == "seed" else n: n for t in MODEL_KINDS.values() for n in t}
+
+
+def _resolve_source(args: dict):
+    """The matrix file or ModelSpec named by ``args``, whose source flags it pops."""
+    path, model = args.pop("input", None), args.pop("model", None)
+    given = {flag: args.pop(flag) for flag in (*_MODEL_FLAGS, "dim") if flag in args}
+    if model is None:
+        if path is None:
             raise ParseError("provide a matrix file or pick a model with --model")
-        return args.input
-    if args.input is not None:
+        if given:
+            flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
+            raise ParseError(f"a matrix file takes no model flag; got {flags}")
+        return path
+    if path is not None:
         raise ParseError("give either a matrix file or --model, not both")
-    kind = "random_diagonalizable" if args.model == "random" else args.model
+    kind = "random_diagonalizable" if model == "random" else model
+    dim = given.pop("dim", 2 if kind == "two_level" else 20)
     # the kind's defaults, then every model flag that was set, so that
     # build_model refuses one the kind does not take
-    flags = {**vars(args), "seed": args.model_seed}
     parameters = {
         name: 0 if default is None else default for name, default in MODEL_KINDS[kind].items()
     }
-    for table in MODEL_KINDS.values():
-        parameters.update((name, flags[name]) for name in table if flags[name] is not None)
-    dim = args.dim if args.dim is not None else (2 if kind == "two_level" else 20)
+    parameters.update((_MODEL_FLAGS[flag], value) for flag, value in given.items())
     return ModelSpec(kind, parameters, dim=dim)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", nargs="?", help="matrix file (JSON: dim, entries)")
-    parser.add_argument(
-        "--model",
-        choices=("two_level", "swanson", "random"),
-        help="use a built-in model instead of a matrix file",
-    )
-    # a model flag left unset (None) takes its default from models.MODEL_KINDS
-    parser.add_argument("--b", type=complex, help="two_level upper entry")
-    parser.add_argument("--c", type=complex, help="two_level lower entry")
-    parser.add_argument("--d", type=float, help="two_level diagonal shift")
-    parser.add_argument("--dim", type=int, help="model dimension (default 20; two_level: 2)")
-    parser.add_argument("--omega", type=float, help="swanson frequency")
-    parser.add_argument("--alpha", type=float, help="swanson a^2 coefficient")
-    parser.add_argument("--beta", type=float, help="swanson a+^2 coefficient")
-    parser.add_argument("--model-seed", type=int, help="random model seed (default 0)")
-    parser.add_argument("--cond-bound", type=float, help="random model condition bound")
-    parser.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    parser.add_argument("--out", default=None, help="also write the report here")
-    parser.add_argument(
-        "--max-dim", type=int, default=DEFAULT_MAX_DIM, help="largest accepted dimension"
-    )
+# Each subcommand's runner and help.
+COMMANDS = {
+    "analyze": (run_analyze, "full pipeline, commutant, metric family"),
+    "family": (run_family, "metric-family sampling only"),
+    "spectrum": (run_spectrum, "spectral diagnostics only"),
+}
 
 
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=5, help="family members to sample")
-    parser.add_argument("--seed", type=int, default=0, help="base sampling seed")
-    parser.add_argument(
-        "--spread", type=float, default=10.0, help="symmetry spectral spread"
-    )
+class _Parser(argparse.ArgumentParser):
+    """Its refusal is a ParseError, exit 1: argparse's own exit 2 means a residual failure."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasiherm",
         description="Metric operators and Hermitian equivalents for "
         "diagonalizable Hamiltonians with real spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="full pipeline, commutant, metric family")
-    _add_common(analyze)
-    _add_sampling(analyze)
-
-    family = sub.add_parser("family", help="metric-family sampling only")
-    _add_common(family)
-    _add_sampling(family)
-
-    spectrum = sub.add_parser("spectrum", help="spectral diagnostics only")
-    _add_common(spectrum)
-
+    for command, (runner, help_text) in COMMANDS.items():
+        # a flag left out is absent: its MODEL_KINDS or run_* default holds
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("input", nargs="?", help="matrix file (JSON: dim, entries)")
+        p.add_argument(
+            "--model",
+            choices=("two_level", "swanson", "random"),
+            help="use a built-in model instead of a matrix file",
+        )
+        p.add_argument("--b", type=complex, help="two_level upper entry")
+        p.add_argument("--c", type=complex, help="two_level lower entry")
+        p.add_argument("--d", type=float, help="two_level diagonal shift")
+        p.add_argument("--dim", type=int, help="model dimension (default 20; two_level: 2)")
+        p.add_argument("--omega", type=float, help="swanson frequency")
+        p.add_argument("--alpha", type=float, help="swanson a^2 coefficient")
+        p.add_argument("--beta", type=float, help="swanson a+^2 coefficient")
+        p.add_argument("--model-seed", type=int, help="random model seed (default 0)")
+        p.add_argument("--cond-bound", type=float, help="random model condition bound")
+        p.add_argument("--tol", type=float, help="residual tolerance")
+        p.add_argument("--out", help="also write the report here")
+        p.add_argument("--max-dim", type=int, help="largest accepted dimension")
+        if "samples" in inspect.signature(runner).parameters:
+            p.add_argument("--samples", type=int, help="family members to sample")
+            p.add_argument("--seed", type=int, help="base sampling seed")
+            p.add_argument("--spread", type=float, help="symmetry spectral spread")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        tol = _resolve_tolerances(args, os.environ)
+        args = vars(build_parser().parse_args(argv))
+        runner, _ = COMMANDS[args.pop("command")]
+        tol = _resolve_tolerances(args.pop("tol", None), os.environ)
         source = _resolve_source(args)
     except (ParseError, QuasiHermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "analyze":
-        report = run_analyze(
-            source, tol, args.samples, args.seed, args.spread, args.out, args.max_dim
-        )
-    elif args.command == "family":
-        report = run_family(
-            source, tol, args.samples, args.seed, args.spread, args.out, args.max_dim
-        )
-    else:
-        report = run_spectrum(source, tol, args.out, args.max_dim)
-
+    # the flags left are the run_* keywords that were set
+    report = runner(source, tol, **args)
     print(report.to_json())
     if report.error is not None:
         print(f"error: {report.error['message']}", file=sys.stderr)

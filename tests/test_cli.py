@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import save_matrix
-from quasiherm.cli import main
+from quasiherm.cli import COMMANDS, main
 from quasiherm.linalg import DEFAULT_TOLERANCES, Tolerances
 from quasiherm.matrixio import dumps
 from quasiherm.models import MODEL_KINDS
@@ -233,6 +237,58 @@ def test_a_model_flag_the_kind_does_not_take_exits_one(capsys, flags, name, kind
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [(("analyze", "--model", "swanson", "--omega", "abc"), "--omega"),
+     (("analyze", "--model", "two_level", "--samples", "x"), "--samples"),
+     (("bogus",), "bogus"),
+     (("analyze", "--model", "nope"), "--model"),
+     (("analyze", "--model", "two_level", "--frobnicate", "1"), "--frobnicate")],
+    ids=["omega-abc", "samples-x", "bogus-command", "model-nope", "unknown-flag"],
+)
+def test_a_malformed_command_line_exits_one_with_no_report(capsys, argv, named):
+    # argparse's own refusal exits 2, the code of a residual failure
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--omega", "3", "--model-seed", "4"), ("--dim", "7"), ("--b", "2"), ("--cond-bound", "5")],
+    ids=["omega-model-seed", "dim", "b", "cond-bound"],
+)
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_model_flag_given_with_a_matrix_file_exits_one(tmp_path, capsys, command, flags):
+    path = tmp_path / "h.json"
+    save_matrix(path, np.eye(2))
+    code = main([command, str(path), *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    named = ", ".join(f for f in flags if f.startswith("--"))
+    assert captured.err.splitlines() == [f"error: a matrix file takes no model flag; got {named}"]
+
+
+def test_unset_run_flags_take_the_runners_defaults(capsys):
+    # samples 5, seed 0 and spread 10 from run_analyze's signature
+    code, payload, _ = run_cli(capsys, "analyze", "--model", "two_level", "--c", "4")
+    assert code == 0
+    assert [(m["seed"], m["spread"]) for m in payload["family"]] == [(k, 10.0) for k in range(5)]
+    # max_dim 512
+    code, payload, _ = run_cli(capsys, "spectrum", "--model", "swanson", "--dim", "513")
+    assert code == 1
+    assert payload["error"]["message"] == "dimension 513 exceeds the configured maximum 512"
+
+
+@pytest.mark.parametrize(
     "flags",
     [("--spread", "0.5"), ("--spread", "nan"), ("--spread", "inf"), ("--samples", "-1"),
      ("--seed", "-1")],
@@ -366,3 +422,56 @@ def test_analyze_swanson_200_exits_zero(capsys):
     )
     assert code == 0
     assert payload["verdict"] == "pass"
+
+
+# A value of each sort a model flag may get: finite, 0, negative, huge, nan,
+# inf, or text that is not a number.
+_FLAG_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1e308", "-1e308", "1e400", str(10**30), "nan", "inf", "-inf",
+                     "1+2j", "abc", ""]),
+    st.floats(-10.0, 10.0).map(repr),
+    st.integers(-3, 5).map(str),
+)
+_MODEL_FLAG_NAMES = [
+    "--model-seed" if name == "seed" else "--" + name.replace("_", "-")
+    for table in MODEL_KINDS.values()
+    for name in table
+]
+
+
+@pytest.fixture(scope="module")
+def small_matrix_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "h.json"
+    save_matrix(path, np.array([[1.0, 1.0], [0.0, 2.0]]))
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(list(COMMANDS)),
+    model=st.sampled_from([None, "two_level", "swanson", "random"]),
+    flags=st.dictionaries(st.sampled_from(_MODEL_FLAG_NAMES), _FLAG_VALUES, max_size=3),
+    dim=st.none() | st.integers(-1, 16).map(str) | st.sampled_from(["nan", "2.5", "abc"]),
+    samples=st.none() | st.integers(-1, 2).map(str) | st.sampled_from(["inf", "abc"]),
+)
+def test_every_command_line_ends_in_a_report_or_one_error_line(
+    small_matrix_file, command, model, flags, dim, samples
+):
+    # a model of any kind or a matrix file, with model flags of every kind,
+    # so that flags the kind does not take and flags beside a file both occur
+    argv = [command, *([small_matrix_file] if model is None else ["--model", model])]
+    for flag, value in [*flags.items(), ("--dim", dim), ("--samples", samples)]:
+        if value is not None:
+            argv.append(f"{flag}={value}")  # "=": a value may start with "-"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if not out:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        # fail is a typed end until a residual failure means a program defect
+        assert {"pass": 0, "error": 1, "fail": 2}[json.loads(out)["verdict"]] == code
+        assert (err == "") == (code == 0), err

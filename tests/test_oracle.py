@@ -27,7 +27,14 @@ belongs to the clustering rule, not to this oracle.
 * Claim 1, a refused input has no positive metric: for an eigenvector v
   with a complex eigenvalue, or at the head of a Jordan chain,
   ``v†·E·v`` vanishes for every E in N, so no element of N is positive.
+
+A stored report is re-checked from its ``to_json()`` text and its input
+alone: H is rebuilt from the document's ``input``, and the stored matrices
+must be Hermitian bit for bit, eta positive definite, rho² = eta, h
+isospectral with H, and ``ph`` and ``H=H`` what the stored matrices give.
 """
+
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -37,19 +44,31 @@ from hypothesis import strategies as st
 
 from quasiherm import (
     ComplexSpectrum,
+    ModelSpec,
     NonDiagonalizable,
+    VerificationReport,
+    build_model,
     commutant_basis,
     full_pipeline,
     intertwiner_from_metrics,
     metric_from_T,
     metric_from_symmetry,
     random_diagonalizable,
+    run_analyze,
     run_family,
     sample_positive_symmetry,
     swanson,
     two_level,
 )
-from quasiherm.linalg import haar_unitary, hermitian_part
+from quasiherm.linalg import (
+    as_matrix,
+    frobenius_norm,
+    haar_unitary,
+    hermitian_part,
+    relative_residual,
+)
+from quasiherm.matrixio import dumps
+from quasiherm.metric import verify_pseudo_hermitian
 from test_symmetry import hermitian_basis
 
 NULL_CUTOFF = 1e-10
@@ -183,3 +202,86 @@ def test_the_sampled_metrics_span_the_metric_space(H):
     rows = np.array([np.concatenate([E.real.ravel(), E.imag.ravel()]) for E in etas])
     s = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None], compute_uv=False)
     assert np.count_nonzero(s > NULL_CUTOFF * s[0]) == cb.real_dimension
+
+
+def recheck_stored_report(text, H=None):
+    """The checks that the report stored as ``text`` fails: H is rebuilt from
+    its ``input`` when that names a model, else it is the array given."""
+    document = json.loads(text)
+    report = VerificationReport.from_payload(document)
+    source = document["input"]
+    if "kind" in source:
+        parameters = {
+            name: complex(*value) if isinstance(value, list) else value
+            for name, value in source["parameters"].items()
+        }
+        H = build_model(ModelSpec(source["kind"], parameters, dim=source["dim"]))
+    H = as_matrix(H)
+    eta, rho, h = (report.matrices[name] for name in ("eta", "rho", "h"))
+    bound = report.tolerances["residual_tol"]
+    refused = [
+        f"{name} not Hermitian"
+        for name, M in report.matrices.items()
+        if not np.array_equal(M, M.conj().T)
+    ]
+    try:
+        np.linalg.cholesky(eta)
+    except np.linalg.LinAlgError:
+        refused.append("eta not positive definite")
+    recomputed = {
+        "ph": verify_pseudo_hermitian(H, eta),
+        "H=H": relative_residual(
+            frobenius_norm(rho @ H - h @ rho), frobenius_norm(rho) * frobenius_norm(H)
+        ),
+    }
+    refused += [
+        f"{name} unequal" for name, value in recomputed.items() if value != report.residuals[name]
+    ]
+    if frobenius_norm(rho @ rho - eta) > bound * frobenius_norm(eta):
+        refused.append("rho^2 != eta")
+    stored = np.sort(np.array(document["eigenvalues"])[:, 0])
+    if not np.allclose(np.linalg.eigvalsh(h), stored, rtol=0, atol=bound * frobenius_norm(h)):
+        refused.append("h not isospectral with H")
+    return refused
+
+
+@_SETTINGS
+@given(H=_INPUTS)
+def test_a_stored_report_rechecks_from_its_text(H):
+    report = run_analyze(H, samples=0)
+    assert report.verdict == "pass", report.failure or report.error
+    assert recheck_stored_report(report.to_json(), H) == []
+
+
+_RANDOM_64 = ModelSpec("random_diagonalizable", {"seed": 3, "cond_bound": 100.0}, dim=64)
+
+
+def _tamper_eta(document):
+    entries = document["matrices"]["eta"]["entries"]
+    entries[:] = [[-re, -im] for re, im in entries]
+
+
+def _tamper_h(document):
+    document["matrices"]["h"]["entries"][1][0] *= 1 + 1e-3  # h[0, 1], not its mirror
+
+
+def _tamper_ph(document):
+    document["residuals"]["ph"] = float(np.nextafter(document["residuals"]["ph"], np.inf))
+
+
+def test_a_stored_model_report_rechecks_from_its_text():
+    assert recheck_stored_report(run_analyze(_RANDOM_64, samples=0).to_json()) == []
+
+
+@pytest.mark.parametrize(
+    "tamper, refusals",
+    [(_tamper_eta, {"eta not positive definite"}),
+     (_tamper_h, {"h not Hermitian", "H=H unequal"}),
+     (_tamper_ph, {"ph unequal"})],
+    ids=["eta-negated", "h-entry-scaled", "ph-one-ulp"],
+)
+def test_a_tampered_report_restores_but_fails_its_recheck(tamper, refusals):
+    # from_payload reads each tampered document back; only the re-check refuses it
+    document = json.loads(run_analyze(_RANDOM_64, samples=0).to_json())
+    tamper(document)
+    assert refusals <= set(recheck_stored_report(dumps(document)))
