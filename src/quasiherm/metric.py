@@ -81,14 +81,15 @@ def hermitian_equivalent(
     """Hermitian equivalent ``h = rho·H·rho⁻¹``, built as ``h = X†·K·X``.
 
     K is the Hermitian matrix that the metric's factor M = X·rho
-    intertwines H with, M·H = K·M: ``H_d`` for M = T, the generator's h for
+    intertwines H with, M·H = K·M: ``H_d`` for M = T, given as its diagonal
+    (a 1-D array λ, so h = (X†·λ)·X is one product), the generator's h for
     M = sigma·rho. Then rho·H·rho⁻¹ = X†·K·X, Hermitian and isospectral
     with K by construction. The similarity ``rho·H = h·rho`` is certified
     (``H=H``); it fails when X is not unitary or K is not intertwined.
     """
     A = as_matrix(H)
     X = metric.unitary
-    h = hermitian_part(X.conj().T @ as_matrix(K) @ X)
+    h = hermitian_part((X.conj().T * K if np.ndim(K) == 1 else X.conj().T @ as_matrix(K)) @ X)
 
     rho = metric.rho
     similarity_residual = relative_residual(
@@ -116,6 +117,6 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     ph = metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A, metric.eta)
     if ph > tol.residual_tol:
         raise ResidualExceeded("ph", ph, tol.residual_tol)
-    pair = hermitian_equivalent(A, metric, np.diag(spectral.eigenvalues.real), tol)
+    pair = hermitian_equivalent(A, metric, spectral.eigenvalues.real, tol)
     pair.spectral = spectral
     return pair

@@ -62,6 +62,7 @@ is a separate path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 from numbers import Real
 from sys import float_info
 
@@ -230,30 +231,39 @@ def symmetry_from_coefficients(
     ``mixers`` the optional intra-cluster unitaries (identity by default).
     With Q = W·blockdiag(V_k) and s the coefficients laid out alike,
     S = Q·diag(s)·Q† and sigma = Q·diag(√s)·Q† take one product each, so the
-    root is exact up to roundoff. Q is written one cluster at a time, as the
-    product of its (n×d) eigenvector block with its (d×d) mixer, each mixer
-    checked by ‖V†V − I‖_F (||v|² − 1| at d = 1).
+    root is exact up to roundoff. Q starts as W, and an identity mixer (the
+    default) writes no column; each other cluster's columns are its (n×d)
+    eigenvector block times its (d×d) mixer, checked by ‖V†V − I‖_F
+    (||v|² − 1| at d = 1).
     """
-    n = cb.h.shape[0]
     clusters = cb.clusters
-    if mixers is None:
-        mixers = [np.eye(len(cluster)) for cluster in clusters]
+    mixers = [np.eye(len(cluster)) for cluster in clusters] if mixers is None else mixers
     if len(values) != len(clusters) or len(mixers) != len(clusters):
         raise ValueError("one coefficient array and one mixer required per degeneracy cluster")
 
-    Q = np.zeros((n, n), dtype=np.complex128)
-    spectrum = np.zeros(n)
-    for cluster, s, V in zip(clusters, values, mixers):
+    spectrum = np.zeros(cb.h.shape[0])
+    for cluster, s in zip(clusters, values):
         d = len(cluster)
         s = np.asarray(s, dtype=np.float64)
         if s.shape != (d,):
             raise ValueError(f"expected {d} coefficients per cluster of size {d}, got {s.shape}")
+        spectrum[cluster] = s
+    mixed = [(c, V) for c, V in zip(clusters, mixers) if not np.array_equal(V, np.eye(len(c)))]
+    return _assembled_generator(cb, spectrum, mixed, tol)
+
+
+def _assembled_generator(cb: CommutantBasis, spectrum, mixed, tol: Tolerances):
+    """The generator of the coefficients ``spectrum``, laid out over h's
+    eigenbasis W, and of Q = W but for each (cluster, V) pair of ``mixed``,
+    whose columns are W_k·V once V passes its unitarity check."""
+    Q = np.array(cb.eigenvectors, dtype=np.complex128)
+    for cluster, V in mixed:
+        d = len(cluster)
         V = np.asarray(V, dtype=np.complex128)
         # `not <=` refuses NaN entries too
         if V.shape != (d, d) or not np.linalg.norm(V.conj().T @ V - np.eye(d)) <= tol.residual_tol:
             raise ValueError("cluster mixer must be a unitary of the cluster size")
         Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
-        spectrum[cluster] = s
     if not np.all((spectrum > 0) & (spectrum < np.inf)):  # NaN fails both
         raise NotPositiveDefinite("symmetry coefficients must be finite and strictly positive")
 
@@ -267,13 +277,7 @@ def symmetry_from_coefficients(
     if commutation > tol.residual_tol:
         raise ResidualExceeded("sym", commutation, tol.residual_tol)
 
-    return SymmetryGenerator(
-        matrix=S,
-        sqrt=sigma,
-        h=cb.h,
-        eigenvalues=spectrum,
-        eigenvectors=Q,
-    )
+    return SymmetryGenerator(matrix=S, sqrt=sigma, h=cb.h, eigenvalues=spectrum, eigenvectors=Q)
 
 
 def sample_positive_symmetry(
@@ -286,21 +290,26 @@ def sample_positive_symmetry(
 
     Spectral coefficients are log-uniform on [1/spread, spread], for a
     real spread in [1, float64 max] (a bool is not), and the intra-cluster
-    mixers Haar unitaries (the identity for a singleton), drawn cluster by
-    cluster from one seeded generator: identical (seed, spread) reproduce
-    the generator bit for bit.
+    mixers Haar unitaries (the identity for a singleton), drawn in cluster
+    order from one seeded generator: a cluster of size d > 1 takes d draws,
+    then its mixer, and a maximal run of r singletons one uniform(size=r),
+    the doubles of r draws of size 1 (numpy's Generator fills arrays in
+    stream order). Identical (seed, spread) reproduce S bit for bit.
     """
     top = float_info.max
     if isinstance(spread, bool) or not isinstance(spread, Real) or not 1.0 <= spread <= top:
         raise ValueError(f"spread must be a real number in [1, {top:.6g}], got {spread!r}")
     rng = np.random.default_rng(seed)
     low, high = np.log(1.0 / spread), np.log(float(spread))
-    values = []
-    mixers = []
-    for d in map(len, cb.clusters):
-        values.append(np.exp(rng.uniform(low, high, size=d)))
-        mixers.append(haar_unitary(d, rng) if d > 1 else np.eye(1, dtype=np.complex128))
-    return symmetry_from_coefficients(cb, values, mixers, tol)
+    logs, mixed = [], []
+    for has_mixer, run in groupby(cb.clusters, key=lambda cluster: len(cluster) > 1):
+        for cluster in run if has_mixer else [list(chain.from_iterable(run))]:
+            logs.append(rng.uniform(low, high, size=len(cluster)))
+            if has_mixer:
+                mixed.append((cluster, haar_unitary(len(cluster), rng)))
+    spectrum = np.empty(cb.h.shape[0])
+    spectrum[list(chain.from_iterable(cb.clusters))] = np.exp(np.concatenate(logs))
+    return _assembled_generator(cb, spectrum, mixed, tol)
 
 
 def _intertwiner_residuals(A, rho, h, h_prime, eta_prime):

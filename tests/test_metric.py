@@ -14,6 +14,7 @@ from quasiherm import (
     metric_from_T,
     random_diagonalizable,
     sample_positive_symmetry,
+    swanson,
     two_level,
 )
 from quasiherm.linalg import haar_unitary, hermitian_from_basis
@@ -98,6 +99,21 @@ def test_hermitian_equivalent_rejects_a_non_unitary_polar_factor():
     with pytest.raises(ResidualExceeded) as exc_info:
         hermitian_equivalent(H, scaled, K)
     assert exc_info.value.identity == "H=H"
+
+
+@pytest.mark.parametrize(
+    "H",
+    [random_diagonalizable(64, 0)[0], swanson(40, 2, 0.3, 0.5), two_level(1, 4, 0)],
+    ids=["random-64", "swanson-40", "two_level"],
+)
+def test_hermitian_equivalent_of_a_diagonal_is_the_dense_product(H):
+    # (X†·λ)·X is X†·diag(λ)·X without the products by zero: the same values
+    spectral = eig_decompose(H)
+    eigenvalues = spectral.eigenvalues.real
+    dense = hermitian_equivalent(H, spectral.metric, np.diag(eigenvalues))
+    diagonal = hermitian_equivalent(H, spectral.metric, eigenvalues)
+    npt.assert_array_equal(diagonal.h, dense.h)
+    assert diagonal.similarity_residual == dense.similarity_residual
 
 
 def test_full_pipeline_random_ensemble_properties():

@@ -5,25 +5,32 @@ clustered ``H = T0⁻¹·D·T0`` and over scales on both sides of the Frobenius
 norm's overflow; no exception may leave it, an error must be a
 :class:`QuasiHermError`, and a fail must name the identity that tripped.
 A table of scales from 1e-280 to 1e280 pins each verdict to its input.
+One strategy per ``MODEL_KINDS`` entry draws each parameter over many
+decades of either sign; each ``run_analyze`` report must also render, be
+restored byte for byte by ``from_payload`` and exit with its verdict's code.
 """
 
+import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quasiherm import (
     ModelSpec,
     QuasiHermError,
+    VerificationReport,
     random_diagonalizable,
+    run_analyze,
     run_family,
     swanson,
     two_level,
 )
 from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary
 from quasiherm.metric import verify_pseudo_hermitian
+from quasiherm.models import MODEL_KINDS
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
 TOL = DEFAULT_TOLERANCES.residual_tol
@@ -130,6 +137,87 @@ def test_scales_across_the_norm_overflow(dim, seed, log_scale):
     refused = report.error is not None and report.error["type"] == "ParseError"
     if log_scale > 1e-3 or log_scale < -2.0:
         assert refused == (log_scale > 0), report.error
+
+
+def _signed_log(low, high):
+    """A sign times a magnitude log-uniform on [10**low, 10**high]."""
+    return st.builds(
+        lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(low, high)
+    )
+
+
+_VALUE = _signed_log(-12.0, 12.0) | st.just(0.0)
+# an integer parameter: a sign times an integer magnitude up to 1e19, or 0
+_INTEGER = st.builds(
+    lambda sign, exponent: sign * int(10.0**exponent), st.sampled_from([-1, 1]), st.floats(0.0, 19.0)
+)
+
+
+def _model_specs(kind, dim, **strategies):
+    """Specs of ``kind`` with ``dim``, each MODEL_KINDS parameter drawn from
+    ``strategies`` (``_VALUE`` by default), set to its table default or left
+    out, which runs the default."""
+    optional = {
+        name: strategies.get(name, _VALUE) | st.just(default)
+        for name, default in MODEL_KINDS[kind].items()
+    }
+    return st.builds(ModelSpec, st.just(kind), st.fixed_dictionaries({}, optional=optional), dim)
+
+
+@st.composite
+def _two_level_specs(draw):
+    """Two-level specs whose gap 2√(bc) is also drawn tiny beside d, where
+    the two eigenvalues come close to merging."""
+    spec = draw(_model_specs("two_level", st.just(2)))
+    p = spec.parameters
+    if draw(st.booleans()) and p.get("b", 0.0) != 0.0 and p.get("d", 0.0) != 0.0:
+        p["c"] = p["d"] ** 2 / p["b"] * draw(_signed_log(-24.0, -4.0))
+    return spec
+
+
+@st.composite
+def _swanson_specs(draw):
+    """Swanson specs whose α·β is also drawn near 0 and near the untruncated
+    model's reality boundary 4αβ = ω²."""
+    spec = draw(_model_specs("swanson", st.integers(1, 16)))
+    p = spec.parameters
+    near = draw(st.sampled_from(["free", "zero product", "boundary"]))
+    if near == "zero product":
+        p["beta"] = draw(_signed_log(-16.0, -6.0))
+    elif near == "boundary" and p.get("alpha", 0.0) != 0.0:
+        omega = p.get("omega", MODEL_KINDS["swanson"]["omega"])
+        p["beta"] = omega**2 / (4.0 * p["alpha"]) * (1.0 + draw(_signed_log(-16.0, -1.0)))
+    return spec
+
+
+_MODEL_SPECS = {
+    "two_level": _two_level_specs(),
+    "swanson": _swanson_specs(),
+    "random_diagonalizable": _model_specs(
+        "random_diagonalizable",
+        st.integers(1, 16),
+        seed=_INTEGER,
+        # near 1 and near the cap of 100, besides the whole range
+        cond_bound=_VALUE
+        | _signed_log(-16.0, 0.0).map(lambda x: 1.0 + x)
+        | _signed_log(-14.0, 1.0).map(lambda x: 100.0 - x),
+    ),
+}
+_EXIT_CODES = {"pass": 0, "error": 1, "fail": 2}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@_SETTINGS
+@given(data=st.data())
+def test_model_specs_end_typed_and_restore(kind, data):
+    # a named fail is still a typed end: nearly merged eigenvalues (the eig
+    # certificate) and ill-conditioned members (A=US) can end in one
+    report = run_analyze(data.draw(_MODEL_SPECS[kind]), samples=2)
+    event(report.verdict)
+    assert_ends_typed(report)
+    text = report.to_json()
+    assert VerificationReport.from_payload(json.loads(text)).to_json() == text
+    assert report.exit_code == _EXIT_CODES[report.verdict]
 
 
 def _hermitian_5x5():

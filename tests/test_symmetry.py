@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasiherm import (
     IllConditioned,
@@ -636,15 +638,21 @@ def _per_cluster_layout(cb, values, mixers):
     return Q, spectrum
 
 
+def _layout_basis(sizes):
+    """The commutant of an h whose clusters, in order, have the given sizes."""
+    spectrum = np.repeat(np.arange(len(sizes), dtype=float), sizes)
+    h = conjugated_diagonal(spectrum, seed=len(sizes))
+    cb = commutant_basis(h, cluster_degeneracies(spectrum))
+    assert [len(c) for c in cb.clusters] == sizes
+    return cb
+
+
 @pytest.mark.parametrize(
     "sizes",
     [[1, 1, 3, 1, 2, 1, 1, 2], [2, 1, 1, 1, 4], [1] * 7, [3, 3], [1], [2, 1, 2, 3, 1, 3]],
 )
 def test_singleton_runs_match_the_per_cluster_loop(sizes):
-    spectrum = np.repeat(np.arange(len(sizes), dtype=float), sizes)
-    h = conjugated_diagonal(spectrum, seed=len(sizes))
-    cb = commutant_basis(h, cluster_degeneracies(spectrum))
-    assert [len(c) for c in cb.clusters] == sizes
+    cb = _layout_basis(sizes)
     for seed in range(3):
         gen = sample_positive_symmetry(cb, seed)
         values, mixers = _per_cluster_sample(cb, seed)
@@ -659,6 +667,59 @@ def test_singleton_runs_match_the_per_cluster_loop(sizes):
         npt.assert_array_equal(gen.eigenvalues, spectrum_ref)
         S = (Q * spectrum_ref) @ Q.conj().T
         npt.assert_allclose(gen.matrix, (S + S.conj().T) / 2, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(1.0, 1e3),
+)
+@example(sizes=[1] * 12, seed=0, spread=10.0)
+@example(sizes=[2, 3, 4, 2], seed=1, spread=10.0)
+@example(sizes=[1, 1, 3, 1, 2, 1, 1, 1, 4, 1], seed=2, spread=1.0)
+def test_sampler_draws_the_per_cluster_stream(sizes, seed, spread):
+    # the sampler's generator is the one its coefficients and mixers give,
+    # drawn one cluster at a time: singleton runs batch the draw, not the stream
+    cb = _layout_basis(sizes)
+    gen = sample_positive_symmetry(cb, seed, spread)
+    ref = symmetry_from_coefficients(cb, *_per_cluster_sample(cb, seed, spread))
+    for name in ("matrix", "sqrt", "eigenvalues", "eigenvectors"):
+        npt.assert_array_equal(getattr(gen, name), getattr(ref, name), err_msg=name)
+
+
+class _CountingRng:
+    """A numpy Generator that counts its ``uniform`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.uniform_calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        return self._rng.uniform(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize(
+    "sizes, calls",
+    [([1] * 256, 1), ([1, 1, 3, 1, 2, 1, 1, 2], 6), ([3, 3], 2), ([2, 1, 1, 1, 4], 3)],
+    ids=["256-singletons", "mixed", "no-singleton", "one-run"],
+)
+def test_a_singleton_run_takes_one_uniform_call(monkeypatch, sizes, calls):
+    cb = _layout_basis(sizes)
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        made.append(_CountingRng(default_rng(*args, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    sample_positive_symmetry(cb, seed=3)
+    assert [rng.uniform_calls for rng in made] == [calls]
 
 
 def test_singleton_phase_mixers_match_the_per_cluster_loop():
