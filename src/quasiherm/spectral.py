@@ -110,8 +110,8 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     values = np.real(np.asarray(eigenvalues)).astype(np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d array of real eigenvalues")
-    if np.any(values[1:] < values[:-1]):
-        raise ValueError("eigenvalues must be ascending")
+    if np.isnan(values).any() or np.any(values[1:] < values[:-1]):
+        raise ValueError("eigenvalues must be ascending, with no NaN")
     # Python floats: an overflowing difference reads inf without a warning
     spread = float(values[-1]) - float(values[0])
     if spread == np.inf:

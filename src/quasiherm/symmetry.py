@@ -62,7 +62,6 @@ is a separate path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
 from numbers import Real
 from sys import float_info
 
@@ -193,10 +192,10 @@ def _certified_commutant(h, eigenvalues, W, clusters, tol: Tolerances) -> Commut
     h must equal its adjoint bit for bit; it is kept, not copied.
     """
     n = h.shape[0]
-    flat = sorted(i for cluster in clusters for i in cluster)
-    if flat != list(range(n)):
-        raise ValueError("clusters must partition the index range of h")
     clusters = [list(c) for c in clusters]
+    flat = sorted(i for cluster in clusters for i in cluster)
+    if flat != list(range(n)) or not all(clusters):
+        raise ValueError("clusters must partition the index range of h")
 
     completeness = frobenius_norm(W.conj().T @ W - np.eye(n))
     if completeness > tol.residual_tol:
@@ -288,28 +287,23 @@ def sample_positive_symmetry(
 ) -> SymmetryGenerator:
     """Draw a random positive-definite symmetry generator of h.
 
-    Spectral coefficients are log-uniform on [1/spread, spread], for a
-    real spread in [1, float64 max] (a bool is not), and the intra-cluster
-    mixers Haar unitaries (the identity for a singleton), drawn in cluster
-    order from one seeded generator: a cluster of size d > 1 takes d draws,
-    then its mixer, and a maximal run of r singletons one uniform(size=r),
-    the doubles of r draws of size 1 (numpy's Generator fills arrays in
-    stream order). Identical (seed, spread) reproduce S bit for bit.
+    Spectral coefficients are log-uniform on [1/spread, spread], for an
+    integer seed >= 0 and a real spread in [1, float64 max] (a bool is
+    neither), and the intra-cluster mixers Haar unitaries (the identity for
+    a singleton). One seeded generator draws all n coefficients in one
+    uniform(size=n), in eigenvalue-index order, then one mixer per cluster
+    of size > 1, in cluster order. Identical (seed, spread) reproduce S bit
+    for bit.
     """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     top = float_info.max
     if isinstance(spread, bool) or not isinstance(spread, Real) or not 1.0 <= spread <= top:
         raise ValueError(f"spread must be a real number in [1, {top:.6g}], got {spread!r}")
     rng = np.random.default_rng(seed)
-    low, high = np.log(1.0 / spread), np.log(float(spread))
-    logs, mixed = [], []
-    for has_mixer, run in groupby(cb.clusters, key=lambda cluster: len(cluster) > 1):
-        for cluster in run if has_mixer else [list(chain.from_iterable(run))]:
-            logs.append(rng.uniform(low, high, size=len(cluster)))
-            if has_mixer:
-                mixed.append((cluster, haar_unitary(len(cluster), rng)))
-    spectrum = np.empty(cb.h.shape[0])
-    spectrum[list(chain.from_iterable(cb.clusters))] = np.exp(np.concatenate(logs))
-    return _assembled_generator(cb, spectrum, mixed, tol)
+    logs = rng.uniform(np.log(1.0 / spread), np.log(float(spread)), size=cb.h.shape[0])
+    mixed = [(c, haar_unitary(len(c), rng)) for c in cb.clusters if len(c) > 1]
+    return _assembled_generator(cb, np.exp(logs), mixed, tol)
 
 
 def _intertwiner_residuals(A, rho, h, h_prime, eta_prime):

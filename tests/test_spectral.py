@@ -52,6 +52,10 @@ def test_cluster_rejects_unsorted_and_empty():
         cluster_degeneracies(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         cluster_degeneracies(np.array([]))
+    # every comparison with NaN is false, so a NaN passes the ascending check
+    for values in ([1.0, float("nan"), 3.0], [float("nan")]):
+        with pytest.raises(ValueError):
+            cluster_degeneracies(values)
 
 
 def test_eig_decompose_hermitian_gives_unitary_rows(rng):

@@ -194,6 +194,9 @@ def test_commutant_basis_rejects_bad_partition():
     h = conjugated_diagonal([1.0, 2.0], seed=1)
     with pytest.raises(ValueError):
         commutant_basis(h, [[0]])
+    # an empty cluster adds no index, so only its own check refuses it
+    with pytest.raises(ValueError, match="partition"):
+        commutant_basis(h, [[0], [1], []])
 
 
 def clustered_hamiltonian():
@@ -379,7 +382,7 @@ def test_sampled_symmetry_is_seed_deterministic():
     pair = full_pipeline(H)
     cb = commutant_basis(pair.h, pair.spectral.clusters)
     g1 = sample_positive_symmetry(cb, seed=7)
-    g2 = sample_positive_symmetry(cb, seed=7)
+    g2 = sample_positive_symmetry(cb, seed=np.uint64(7))  # a numpy integer is a seed
     npt.assert_array_equal(g1.matrix, g2.matrix)
     g3 = sample_positive_symmetry(cb, seed=8)
     assert not np.allclose(g1.matrix, g3.matrix)
@@ -396,6 +399,17 @@ def test_sampler_rejects_a_spread_outside_one_to_infinity(spread):
     cb = commutant_basis(np.diag([1.0, 2.0]).astype(complex), [[0], [1]])
     with pytest.raises(ValueError, match="spread"):
         sample_positive_symmetry(cb, seed=0, spread=spread)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    # the rule a run's seed follows: an integer >= 0, a bool not included
+    [pytest.param(True, id="bool"), 1.5, -1, pytest.param("3", id="str"), None],
+)
+def test_sampler_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    cb = commutant_basis(np.diag([1.0, 2.0]).astype(complex), [[0], [1]])
+    with pytest.raises(ValueError, match="seed"):
+        sample_positive_symmetry(cb, seed=seed)
 
 
 def test_sampler_takes_an_integer_spread_as_its_float():
@@ -617,7 +631,21 @@ def test_member_residuals_flag_a_metric_that_is_not_rho_squared():
 
 
 def _per_cluster_sample(cb, seed, spread=10.0):
-    """The reference draw: per cluster, one uniform draw, then its mixer."""
+    """The reference draw: all n coefficients in one uniform draw, in
+    eigenvalue-index order, then each cluster's mixer, in cluster order."""
+    rng = np.random.default_rng(seed)
+    n = cb.h.shape[0]
+    spectrum = np.exp(rng.uniform(np.log(1.0 / spread), np.log(spread), size=n))
+    values = [spectrum[cluster] for cluster in cb.clusters]
+    mixers = [
+        haar_unitary(len(c), rng) if len(c) > 1 else np.eye(1, dtype=np.complex128)
+        for c in cb.clusters
+    ]
+    return values, mixers
+
+
+def _cluster_order_sample(cb, seed, spread=10.0):
+    """The earlier reference draw: per cluster, one uniform draw, then its mixer."""
     rng = np.random.default_rng(seed)
     values, mixers = [], []
     for cluster in cb.clusters:
@@ -680,7 +708,7 @@ def test_singleton_runs_match_the_per_cluster_loop(sizes):
 @example(sizes=[1, 1, 3, 1, 2, 1, 1, 1, 4, 1], seed=2, spread=1.0)
 def test_sampler_draws_the_per_cluster_stream(sizes, seed, spread):
     # the sampler's generator is the one its coefficients and mixers give,
-    # drawn one cluster at a time: singleton runs batch the draw, not the stream
+    # all coefficients drawn first, then the mixers
     cb = _layout_basis(sizes)
     gen = sample_positive_symmetry(cb, seed, spread)
     ref = symmetry_from_coefficients(cb, *_per_cluster_sample(cb, seed, spread))
@@ -704,11 +732,12 @@ class _CountingRng:
 
 
 @pytest.mark.parametrize(
-    "sizes, calls",
-    [([1] * 256, 1), ([1, 1, 3, 1, 2, 1, 1, 2], 6), ([3, 3], 2), ([2, 1, 1, 1, 4], 3)],
+    "sizes",
+    [[1] * 256, [1, 1, 3, 1, 2, 1, 1, 2], [3, 3], [2, 1, 1, 1, 4]],
     ids=["256-singletons", "mixed", "no-singleton", "one-run"],
 )
-def test_a_singleton_run_takes_one_uniform_call(monkeypatch, sizes, calls):
+def test_a_singleton_run_takes_one_uniform_call(monkeypatch, sizes):
+    # one uniform call per draw, whatever the cluster layout
     cb = _layout_basis(sizes)
     made = []
     default_rng = np.random.default_rng
@@ -719,7 +748,29 @@ def test_a_singleton_run_takes_one_uniform_call(monkeypatch, sizes, calls):
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     sample_positive_symmetry(cb, seed=3)
-    assert [rng.uniform_calls for rng in made] == [calls]
+    assert [rng.uniform_calls for rng in made] == [1]
+
+
+@pytest.mark.parametrize(
+    "sizes, kept",
+    [([1] * 256, True), ([1, 1, 3], True), ([2], True), ([1, 4], True),
+     ([2, 1], False), ([1, 3, 1, 1], False), ([2, 2], False)],
+)
+def test_layouts_with_no_cluster_after_a_mixer_keep_the_cluster_order_draws(sizes, kept):
+    # Drawn cluster by cluster, a layout whose only multi-member cluster
+    # comes last (or that has none) reads the uniform draws in index order
+    # and then that one mixer: the stream of the single uniform(size=n).
+    # So spectra of singletons, as on random-256, give the generators, and
+    # reports, of the cluster-order draw; a cluster after a mixer does not.
+    cb = _layout_basis(sizes)
+    for seed in range(3):
+        gen = sample_positive_symmetry(cb, seed)
+        ref = symmetry_from_coefficients(cb, *_cluster_order_sample(cb, seed))
+        same = [
+            np.array_equal(getattr(gen, name), getattr(ref, name))
+            for name in ("matrix", "sqrt", "eigenvalues", "eigenvectors")
+        ]
+        assert same == [kept] * 4
 
 
 def test_singleton_phase_mixers_match_the_per_cluster_loop():
