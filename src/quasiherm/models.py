@@ -43,16 +43,16 @@ class ModelSpec:
     dim: int = 2
 
 
-def _require_integer(value, name: str, low: int):
-    """``value``, an int or np.integer (not a bool) >= ``low`` that ``str`` can write."""
+def _require_integer(value, name: str, low: int, error=InvalidModelParameters):
+    """``value``, an int or np.integer (not a bool) >= ``low`` that str can write, or ``error``."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         try:
             str(value)  # past sys.get_int_max_str_digits(), no report could record it
         except ValueError:
-            raise InvalidModelParameters(f"{name} has more digits than Python writes") from None
+            raise error(f"{name} has more digits than Python writes") from None
         if value >= low:
             return value
-    raise InvalidModelParameters(f"{name} must be an integer >= {low}, got {value!r}")
+    raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _require_finite(value, name: str) -> complex:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -61,6 +62,7 @@ from .spectral import eig_decompose
 from .symmetry import _certified_commutant, metric_from_symmetry, sample_positive_symmetry
 
 DEFAULT_MAX_DIM = 512
+_PATHS = (str, bytes, os.PathLike)  # what ``out`` may be
 
 _EXIT_CODES = {"pass": 0, "error": 1, "fail": 2}
 
@@ -195,14 +197,9 @@ def _member_from_payload(document, where: str) -> FamilyMemberSummary:
         raise ParseError(f"{where} key 'residuals' is empty")
     if document.get("max_residual") != member.max_residual:
         raise ParseError(f"{where} key 'max_residual' is not the largest of its residuals")
-    _check_count(member.seed, f"{where} key 'seed'")
+    _require_integer(member.seed, f"{where} key 'seed'", 0, ParseError)
     _check_spread(member.spread, f"{where} key 'spread'")
     return member
-
-
-def _check_count(value, name: str) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-        raise ParseError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _check_spread(value, name: str) -> None:
@@ -246,11 +243,16 @@ def _error_payload(exc: Exception) -> dict:
     return payload
 
 
-def _record_stages(fields, command, source, tol, samples, seed, spread, max_dim) -> None:
+def _record_stages(fields, command, source, tol, samples, seed, spread, out, max_dim) -> None:
     """Run the stages ``command`` selects, recording their results in ``fields``."""
     for name, value in (("samples", samples), ("seed", seed), ("max_dim", max_dim)):
-        _check_count(value, name)
+        _require_integer(value, name, 0, ParseError)
+    # each member's seed is written too; Python ints, as a numpy int's sum may overflow
+    seed, samples = int(seed), int(samples)
+    _require_integer(seed + max(samples - 1, 0), "the last member's seed", 0, ParseError)
     _check_spread(spread, "spread")
+    if out is not None and not isinstance(out, _PATHS):  # an int would be a file descriptor
+        raise ParseError(f"out must be a str, bytes or os.PathLike path, got {out!r}")
     H, fields["input"] = _resolve_input(source, max_dim)
 
     if command == "spectrum":
@@ -322,7 +324,7 @@ def _run(
         # the stages' own matrices die on return, before the report is written;
         # an overflow is an input beyond float64's range, refused, not warned
         with np.errstate(over="raise"):
-            _record_stages(fields, command, source, tol, samples, seed, spread, max_dim)
+            _record_stages(fields, command, source, tol, samples, seed, spread, out, max_dim)
     except ResidualExceeded as exc:
         fields["residuals"][exc.identity] = float(exc.value)
     except FloatingPointError as exc:
@@ -331,12 +333,14 @@ def _run(
         fields["error"] = _error_payload(exc)
 
     report = VerificationReport(**fields)
-    if out is not None:
+    if isinstance(out, _PATHS):
         try:
             with open(out, "w", encoding="utf-8") as f:
                 print(report.to_json(), file=f)  # as the CLI prints it: no text + "\n" copy
         except OSError as exc:
             return dataclasses.replace(report, error=_error_payload(exc))
+        except ValueError as exc:  # open() refuses a path holding a NUL byte
+            return dataclasses.replace(report, error=_error_payload(ParseError(f"out: {exc}")))
     return report
 
 

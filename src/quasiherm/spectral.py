@@ -104,14 +104,15 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     ``degeneracy_cluster_tol * max(spread, min(rho, 1))`` with
     ``rho = max|lambda|``, so below unit scale the bound follows the
     spectrum; the partition is the transitive closure of that relation,
-    so on sorted input it reduces to walking adjacent gaps. A spread that
-    overflows float64 is a :class:`ParseError`; below it no gap overflows.
+    so on sorted input it reduces to walking adjacent gaps. A non-finite
+    value is a ``ValueError``, and a spread of finite values that overflows
+    float64 a :class:`ParseError`; below it no gap overflows.
     """
     values = np.real(np.asarray(eigenvalues)).astype(np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d array of real eigenvalues")
-    if np.isnan(values).any() or np.any(values[1:] < values[:-1]):
-        raise ValueError("eigenvalues must be ascending, with no NaN")
+    if not np.isfinite(values).all() or np.any(values[1:] < values[:-1]):
+        raise ValueError("eigenvalues must be finite and ascending")
     # Python floats: an overflowing difference reads inf without a warning
     spread = float(values[-1]) - float(values[0])
     if spread == np.inf:

@@ -5,7 +5,9 @@ parametrize *all* metrics of H: every eta' = rho·S·rho is again a metric,
 and conversely any second metric arises this way. The commutant of h is
 spanned, block-wise in its eigenbasis, by Hermitian matrices supported on
 the degeneracy clusters, so the positive commutant is exhausted by positive
-coefficients per cluster plus intra-cluster unitary mixers.
+coefficients per cluster plus intra-cluster unitary mixers: S = Q·diag(s)·Q†,
+Q = W·blockdiag(V_k) for an eigenbasis W of h, with s in eigenvalue-index
+order and V_k keyed by cluster index k (:func:`symmetry_from_coefficients`).
 
 The commutant is therefore kept as an eigenbasis W of h, its eigenvalues
 and the clusters, in O(n²) memory. The pipeline builds h = X†·H_d·X from
@@ -135,7 +137,8 @@ class SymmetryGenerator:
     ``eigenvectors[:, cluster]``. Together these parametrize the whole
     positive commutant. S = Q·diag(s)·Q†, sigma = ``sqrt`` =
     Q·diag(√s)·Q†, and ``h`` is the Hermitian equivalent the generator
-    commutes with.
+    commutes with. ``symmetry_from_coefficients(cb, eigenvalues, mixers)``,
+    ``mixers`` mapping each mixed cluster's index k to V_k, rebuilds it.
     """
 
     matrix: np.ndarray
@@ -224,45 +227,32 @@ def symmetry_from_coefficients(
     mixers=None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymmetryGenerator:
-    """Assemble S = sum_k V_k·diag(s_k)·V_k† block-wise in the h-eigenbasis.
+    """Assemble S = Q·diag(s)·Q† in h's eigenbasis W, Q = W·blockdiag(V_k).
 
-    ``values`` gives the positive spectral coefficients per cluster and
-    ``mixers`` the optional intra-cluster unitaries (identity by default).
-    With Q = W·blockdiag(V_k) and s the coefficients laid out alike,
-    S = Q·diag(s)·Q† and sigma = Q·diag(√s)·Q† take one product each, so the
-    root is exact up to roundoff. Q starts as W, and an identity mixer (the
-    default) writes no column; each other cluster's columns are its (n×d)
-    eigenvector block times its (d×d) mixer, checked by ‖V†V − I‖_F
-    (||v|² − 1| at d = 1).
+    ``values`` holds the n positive coefficients s in eigenvalue-index
+    order, the layout of :attr:`SymmetryGenerator.eigenvalues`: cluster k's
+    are ``values[cluster]``. ``mixers`` maps a cluster index k to its
+    intra-cluster unitary V_k, checked by ‖V†V − I‖_F (||v|² − 1| at d = 1);
+    a mixed cluster's columns of Q are W_k·V_k, and a cluster left out
+    keeps W's. S and sigma = Q·diag(√s)·Q† take one product each, so the
+    root is exact up to roundoff, and ``symmetry_from_coefficients(cb,
+    gen.eigenvalues, mixers)`` rebuilds a generator from its own fields.
     """
-    clusters = cb.clusters
-    mixers = [np.eye(len(cluster)) for cluster in clusters] if mixers is None else mixers
-    if len(values) != len(clusters) or len(mixers) != len(clusters):
-        raise ValueError("one coefficient array and one mixer required per degeneracy cluster")
-
-    spectrum = np.zeros(cb.h.shape[0])
-    for cluster, s in zip(clusters, values):
-        d = len(cluster)
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != (d,):
-            raise ValueError(f"expected {d} coefficients per cluster of size {d}, got {s.shape}")
-        spectrum[cluster] = s
-    mixed = [(c, V) for c, V in zip(clusters, mixers) if not np.array_equal(V, np.eye(len(c)))]
-    return _assembled_generator(cb, spectrum, mixed, tol)
-
-
-def _assembled_generator(cb: CommutantBasis, spectrum, mixed, tol: Tolerances):
-    """The generator of the coefficients ``spectrum``, laid out over h's
-    eigenbasis W, and of Q = W but for each (cluster, V) pair of ``mixed``,
-    whose columns are W_k·V once V passes its unitarity check."""
+    n, clusters = cb.h.shape[0], cb.clusters
+    spectrum = np.array(values, dtype=np.float64)
+    if spectrum.shape != (n,):
+        raise ValueError(f"values must have shape ({n},), got {spectrum.shape}")
     Q = np.array(cb.eigenvectors, dtype=np.complex128)
-    for cluster, V in mixed:
-        d = len(cluster)
+    for k, V in ({} if mixers is None else mixers).items():
+        is_index = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+        if not (is_index and 0 <= k < len(clusters)):
+            raise ValueError(f"mixer key {k!r} is not a cluster index in [0, {len(clusters)})")
+        d = len(clusters[k])
         V = np.asarray(V, dtype=np.complex128)
         # `not <=` refuses NaN entries too
         if V.shape != (d, d) or not np.linalg.norm(V.conj().T @ V - np.eye(d)) <= tol.residual_tol:
             raise ValueError("cluster mixer must be a unitary of the cluster size")
-        Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
+        Q[:, clusters[k]] = cb.eigenvectors[:, clusters[k]] @ V
     if not np.all((spectrum > 0) & (spectrum < np.inf)):  # NaN fails both
         raise NotPositiveDefinite("symmetry coefficients must be finite and strictly positive")
 
@@ -302,8 +292,8 @@ def sample_positive_symmetry(
         raise ValueError(f"spread must be a real number in [1, {top:.6g}], got {spread!r}")
     rng = np.random.default_rng(seed)
     logs = rng.uniform(np.log(1.0 / spread), np.log(float(spread)), size=cb.h.shape[0])
-    mixed = [(c, haar_unitary(len(c), rng)) for c in cb.clusters if len(c) > 1]
-    return _assembled_generator(cb, np.exp(logs), mixed, tol)
+    mixers = {k: haar_unitary(len(c), rng) for k, c in enumerate(cb.clusters) if len(c) > 1}
+    return symmetry_from_coefficients(cb, np.exp(logs), mixers, tol)
 
 
 def _intertwiner_residuals(A, rho, h, h_prime, eta_prime):

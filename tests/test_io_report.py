@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -363,7 +364,10 @@ def test_dimension_cap_precedes_model_construction(monkeypatch):
     "samples, seed, spread",
     [(1, 0, 0.5), (1, 0, float("nan")), (1, 0, float("inf")), (-1, 0, 10.0), (1, -1, 10.0),
      (2.5, 0, 10.0), (1, 1.5, 10.0), (True, 0, 10.0), (1, False, 10.0), (1, 0, "10"),
-     (1, 0, 2 + 0j), (1, 0, True)],
+     (1, 0, 2 + 0j), (1, 0, True),
+     # a seed str cannot write, and one whose last member's seed it cannot
+     pytest.param(1, 10**5000, 10.0, id="1-10**5000-10.0"),
+     pytest.param(2, 10**4300 - 1, 10.0, id="2-10**4300-1-10.0")],
 )
 def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, spread):
     def refuse(spec):
@@ -376,6 +380,44 @@ def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, s
     assert report.exit_code == 1
     assert report.error["type"] == "ParseError"
     assert report.family == []
+
+
+def test_a_numpy_sample_count_beside_a_large_seed_is_summed_as_python_ints():
+    report = run_family(two_level(1, 4, 0), samples=np.int64(2), seed=10**30)
+    assert report.verdict == "pass"
+    assert [member.seed for member in report.family] == [10**30, 10**30 + 1]
+
+
+def test_an_out_that_is_not_a_path_is_refused_before_any_input_is_read(monkeypatch, tmp_path):
+    # open() takes an int as a file descriptor, which it writes and then
+    # closes: a pipe's write end stands in for a caller's own descriptor
+    def refuse(spec):
+        raise AssertionError("build_model ran before out was checked")
+
+    spec = ModelSpec("two_level", {"b": 1.0, "c": 4.0, "d": 0.0}, dim=2)
+    with monkeypatch.context() as patch:
+        patch.setattr("quasiherm.report.build_model", refuse)
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as reader:
+            try:
+                for out in (write_end, 2.5):
+                    report = run_analyze(spec, samples=1, out=out)
+                    assert (report.verdict, report.exit_code) == ("error", 1)
+                    assert report.error["type"] == "ParseError"
+                    assert report.error["message"].startswith("out must be a str, bytes or")
+                    json.loads(report.to_json())
+                os.write(write_end, b"still open")  # EBADF had the report closed it
+            finally:
+                os.close(write_end)
+            assert reader.read() == b"still open"
+    # a path given as bytes is still a path
+    path = tmp_path / "report.json"
+    report = run_family(spec, samples=1, out=os.fsencode(path))
+    assert report.verdict == "pass"
+    assert path.read_text(encoding="utf-8") == report.to_json() + "\n"
+    # a path open() refuses for a NUL byte is an error report, not its ValueError
+    report = run_family(spec, samples=1, out=os.path.join(tmp_path, "a\0"))
+    assert report.error == {"type": "ParseError", "message": "out: embedded null byte"}
 
 
 def test_a_commutant_basis_that_is_not_unitary_fails_projector_completeness(monkeypatch):

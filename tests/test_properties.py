@@ -8,14 +8,18 @@ A table of scales from 1e-280 to 1e280 pins each verdict to its input.
 One strategy per ``MODEL_KINDS`` entry draws each parameter over many
 decades of either sign; each ``run_analyze`` report must also render, be
 restored byte for byte by ``from_payload`` and exit with its verdict's code.
+The run arguments ``samples``, ``seed``, ``spread``, ``max_dim`` and ``out``
+are drawn over every kind of value, with the same demands on the report.
 """
 
 import json
+import os
+import pathlib
 import re
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from quasiherm import (
@@ -255,3 +259,69 @@ def test_verdicts_do_not_depend_on_the_scale(k):
         report = run_family(c * H, samples=2)
         assert report.verdict == "error"
         assert report.error["type"] == error_type
+
+
+# a run argument of any kind: an int of either sign up to 10**5000, one off
+# a power of ten too, a float (NaN and ±inf included), a bool, None or a
+# short string
+_RUN_INTEGER = st.builds(
+    lambda sign, exponent, offset: sign * (10**exponent + offset),
+    st.sampled_from([-1, 1]), st.integers(0, 5000), st.sampled_from([-1, 0, 1]),
+)
+_RUN_OTHER = st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+_RUN_ARGUMENT = _RUN_INTEGER | _RUN_OTHER
+
+
+def _powers_of_ten(low):
+    """±10**e for e in [low, 5000]."""
+    sign = st.sampled_from([-1, 1])
+    return st.builds(lambda sign, exponent: sign * 10**exponent, sign, st.integers(low, 5000))
+
+
+def _run_arguments(tmp_path, write_end):
+    """A strategy per run argument. A run draws ``samples`` members, so its
+    ints are small or too long to write. ``open`` takes an int or a bool as
+    a file descriptor, so ``out``'s ints are the test's own pipe end and
+    ones no process has, and its strings name files under ``tmp_path``."""
+    # no "/": os.path.join takes a name from "/" on as an absolute path
+    name = st.text(st.characters(exclude_characters="/"), max_size=3) | st.just("missing/r.json")
+    path = name.map(lambda name: os.path.join(tmp_path, name))
+    return {
+        "samples": st.integers(-2, 3) | _powers_of_ten(4300) | _RUN_OTHER,
+        "seed": _RUN_ARGUMENT,
+        "spread": _RUN_ARGUMENT,
+        "max_dim": _RUN_ARGUMENT,
+        "out": st.none() | st.floats() | st.just(write_end) | _powers_of_ten(12)
+        | path | path.map(os.fsencode) | path.map(pathlib.Path),
+    }
+
+
+# tmp_path is shared by the examples: each writes or refuses its own out
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_run_arguments_end_typed_and_restore(tmp_path, data):
+    # each argument named in a drawn set is drawn, the others keep a default
+    read_end, write_end = os.pipe()
+    try:
+        strategies = _run_arguments(tmp_path, write_end)
+        drawn = data.draw(st.sets(st.sampled_from(sorted(strategies)), max_size=2), label="drawn")
+        arguments = {name: data.draw(strategies[name], label=name) for name in sorted(drawn)}
+        report = run_family(two_level(1, 4, 0), **{"samples": 2, **arguments})
+        os.write(write_end, b"open")  # the run neither wrote into the pipe nor closed it
+        assert os.read(read_end, 64) == b"open"
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    event(report.verdict)
+    assert report.verdict in ("pass", "error")
+    if report.verdict == "error":
+        # an out that cannot be opened is the error open() raised
+        assert report.error["type"] in ERROR_TYPES | _error_types(OSError), report.error
+    text = report.to_json()
+    assert VerificationReport.from_payload(json.loads(text)).to_json() == text
+    out = arguments.get("out")
+    if isinstance(out, (str, bytes, os.PathLike)) and os.path.isfile(out):
+        with open(out, encoding="utf-8") as f:
+            assert f.read() == text + "\n"

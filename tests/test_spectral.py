@@ -52,9 +52,11 @@ def test_cluster_rejects_unsorted_and_empty():
         cluster_degeneracies(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         cluster_degeneracies(np.array([]))
-    # every comparison with NaN is false, so a NaN passes the ascending check
-    for values in ([1.0, float("nan"), 3.0], [float("nan")]):
-        with pytest.raises(ValueError):
+    # every comparison with NaN is false, so a NaN passes the ascending check;
+    # an infinity would make a cluster of its own, or of a NaN spread
+    inf = float("inf")
+    for values in ([1.0, float("nan"), 3.0], [float("nan")], [inf], [-inf, -inf], [1.0, inf]):
+        with pytest.raises(ValueError, match="finite and ascending"):
             cluster_degeneracies(values)
 
 

@@ -278,7 +278,7 @@ def test_commutant_nondegenerate_dimension_equals_size():
 def test_symmetry_from_coefficients_identity_case():
     h = conjugated_diagonal([1.0, 1.0, 2.0], seed=2)
     cb = commutant_basis(h, cluster_degeneracies(np.array([1.0, 1.0, 2.0])))
-    gen = symmetry_from_coefficients(cb, [np.ones(2), np.ones(1)])
+    gen = symmetry_from_coefficients(cb, np.ones(3))
     npt.assert_allclose(gen.matrix, np.eye(3), atol=1e-12)
     npt.assert_allclose(gen.sqrt, np.eye(3), atol=1e-12)
 
@@ -288,26 +288,23 @@ def test_symmetry_from_coefficients_validation():
     cb = commutant_basis(h, cluster_degeneracies(np.array([1.0, 2.0])))
     for bad in (-1.0, np.nan, np.inf):  # a NaN or infinite value would give a NaN S
         with pytest.raises(NotPositiveDefinite):
-            symmetry_from_coefficients(cb, [np.array([bad]), np.array([1.0])])
-    with pytest.raises(ValueError):
-        symmetry_from_coefficients(cb, [np.ones(2)])
-    # one array per cluster, but each of the wrong size
-    message = r"expected 1 coefficients per cluster of size 1, got \(2,\)"
-    with pytest.raises(ValueError, match=message):
-        symmetry_from_coefficients(cb, [np.ones(2), np.ones(2)])
-    for count in (1, 3):  # one mixer per cluster, neither fewer nor more
-        with pytest.raises(ValueError, match="one mixer required per degeneracy cluster"):
-            symmetry_from_coefficients(cb, [np.ones(1), np.ones(1)], mixers=[np.eye(1)] * count)
-    with pytest.raises(ValueError):
-        # mixer is not unitary
-        symmetry_from_coefficients(
-            cb, [np.ones(1), np.ones(1)], mixers=[2 * np.eye(1), np.eye(1)]
-        )
+            symmetry_from_coefficients(cb, [bad, 1.0])
+    # the n coefficients of the whole space: not fewer, not more, not per cluster
+    for values in ([1.0], np.ones(3), [[1.0], [1.0]], 1.0):
+        with pytest.raises(ValueError, match=r"values must have shape \(2,\)"):
+            symmetry_from_coefficients(cb, values)
+    # a key is a cluster index: -1 would otherwise mix the last cluster
+    for key in (-1, 2, True, np.bool_(False), 0.0, "0", None):
+        with pytest.raises(ValueError, match=r"is not a cluster index in \[0, 2\)"):
+            symmetry_from_coefficients(cb, np.ones(2), {key: np.eye(1)})
+    gen = symmetry_from_coefficients(cb, np.ones(2), {np.int64(1): -np.eye(1)})
+    npt.assert_array_equal(gen.eigenvectors[:, 1], -cb.eigenvectors[:, 1])
+    for V in (2 * np.eye(1), np.eye(2)):  # not unitary, or not of the cluster's size
+        with pytest.raises(ValueError, match="unitary of the cluster size"):
+            symmetry_from_coefficients(cb, np.ones(2), {0: V})
     with pytest.raises(ValueError):
         # a NaN mixer has no finite unitarity defect
-        symmetry_from_coefficients(
-            cb, [np.ones(1), np.ones(1)], mixers=[np.full((1, 1), np.nan), np.eye(1)]
-        )
+        symmetry_from_coefficients(cb, np.ones(2), {0: np.full((1, 1), np.nan)})
 
 
 def test_one_product_generator_matches_per_cluster_sum():
@@ -317,8 +314,10 @@ def test_one_product_generator_matches_per_cluster_sum():
     gen = sample_positive_symmetry(cb, seed=4)
     S = np.zeros((6, 6), dtype=complex)
     sigma = np.zeros((6, 6), dtype=complex)
-    for cluster, s, V in zip(cb.clusters, *_per_cluster_sample(cb, 4), strict=True):
-        block = cb.eigenvectors[:, cluster] @ V
+    spectrum, mixers = _per_cluster_sample(cb, 4)
+    for k, cluster in enumerate(cb.clusters):
+        block = cb.eigenvectors[:, cluster] @ mixers.get(k, np.eye(len(cluster)))
+        s = spectrum[cluster]
         S += (block * s) @ block.conj().T
         sigma += (block * np.sqrt(s)) @ block.conj().T
     npt.assert_allclose(gen.matrix, S, rtol=0, atol=1e-13)
@@ -333,7 +332,7 @@ def test_member_gates_generator_condition():
     metric = metric_from_T(np.diag([1.0, 1000.0**-0.25]))
     assert verify_pseudo_hermitian(H, metric.eta) <= 1e-12
     cb = commutant_basis(H, [[0], [1]])
-    gen = symmetry_from_coefficients(cb, [np.array([1.0]), np.array([1000.0])])
+    gen = symmetry_from_coefficients(cb, [1.0, 1000.0])
     assert metric_from_symmetry(metric, gen, H).max_residual <= 1e-12
     tol = dataclasses.replace(DEFAULT_TOLERANCES, condition_cap=10.0)
     with pytest.raises(IllConditioned):
@@ -343,7 +342,7 @@ def test_member_gates_generator_condition():
 def test_symmetry_diagonal_coefficients_give_diagonal_generator():
     h = np.diag([1.0, 2.0]).astype(complex)
     cb = commutant_basis(h, [[0], [1]])
-    gen = symmetry_from_coefficients(cb, [np.array([2.0]), np.array([3.0])])
+    gen = symmetry_from_coefficients(cb, [2.0, 3.0])
     npt.assert_allclose(gen.matrix, np.diag([2.0, 3.0]), atol=1e-14)
     npt.assert_allclose(gen.sqrt, np.diag(np.sqrt([2.0, 3.0])), atol=1e-14)
 
@@ -426,7 +425,7 @@ def test_trivial_symmetry_reproduces_base_metric():
     H = two_level(1, 4, 0)
     pair = full_pipeline(H)
     cb = commutant_basis(pair.h, pair.spectral.clusters)
-    gen = symmetry_from_coefficients(cb, [np.ones(1), np.ones(1)])
+    gen = symmetry_from_coefficients(cb, np.ones(2))
     member = metric_from_symmetry(pair.metric, gen, H)
     npt.assert_allclose(member.eta_prime.eta, pair.metric.eta, atol=1e-12)
     npt.assert_allclose(member.intertwiner, np.eye(2), atol=1e-12)
@@ -632,38 +631,35 @@ def test_member_residuals_flag_a_metric_that_is_not_rho_squared():
 
 def _per_cluster_sample(cb, seed, spread=10.0):
     """The reference draw: all n coefficients in one uniform draw, in
-    eigenvalue-index order, then each cluster's mixer, in cluster order."""
+    eigenvalue-index order, then the mixer of each cluster of size > 1, in
+    cluster order; as (spectrum, {k: V_k})."""
     rng = np.random.default_rng(seed)
     n = cb.h.shape[0]
     spectrum = np.exp(rng.uniform(np.log(1.0 / spread), np.log(spread), size=n))
-    values = [spectrum[cluster] for cluster in cb.clusters]
-    mixers = [
-        haar_unitary(len(c), rng) if len(c) > 1 else np.eye(1, dtype=np.complex128)
-        for c in cb.clusters
-    ]
-    return values, mixers
+    mixers = {k: haar_unitary(len(c), rng) for k, c in enumerate(cb.clusters) if len(c) > 1}
+    return spectrum, mixers
 
 
 def _cluster_order_sample(cb, seed, spread=10.0):
-    """The earlier reference draw: per cluster, one uniform draw, then its mixer."""
+    """The earlier reference draw: per cluster, one uniform draw, then its
+    mixer if its size is > 1; as (spectrum, {k: V_k})."""
     rng = np.random.default_rng(seed)
-    values, mixers = [], []
-    for cluster in cb.clusters:
+    spectrum, mixers = np.zeros(cb.h.shape[0]), {}
+    for k, cluster in enumerate(cb.clusters):
         d = len(cluster)
-        values.append(np.exp(rng.uniform(np.log(1.0 / spread), np.log(spread), size=d)))
-        mixers.append(haar_unitary(d, rng) if d > 1 else np.eye(1, dtype=np.complex128))
-    return values, mixers
+        spectrum[cluster] = np.exp(rng.uniform(np.log(1.0 / spread), np.log(spread), size=d))
+        if d > 1:
+            mixers[k] = haar_unitary(d, rng)
+    return spectrum, mixers
 
 
-def _per_cluster_layout(cb, values, mixers):
-    """Q = W·blockdiag(V_k) and the spectrum, assembled one cluster at a time."""
-    n = cb.h.shape[0]
-    Q = np.zeros((n, n), dtype=complex)
-    spectrum = np.zeros(n)
-    for cluster, s, V in zip(cb.clusters, values, mixers):
-        Q[:, cluster] = cb.eigenvectors[:, cluster] @ V
-        spectrum[cluster] = s
-    return Q, spectrum
+def _per_cluster_layout(cb, mixers):
+    """Q = W·blockdiag(V_k), assembled one cluster at a time; a cluster
+    with no mixer keeps W's columns."""
+    Q = np.zeros(cb.eigenvectors.shape, dtype=complex)
+    for k, cluster in enumerate(cb.clusters):
+        Q[:, cluster] = cb.eigenvectors[:, cluster] @ mixers.get(k, np.eye(len(cluster)))
+    return Q
 
 
 def _layout_basis(sizes):
@@ -683,14 +679,13 @@ def test_singleton_runs_match_the_per_cluster_loop(sizes):
     cb = _layout_basis(sizes)
     for seed in range(3):
         gen = sample_positive_symmetry(cb, seed)
-        values, mixers = _per_cluster_sample(cb, seed)
+        spectrum_ref, mixers = _per_cluster_sample(cb, seed)
         # the sampler reads the reference's stream bit for bit, and each
-        # cluster's columns are its eigenvector block times its mixer
-        for cluster, s_ref, V_ref in zip(cb.clusters, values, mixers, strict=True):
-            npt.assert_array_equal(gen.eigenvalues[cluster], s_ref)
-            block = cb.eigenvectors[:, cluster] @ V_ref
-            npt.assert_array_equal(gen.eigenvectors[:, cluster], block)
-        Q, spectrum_ref = _per_cluster_layout(cb, values, mixers)
+        # mixed cluster's columns are its eigenvector block times its mixer
+        for k, V_ref in mixers.items():
+            block = cb.eigenvectors[:, cb.clusters[k]] @ V_ref
+            npt.assert_array_equal(gen.eigenvectors[:, cb.clusters[k]], block)
+        Q = _per_cluster_layout(cb, mixers)
         npt.assert_array_equal(gen.eigenvectors, Q)
         npt.assert_array_equal(gen.eigenvalues, spectrum_ref)
         S = (Q * spectrum_ref) @ Q.conj().T
@@ -778,18 +773,32 @@ def test_singleton_phase_mixers_match_the_per_cluster_loop():
     spectrum = np.repeat(np.arange(len(sizes), dtype=float), sizes)
     cb = commutant_basis(conjugated_diagonal(spectrum, seed=3), cluster_degeneracies(spectrum))
     rng = np.random.default_rng(5)
-    values = [rng.uniform(0.5, 2.0, size=d) for d in sizes]
-    mixers = [haar_unitary(d, rng) for d in sizes]  # 1×1: a unit phase
-    gen = symmetry_from_coefficients(cb, values, mixers)
-    Q, spectrum_ref = _per_cluster_layout(cb, values, mixers)
-    npt.assert_array_equal(gen.eigenvectors, Q)
-    npt.assert_array_equal(gen.eigenvalues, spectrum_ref)
-    with pytest.raises(ValueError):  # two coefficients for a singleton
-        symmetry_from_coefficients(cb, [np.ones(2), np.ones(2), np.ones(1), np.ones(1)])
+    # the clusters are contiguous, so their values concatenate in index order
+    spectrum = np.concatenate([rng.uniform(0.5, 2.0, size=d) for d in sizes])
+    mixers = {k: haar_unitary(d, rng) for k, d in enumerate(sizes)}  # 1×1: a unit phase
+    gen = symmetry_from_coefficients(cb, spectrum, mixers)
+    npt.assert_array_equal(gen.eigenvectors, _per_cluster_layout(cb, mixers))
+    npt.assert_array_equal(gen.eigenvalues, spectrum)
+    with pytest.raises(ValueError, match=r"shape \(5,\)"):  # six coefficients for five
+        symmetry_from_coefficients(cb, np.ones(6))
     with pytest.raises(ValueError):  # |v|² − 1 = 0.21 for a 1×1 mixer
-        symmetry_from_coefficients(cb, values, [1.1 * np.eye(1)] + mixers[1:])
+        symmetry_from_coefficients(cb, spectrum, {**mixers, 0: 1.1 * np.eye(1)})
     with pytest.raises(NotPositiveDefinite):
-        symmetry_from_coefficients(cb, [np.ones(1), np.ones(2), -np.ones(1), np.ones(1)])
+        symmetry_from_coefficients(cb, [1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def test_a_generator_is_rebuilt_from_its_own_fields():
+    # the sampled spectrum and the sampler's mixers, replayed, give the
+    # sampled generator bit for bit; an explicit identity mixer rewrites its
+    # cluster's columns as W_k·I, equal to W_k but in the sign of a zero
+    cb = _layout_basis([2, 1, 3])
+    gen = sample_positive_symmetry(cb, seed=6)
+    _, mixers = _per_cluster_sample(cb, 6)
+    for replay in (mixers, {**mixers, 1: np.eye(1)}):
+        ref = symmetry_from_coefficients(cb, gen.eigenvalues, replay)
+        for name in ("matrix", "sqrt", "eigenvalues", "eigenvectors"):
+            npt.assert_array_equal(getattr(ref, name), getattr(gen, name), err_msg=name)
+    assert ref.eigenvalues is not gen.eigenvalues  # a copy, not a view
 
 
 def _relative(defect, *norms):
@@ -840,7 +849,7 @@ def test_one_product_residual_of_a_broken_identity_is_the_two_product_one():
     other = conjugated_diagonal([1.0, 4.0, 9.0, 16.0], seed=2)
     broken = dataclasses.replace(cb, h=other)
     with pytest.raises(ResidualExceeded) as exc_info:
-        symmetry_from_coefficients(broken, [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0)])
+        symmetry_from_coefficients(broken, [1.0, 2.0, 3.0, 4.0])
     S = (cb.eigenvectors * [1.0, 2.0, 3.0, 4.0]) @ cb.eigenvectors.conj().T
     S = (S + S.conj().T) / 2
     expected = _relative(np.linalg.norm(S @ other - other @ S), S, other)
