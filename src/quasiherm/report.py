@@ -62,6 +62,7 @@ from .spectral import eig_decompose
 from .symmetry import _certified_commutant, metric_from_symmetry, sample_positive_symmetry
 
 DEFAULT_MAX_DIM = 512
+MAX_SAMPLES = 1000  # the most members one run draws, so that every run ends
 _PATHS = (str, bytes, os.PathLike)  # what ``out`` may be
 
 _EXIT_CODES = {"pass": 0, "error": 1, "fail": 2}
@@ -249,6 +250,8 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, out, max
         _require_integer(value, name, 0, ParseError)
     # each member's seed is written too; Python ints, as a numpy int's sum may overflow
     seed, samples = int(seed), int(samples)
+    if samples > MAX_SAMPLES:
+        raise ParseError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     _require_integer(seed + max(samples - 1, 0), "the last member's seed", 0, ParseError)
     _check_spread(spread, "spread")
     if out is not None and not isinstance(out, _PATHS):  # an int would be a file descriptor

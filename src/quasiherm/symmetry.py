@@ -63,6 +63,7 @@ is a separate path.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Real
 from sys import float_info
@@ -108,12 +109,14 @@ class CommutantBasis:
     ``h`` equals its adjoint bit for bit. Stored in an eigenbasis of h
     (``eigenvectors``, with ``eigenvalues``): the commutant is every sum over
     clusters k of W_k·X_k·W_k†, X_k a Hermitian block of the cluster's size
-    and W_k the cluster's columns of ``eigenvectors``. The real dimension is
-    the sum of squared cluster sizes. Each cluster has passed
+    and W_k the cluster's columns of ``eigenvectors``. Each cluster has passed
     (spread_k + 2‖h·W_k − W_k·Λ_k‖_F) / ‖h‖_F ≤ residual_tol, which bounds
     ‖[E, h]‖ / (‖E‖·‖h‖) for every E in the cluster's block (see the module
     docstring), so every commutant element commutes with h within the
-    tolerance.
+    tolerance. ``real_dimension``, the sum of squared cluster sizes, is the
+    dimension of this certified approximate commutant: eigenvalues the
+    cluster rule merges form one block, so ``two_level(5e-10, 5e-10, 1.0)``
+    (gap 1e-9, one cluster of 2) counts 4, and ``two_level(1, 4, 0)`` 2.
     """
 
     h: np.ndarray
@@ -243,6 +246,8 @@ def symmetry_from_coefficients(
     if spectrum.shape != (n,):
         raise ValueError(f"values must have shape ({n},), got {spectrum.shape}")
     Q = np.array(cb.eigenvectors, dtype=np.complex128)
+    if not (mixers is None or isinstance(mixers, Mapping)):
+        raise ValueError(f"mixers must map cluster indices to unitaries, not {type(mixers)}")
     for k, V in ({} if mixers is None else mixers).items():
         is_index = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
         if not (is_index and 0 <= k < len(clusters)):

@@ -405,14 +405,19 @@ def test_max_dim_gate(capsys):
     assert payload["error"]["type"] == "ParseError"
 
 
-def test_repeat_runs_identical_modulo_timestamp(capsys):
-    argv = ["family", "--model", "two_level", "--c", "4", "--seed", "3"]
-    code1, p1, _ = run_cli(capsys, *argv)
-    code2, p2, _ = run_cli(capsys, *argv)
-    assert code1 == code2 == 0
-    p1.pop("generated_at")
-    p2.pop("generated_at")
-    assert p1 == p2
+def test_repeat_runs_identical_modulo_timestamp(tmp_path, capsys):
+    # two clusters of two (real_dimension 8) draw a Haar mixer per member
+    path = tmp_path / "c4.json"
+    save_matrix(path, np.array([[1.0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 2, 0], [0, 0, 0, 2]]))
+    for source in (["--model", "two_level", "--c", "4"], [str(path), "--samples", "2"]):
+        argv = ["family", *source, "--seed", "3"]
+        code1, p1, _ = run_cli(capsys, *argv)
+        code2, p2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        p1.pop("generated_at")
+        p2.pop("generated_at")
+        assert p1 == p2
+    assert p1["commutant"] == {"real_dimension": 8, "cluster_sizes": [2, 2]}
 
 
 def test_analyze_swanson_200_exits_zero(capsys):

@@ -30,7 +30,12 @@ from quasiherm import (
 from quasiherm import matrixio, symmetry
 from quasiherm.linalg import DEFAULT_TOLERANCES
 from quasiherm.matrixio import dumps, matrix_from_payload, matrix_to_payload
-from quasiherm.report import DEFAULT_MAX_DIM, FamilyMemberSummary, VerificationReport
+from quasiherm.report import (
+    DEFAULT_MAX_DIM,
+    MAX_SAMPLES,
+    FamilyMemberSummary,
+    VerificationReport,
+)
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
 
@@ -367,7 +372,9 @@ def test_dimension_cap_precedes_model_construction(monkeypatch):
      (1, 0, 2 + 0j), (1, 0, True),
      # a seed str cannot write, and one whose last member's seed it cannot
      pytest.param(1, 10**5000, 10.0, id="1-10**5000-10.0"),
-     pytest.param(2, 10**4300 - 1, 10.0, id="2-10**4300-1-10.0")],
+     pytest.param(2, 10**4300 - 1, 10.0, id="2-10**4300-1-10.0"),
+     # more members than MAX_SAMPLES: 10**18 would draw without end
+     (MAX_SAMPLES + 1, 0, 10.0), pytest.param(10**18, 0, 10.0, id="10**18-0-10.0")],
 )
 def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, spread):
     def refuse(spec):
@@ -380,6 +387,7 @@ def test_bad_sampling_arguments_are_an_input_error(monkeypatch, samples, seed, s
     assert report.exit_code == 1
     assert report.error["type"] == "ParseError"
     assert report.family == []
+    json.loads(report.to_json())  # it renders: it holds no int str cannot write
 
 
 def test_a_numpy_sample_count_beside_a_large_seed_is_summed_as_python_ints():

@@ -35,6 +35,7 @@ from quasiherm import (
 from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary
 from quasiherm.metric import verify_pseudo_hermitian
 from quasiherm.models import MODEL_KINDS
+from quasiherm.report import MAX_SAMPLES
 from quasiherm.symmetry import FAMILY_IDENTITIES
 
 TOL = DEFAULT_TOLERANCES.residual_tol
@@ -280,14 +281,16 @@ def _powers_of_ten(low):
 
 def _run_arguments(tmp_path, write_end):
     """A strategy per run argument. A run draws ``samples`` members, so its
-    ints are small or too long to write. ``open`` takes an int or a bool as
-    a file descriptor, so ``out``'s ints are the test's own pipe end and
-    ones no process has, and its strings name files under ``tmp_path``."""
+    ints are small, above ``MAX_SAMPLES`` or too long to write. ``open``
+    takes an int or a bool as a file descriptor, so ``out``'s ints are the
+    test's own pipe end and ones no process has, and its strings name files
+    under ``tmp_path``."""
     # no "/": os.path.join takes a name from "/" on as an absolute path
     name = st.text(st.characters(exclude_characters="/"), max_size=3) | st.just("missing/r.json")
     path = name.map(lambda name: os.path.join(tmp_path, name))
     return {
-        "samples": st.integers(-2, 3) | _powers_of_ten(4300) | _RUN_OTHER,
+        "samples": st.integers(-2, 3) | st.integers(MAX_SAMPLES + 1, 10**4300)
+        | _powers_of_ten(4300) | _RUN_OTHER,
         "seed": _RUN_ARGUMENT,
         "spread": _RUN_ARGUMENT,
         "max_dim": _RUN_ARGUMENT,
@@ -316,6 +319,12 @@ def test_run_arguments_end_typed_and_restore(tmp_path, data):
         os.close(write_end)
     event(report.verdict)
     assert report.verdict in ("pass", "error")
+    samples = arguments.get("samples")
+    if type(samples) is int and samples > MAX_SAMPLES:
+        # refused before the input is read, so no member is drawn; an out
+        # that cannot be opened replaces that ParseError with open()'s error
+        assert report.error["type"] in {"ParseError"} | _error_types(OSError), report.error
+        assert (report.input, report.family) == ({}, [])
     if report.verdict == "error":
         # an out that cannot be opened is the error open() raised
         assert report.error["type"] in ERROR_TYPES | _error_types(OSError), report.error

@@ -297,6 +297,9 @@ def test_symmetry_from_coefficients_validation():
     for key in (-1, 2, True, np.bool_(False), 0.0, "0", None):
         with pytest.raises(ValueError, match=r"is not a cluster index in \[0, 2\)"):
             symmetry_from_coefficients(cb, np.ones(2), {key: np.eye(1)})
+    # mixers map a cluster index to its unitary: not the per-cluster list of old
+    with pytest.raises(ValueError, match="mixers must map cluster indices to unitaries"):
+        symmetry_from_coefficients(cb, np.ones(2), [np.eye(1), np.eye(1)])
     gen = symmetry_from_coefficients(cb, np.ones(2), {np.int64(1): -np.eye(1)})
     npt.assert_array_equal(gen.eigenvectors[:, 1], -cb.eigenvectors[:, 1])
     for V in (2 * np.eye(1), np.eye(2)):  # not unitary, or not of the cluster's size
