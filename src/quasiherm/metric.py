@@ -44,10 +44,12 @@ class EquivalencePair:
 def verify_pseudo_hermitian(H, eta) -> float:
     """Relative residual ||H†·eta - eta·H|| / (||eta||·||H||).
 
-    Zero (to roundoff) exactly when eta renders H pseudo-Hermitian. Purely
-    diagnostic: never raises. For an eta that equals its adjoint exactly,
-    as every metric built here does, H†·eta = (eta·H)†, so the residual is
-    read off the one product P = eta·H as ||P† − P||.
+    Zero (to roundoff) exactly when eta renders H pseudo-Hermitian; for a
+    Hermitian h and an S, exactly when S commutes with h, so it is each
+    ``sym`` check too. Purely diagnostic: gates nothing. For an eta that
+    equals its adjoint exactly, as every metric and generator built here
+    does, H†·eta = (eta·H)†, so the residual is read off the one product
+    P = eta·H as ||P† − P||; any other eta takes both products.
     """
     A = as_matrix(H)
     E = as_matrix(eta)

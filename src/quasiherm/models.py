@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from numbers import Integral, Number
+from numbers import Integral, Number, Real
+from sys import float_info
 
 import numpy as np
 
@@ -55,7 +56,17 @@ def _require_integer(value, name: str, low: int, error=InvalidModelParameters):
     raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _require_spread(value, name: str, error) -> None:
+    """``error`` unless ``value`` is a real number (not a bool) in [1, float64 max]."""
+    top = float_info.max
+    if isinstance(value, bool) or not isinstance(value, Real) or not 1.0 <= value <= top:
+        raise error(f"{name} must be a real number in [1, {top:.6g}], got {value!r}")
+
+
 def _require_finite(value, name: str) -> complex:
+    """``value``, a finite number (not a bool), as a complex, or InvalidModelParameters."""
+    if isinstance(value, bool) or not isinstance(value, Number):
+        raise InvalidModelParameters(f"{name} must be a number, got {value!r}")
     try:
         z = complex(value)
     except OverflowError:  # an integer beyond float64's range
@@ -125,8 +136,9 @@ def swanson(dim: int, omega: float, alpha: float, beta: float) -> np.ndarray:
 def _random_transform(n: int, seed: int, cond_bound: float):
     """Sorted spectrum D, transform T₀ and H = T₀⁻¹·D·T₀ of the random ensemble."""
     _require_integer(n, "dim", 1)
-    if not 1.0 <= cond_bound < np.inf:
-        raise InvalidModelParameters(f"cond_bound must be finite and >= 1, got {cond_bound!r}")
+    cond_bound = _require_real(cond_bound, "cond_bound")
+    if cond_bound < 1.0:
+        raise InvalidModelParameters(f"cond_bound must be >= 1, got {cond_bound!r}")
     _require_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
@@ -167,20 +179,20 @@ def build_model(spec: ModelSpec) -> np.ndarray:
     An :class:`InvalidModelParameters` names the field or parameter refused:
     a ``kind`` not in ``MODEL_KINDS``, a ``dim`` that is not an integer (a
     bool is not) or not in the kind's range, a name the kind does not take,
-    a value that is not a number (a bool is not), or one its builder refuses.
+    a ``cond_bound`` above ``SPEC_COND_CAP``, or a value the kind's builder
+    refuses. The builders refuse a value that is not a number (a bool is
+    not), so a builder called directly takes the rules a spec takes.
     """
     if not isinstance(spec.kind, str) or spec.kind not in MODEL_KINDS:
         raise InvalidModelParameters(
             f"kind {spec.kind!r} is not a model; expected one of {', '.join(MODEL_KINDS)}"
         )
     defaults = MODEL_KINDS[spec.kind]
-    for name, value in spec.parameters.items():
+    for name in spec.parameters:
         if name not in defaults:
             raise InvalidModelParameters(
                 f"{name} is not a {spec.kind} parameter; it takes {', '.join(defaults)}"
             )
-        if isinstance(value, bool) or not isinstance(value, Number):
-            raise InvalidModelParameters(f"{name} must be a number, got {value!r}")
     p = {**defaults, **spec.parameters}
     if spec.kind == "two_level":
         if _require_integer(spec.dim, "dim", 2) != 2:

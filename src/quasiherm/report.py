@@ -42,7 +42,6 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +56,7 @@ from .errors import (
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm
 from .matrixio import dumps, load_matrix, matrix_document, matrix_from_payload, matrix_to_payload
 from .metric import full_pipeline
-from .models import ModelSpec, _require_integer, build_model, describe_model
+from .models import ModelSpec, _require_integer, _require_spread, build_model, describe_model
 from .spectral import eig_decompose
 from .symmetry import _certified_commutant, metric_from_symmetry, sample_positive_symmetry
 
@@ -199,13 +198,8 @@ def _member_from_payload(document, where: str) -> FamilyMemberSummary:
     if document.get("max_residual") != member.max_residual:
         raise ParseError(f"{where} key 'max_residual' is not the largest of its residuals")
     _require_integer(member.seed, f"{where} key 'seed'", 0, ParseError)
-    _check_spread(member.spread, f"{where} key 'spread'")
+    _require_spread(member.spread, f"{where} key 'spread'", ParseError)
     return member
-
-
-def _check_spread(value, name: str) -> None:
-    if not isinstance(value, Real) or isinstance(value, bool) or not 1.0 <= value < np.inf:
-        raise ParseError(f"{name} must be a finite real number >= 1, got {value!r}")
 
 
 def _resolve_input(source, max_dim: int):
@@ -253,7 +247,7 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, out, max
     if samples > MAX_SAMPLES:
         raise ParseError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     _require_integer(seed + max(samples - 1, 0), "the last member's seed", 0, ParseError)
-    _check_spread(spread, "spread")
+    _require_spread(spread, "spread", ParseError)
     if out is not None and not isinstance(out, _PATHS):  # an int would be a file descriptor
         raise ParseError(f"out must be a str, bytes or os.PathLike path, got {out!r}")
     H, fields["input"] = _resolve_input(source, max_dim)
@@ -340,10 +334,10 @@ def _run(
         try:
             with open(out, "w", encoding="utf-8") as f:
                 print(report.to_json(), file=f)  # as the CLI prints it: no text + "\n" copy
-        except OSError as exc:
-            return dataclasses.replace(report, error=_error_payload(exc))
-        except ValueError as exc:  # open() refuses a path holding a NUL byte
-            return dataclasses.replace(report, error=_error_payload(ParseError(f"out: {exc}")))
+        except (OSError, ValueError) as exc:  # open() refuses a NUL byte with a ValueError
+            if report.error is None:  # else the error that ended the run stays
+                error = exc if isinstance(exc, OSError) else ParseError(f"out: {exc}")
+                return dataclasses.replace(report, error=_error_payload(error))
     return report
 
 

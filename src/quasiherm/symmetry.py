@@ -49,24 +49,19 @@ Both directions of the theorem share one table of ``sim``, ``sym``,
 each member, and :func:`intertwiner_from_metrics` raises on it for the
 A = rho'·rho⁻¹ of two certified metrics.
 
-Four identities compare a product with its own adjoint, and are checked
-from that one product P as ‖P − P†‖: the member's ``ph``
-(H†·eta' = eta'·H, P = eta'·H), ``sym`` (P = A†A·h), ``A-ph``
-(rho·A† = A·rho, P = A·rho) and the generator's ``sym`` (P = S·h). The
-operands eta', rho, S, h and A†A are made Hermitian on construction, as
-V·D·V† or (M + M†)/2, so each equals its adjoint bit for bit. For such
-an X, H†·X = (X·H)† and X·Y = (Y·X)† hold exactly, so the one-product
-residual is the two-product one. ``eta-prime`` reuses ``A-ph``'s A·rho:
-(A·rho)†(A·rho) = rho·A†A·rho, compared with the eta' of the SVD, which
-is a separate path.
+Since h is Hermitian, S is a symmetry of h exactly when h†·S = S·h, so
+every ``sym``, the generator's and each member's, is
+:func:`~quasiherm.metric.verify_pseudo_hermitian` (h, S), the check
+behind each ``ph``. ``A-ph`` (rho·A† = A·rho) is read off its one product
+P = A·rho as ‖P − P†‖, exact because rho = V·Σ·V† equals its adjoint bit
+for bit. ``eta-prime`` reuses that A·rho: (A·rho)†(A·rho) = rho·A†A·rho,
+compared with the eta' of the SVD, which is a separate path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from numbers import Real
-from sys import float_info
 
 import numpy as np
 
@@ -85,6 +80,7 @@ from .linalg import (
     relative_residual,
 )
 from .metric import MetricOperator, hermitian_equivalent, metric_from_T, verify_pseudo_hermitian
+from .models import _require_integer, _require_spread
 
 # Residuals attached to every family member, keyed by identity name.
 FAMILY_IDENTITIES = (
@@ -238,7 +234,8 @@ def symmetry_from_coefficients(
     intra-cluster unitary V_k, checked by ‖V†V − I‖_F (||v|² − 1| at d = 1);
     a mixed cluster's columns of Q are W_k·V_k, and a cluster left out
     keeps W's. S and sigma = Q·diag(√s)·Q† take one product each, so the
-    root is exact up to roundoff, and ``symmetry_from_coefficients(cb,
+    root is exact up to roundoff. S is certified by its ``sym``,
+    verify_pseudo_hermitian(h, S). ``symmetry_from_coefficients(cb,
     gen.eigenvalues, mixers)`` rebuilds a generator from its own fields.
     """
     n, clusters = cb.h.shape[0], cb.clusters
@@ -264,10 +261,7 @@ def symmetry_from_coefficients(
     Qh = Q.conj().T
     S = hermitian_from_basis(Qh, spectrum)
     sigma = hermitian_from_basis(Qh, np.sqrt(spectrum))
-    # S and h are Hermitian bit for bit, so h·S = (S·h)†
-    commutation = relative_residual(
-        adjoint_defect(S @ cb.h), frobenius_norm(S) * frobenius_norm(cb.h)
-    )
+    commutation = verify_pseudo_hermitian(cb.h, S)
     if commutation > tol.residual_tol:
         raise ResidualExceeded("sym", commutation, tol.residual_tol)
 
@@ -282,19 +276,17 @@ def sample_positive_symmetry(
 ) -> SymmetryGenerator:
     """Draw a random positive-definite symmetry generator of h.
 
-    Spectral coefficients are log-uniform on [1/spread, spread], for an
-    integer seed >= 0 and a real spread in [1, float64 max] (a bool is
-    neither), and the intra-cluster mixers Haar unitaries (the identity for
-    a singleton). One seeded generator draws all n coefficients in one
-    uniform(size=n), in eigenvalue-index order, then one mixer per cluster
-    of size > 1, in cluster order. Identical (seed, spread) reproduce S bit
-    for bit.
+    Spectral coefficients are log-uniform on [1/spread, spread], and the
+    intra-cluster mixers Haar unitaries (the identity for a singleton). The
+    seed and spread take the report runners' rules, as a ValueError: an
+    integer seed >= 0 that ``str`` can write and a real spread in
+    [1, float64 max], a bool being neither. One seeded generator draws all
+    n coefficients in one uniform(size=n), in eigenvalue-index order, then
+    one mixer per cluster of size > 1, in cluster order. Identical (seed,
+    spread) reproduce S bit for bit.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    top = float_info.max
-    if isinstance(spread, bool) or not isinstance(spread, Real) or not 1.0 <= spread <= top:
-        raise ValueError(f"spread must be a real number in [1, {top:.6g}], got {spread!r}")
+    _require_integer(seed, "seed", 0, ValueError)
+    _require_spread(spread, "spread", ValueError)
     rng = np.random.default_rng(seed)
     logs = rng.uniform(np.log(1.0 / spread), np.log(float(spread)), size=cb.h.shape[0])
     mixers = {k: haar_unitary(len(c), rng) for k, c in enumerate(cb.clusters) if len(c) > 1}
@@ -303,16 +295,14 @@ def sample_positive_symmetry(
 
 def _intertwiner_residuals(A, rho, h, h_prime, eta_prime):
     """S = A†A and the ``sim``, ``sym``, ``eta-prime`` and ``A-ph`` residuals
-    of A = rho'·rho⁻¹; rho, h, h' and eta' must equal their adjoints bit for
-    bit, as the one-product forms assume (see the module docstring)."""
+    of A = rho'·rho⁻¹; rho must equal its adjoint bit for bit, as ``A-ph``'s
+    one-product form assumes (see the module docstring)."""
     nrm = frobenius_norm
-    S = A.conj().T @ A
-    S += S.conj().T  # Hermitian bit for bit, so h·S = (S·h)†
-    S /= 2
-    A_rho = A @ rho  # rho is Hermitian, so rho·A† = (A·rho)†
+    S = hermitian_part(A.conj().T @ A)
+    A_rho = A @ rho
     return S, {
         "sim": relative_residual(nrm(h_prime @ A - A @ h), nrm(A) * nrm(h)),
-        "sym": relative_residual(adjoint_defect(S @ h), nrm(S) * nrm(h)),
+        "sym": verify_pseudo_hermitian(h, S),
         "eta-prime": relative_residual(nrm(eta_prime - A_rho.conj().T @ A_rho), nrm(eta_prime)),
         "A-ph": relative_residual(adjoint_defect(A_rho), nrm(rho) * nrm(A)),
     }

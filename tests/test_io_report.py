@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import functools
 import io
 import json
 import math
@@ -18,18 +19,22 @@ from quasiherm import (
     ParseError,
     ResidualExceeded,
     build_model,
+    commutant_basis,
     full_pipeline,
     load_matrix,
     random_diagonalizable,
     run_analyze,
     run_family,
     run_spectrum,
+    sample_positive_symmetry,
     save_matrix,
+    swanson,
     two_level,
 )
 from quasiherm import matrixio, symmetry
 from quasiherm.linalg import DEFAULT_TOLERANCES
 from quasiherm.matrixio import dumps, matrix_from_payload, matrix_to_payload
+from quasiherm.models import MODEL_KINDS
 from quasiherm.report import (
     DEFAULT_MAX_DIM,
     MAX_SAMPLES,
@@ -394,6 +399,90 @@ def test_a_numpy_sample_count_beside_a_large_seed_is_summed_as_python_ints():
     report = run_family(two_level(1, 4, 0), samples=np.int64(2), seed=10**30)
     assert report.verdict == "pass"
     assert [member.seed for member in report.family] == [10**30, 10**30 + 1]
+
+
+def _error_of(call, *args, **kwargs) -> str | None:
+    """The name of the error ``call`` raises, or None when it returns."""
+    try:
+        call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__
+    return None
+
+
+def _run_error(**arguments) -> str | None:
+    error = run_family(two_level(1, 4, 0), samples=1, **arguments).error
+    return error and error["type"]
+
+
+def _member_spread_error(spread) -> str | None:
+    document = json.loads(run_family(two_level(1, 4, 0), samples=1).to_json())
+    document["family"][0]["spread"] = spread
+    return _error_of(VerificationReport.from_payload, document)
+
+
+def _sampler_error(**arguments) -> str | None:
+    cb = commutant_basis(np.diag([1.0, 2.0]).astype(complex), [[0], [1]])
+    return _error_of(sample_positive_symmetry, cb, **{"seed": 0, **arguments})
+
+
+def _model_layers(kind, name, builder, dim):
+    """build_model and the kind's builder, each taking ``name`` = value."""
+    fixed = {"seed": 0} if kind == "random_diagonalizable" else {}
+    return {
+        "build_model": (
+            lambda v: _error_of(build_model, ModelSpec(kind, {**fixed, name: v}, dim=dim)),
+            "InvalidModelParameters",
+        ),
+        kind: (
+            lambda v: _error_of(builder, **{**MODEL_KINDS[kind], **fixed, name: v}),
+            "InvalidModelParameters",
+        ),
+    }
+
+
+# each argument: every layer that takes it, with the error class it refuses with
+_ARGUMENT_LAYERS = {
+    "seed": {
+        "run_family": (lambda v: _run_error(seed=v), "ParseError"),
+        "sample_positive_symmetry": (lambda v: _sampler_error(seed=v), "ValueError"),
+    },
+    "spread": {
+        "run_family": (lambda v: _run_error(spread=v), "ParseError"),
+        "from_payload": (_member_spread_error, "ParseError"),
+        "sample_positive_symmetry": (lambda v: _sampler_error(spread=v), "ValueError"),
+    },
+    **{
+        f"{kind} {name}": _model_layers(kind, name, builder, dim)
+        for kind, builder, dim in [
+            ("two_level", two_level, 2),
+            ("swanson", functools.partial(swanson, 6), 6),
+            ("random_diagonalizable", functools.partial(random_diagonalizable, 4), 4),
+        ]
+        for name in MODEL_KINDS[kind]
+        if name != "seed"
+    },
+}
+_REFUSED_VALUES = {
+    "seed": [10**5000, True, -1, 1.5, "3", None],
+    "spread": [10**400, True, 0.5, float("nan"), float("inf"), "10", 2 + 0j],
+    **{argument: ["1", True, None] for argument in _ARGUMENT_LAYERS if " " in argument},
+    # cond_bound is also a real number >= 1 that fits float64
+    "random_diagonalizable cond_bound": ["5", True, None, 10**400, 0.5, float("inf")],
+}
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [(argument, value) for argument, values in _REFUSED_VALUES.items() for value in values],
+    ids=lambda v: f"10**{math.floor(math.log10(v))}" if type(v) is int and v > 10**9 else None,
+)
+def test_every_layer_that_takes_an_argument_refuses_the_same_values(argument, value):
+    # one rule per argument: a value one layer refuses is refused by every
+    # layer that takes it, each with its own error class
+    layers = _ARGUMENT_LAYERS[argument]
+    refusals = {layer: take(value) for layer, (take, _) in layers.items()}
+    assert refusals == {layer: error for layer, (_, error) in layers.items()}
 
 
 def test_an_out_that_is_not_a_path_is_refused_before_any_input_is_read(monkeypatch, tmp_path):
@@ -882,6 +971,16 @@ def test_unwritable_out_is_an_error_report(tmp_path):
     payload = json.loads(report.to_json())
     assert payload["verdict"] == "error"
     assert payload["error"] == report.error
+
+
+@pytest.mark.parametrize(
+    "name", [os.path.join("missing", "r.json"), "r\0.json"], ids=["missing", "nul"]
+)
+def test_unwritable_out_keeps_the_error_that_ended_the_run(tmp_path, name):
+    # the count is what its caller must mend, whether or not the path opens
+    report = run_family(two_level(1, 4, 0), samples=MAX_SAMPLES + 1, out=str(tmp_path / name))
+    assert report.error["type"] == "ParseError"
+    assert report.error["message"].startswith("samples must be at most")
 
 
 class _FullDisk(io.StringIO):

@@ -15,7 +15,8 @@ clearly split or clearly degenerate: a gap the cutoff could not resolve
 belongs to the clustering rule, not to this oracle.
 
 * Claim 2, every metric is ``rho·S·rho`` (arXiv:0707.3075): ``dim N`` is
-  the report's ``commutant.real_dimension``, and a positive eta₂ drawn
+  the report's ``commutant.real_dimension``, also at a gap the cluster
+  rule merges, where N is counted at the cutoff ``residual_tol``, and a positive eta₂ drawn
   from N, factored by Cholesky, passes ``intertwiner_from_metrics`` with
   ``S`` positive. Conversely the sampler reaches all of N: the members'
   eta' = rho·S·rho for 2·dim N consecutive seeds, as real vectors scaled
@@ -61,6 +62,7 @@ from quasiherm import (
     two_level,
 )
 from quasiherm.linalg import (
+    DEFAULT_TOLERANCES,
     as_matrix,
     frobenius_norm,
     haar_unitary,
@@ -75,15 +77,16 @@ NULL_CUTOFF = 1e-10
 _SETTINGS = settings(max_examples=100, deadline=None)
 
 
-def pseudo_metric_space(H):
-    """A real basis of N = {eta Hermitian : H†eta = eta·H}, one matrix per element."""
+def pseudo_metric_space(H, cutoff=NULL_CUTOFF):
+    """A real basis of N = {eta Hermitian : H†eta = eta·H}, one matrix per
+    element: the singular vectors at or below ``cutoff``·‖H‖_F."""
     basis = hermitian_basis(H.shape[0])
     columns = []
     for E in basis:
         C = (H.conj().T @ E - E @ H).ravel()
         columns.append(np.concatenate([C.real, C.imag]))
     _, s, Vt = np.linalg.svd(np.column_stack(columns))
-    null = Vt[s <= NULL_CUTOFF * np.linalg.norm(H)]
+    null = Vt[s <= cutoff * np.linalg.norm(H)]
     return [np.tensordot(row, basis, axes=1) for row in null]
 
 
@@ -140,6 +143,21 @@ def test_the_metric_space_has_the_commutant_dimension(H):
     report = run_family(H, samples=0)
     assert report.verdict == "pass", report.failure or report.error
     assert len(pseudo_metric_space(H)) == report.commutant["real_dimension"]
+
+
+@pytest.mark.parametrize(
+    "H, dimension",
+    [(two_level(5e-10, 5e-10, 1.0), 4), (two_level(5e-12, 5e-12, 1.0), 4), (two_level(1, 4, 0), 2)],
+    ids=["gap-1e-9", "gap-1e-11", "split"],
+)
+def test_the_certified_commutant_is_the_metric_space_at_the_residual_bound(H, dimension):
+    # every element of the certified commutant commutes with h within
+    # residual_tol, so the oracle counts the same object at that cutoff: a
+    # gap of 1e-9 is merged by the cluster rule, and NULL_CUTOFF counts 2
+    report = run_family(H, samples=0)
+    assert report.verdict == "pass", report.failure or report.error
+    cutoff = DEFAULT_TOLERANCES.residual_tol
+    assert report.commutant["real_dimension"] == len(pseudo_metric_space(H, cutoff)) == dimension
 
 
 @_SETTINGS

@@ -41,12 +41,27 @@ def test_acceptance_imports_are_public():
     assert imported <= set(quasiherm.__all__)
 
 
-def test_readme_imports_are_public():
+def _readme_blocks() -> list[str]:
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
-    imported = set().union(*map(_imported_from_quasiherm, blocks))
+    return re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_imports_are_public():
+    imported = set().union(*map(_imported_from_quasiherm, _readme_blocks()))
     assert imported
     assert imported <= set(quasiherm.__all__), imported - set(quasiherm.__all__)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # in order, in one namespace: the second block reads the first's H and
+    # writes report.json into the working directory
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in _readme_blocks():
+        exec(compile(block, "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert report.verdict == "pass"
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == report.to_json() + "\n"
 
 
 def test_kernels_import_from_linalg_only():
