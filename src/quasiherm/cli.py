@@ -48,8 +48,11 @@ def _resolve_tolerances(tol, environ) -> Tolerances:
         raise ParseError(str(exc)) from exc
 
 
-# Each model flag's dest and the ModelSpec parameter it sets.
-_MODEL_FLAGS = {"model_seed" if n == "seed" else n: n for t in MODEL_KINDS.values() for n in t}
+# Each model flag's dest: its kind, ModelSpec parameter and default (0 for a required one).
+_MODEL_FLAGS = {
+    "model_seed" if name == "seed" else name: (kind, name, 0 if default is None else default)
+    for kind, parameters in MODEL_KINDS.items() for name, default in parameters.items()
+}
 
 
 def _resolve_source(args: dict):
@@ -69,10 +72,8 @@ def _resolve_source(args: dict):
     dim = given.pop("dim", 2 if kind == "two_level" else 20)
     # the kind's defaults, then every model flag that was set, so that
     # build_model refuses one the kind does not take
-    parameters = {
-        name: 0 if default is None else default for name, default in MODEL_KINDS[kind].items()
-    }
-    parameters.update((_MODEL_FLAGS[flag], value) for flag, value in given.items())
+    parameters = {name: default for k, name, default in _MODEL_FLAGS.values() if k == kind}
+    parameters.update((_MODEL_FLAGS[flag][1], value) for flag, value in given.items())
     return ModelSpec(kind, parameters, dim=dim)
 
 
@@ -107,15 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("two_level", "swanson", "random"),
             help="use a built-in model instead of a matrix file",
         )
-        p.add_argument("--b", type=complex, help="two_level upper entry")
-        p.add_argument("--c", type=complex, help="two_level lower entry")
-        p.add_argument("--d", type=float, help="two_level diagonal shift")
+        for flag, (kind, name, default) in _MODEL_FLAGS.items():
+            number = int if name == "seed" else complex  # build_model checks the number
+            help_text = f"{kind} parameter {name} (default {default})"
+            p.add_argument("--" + flag.replace("_", "-"), type=number, help=help_text)
         p.add_argument("--dim", type=int, help="model dimension (default 20; two_level: 2)")
-        p.add_argument("--omega", type=float, help="swanson frequency")
-        p.add_argument("--alpha", type=float, help="swanson a^2 coefficient")
-        p.add_argument("--beta", type=float, help="swanson a+^2 coefficient")
-        p.add_argument("--model-seed", type=int, help="random model seed (default 0)")
-        p.add_argument("--cond-bound", type=float, help="random model condition bound")
         p.add_argument("--tol", type=float, help="residual tolerance")
         p.add_argument("--out", help="also write the report here")
         p.add_argument("--max-dim", type=int, help="largest accepted dimension")

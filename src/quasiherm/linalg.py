@@ -72,8 +72,11 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a square complex128 matrix, validating shape and finiteness."""
-    A = np.asarray(M, dtype=np.complex128)
+    """Coerce to a square complex128 matrix of finite numbers, or raise a ValueError."""
+    try:
+        A = np.asarray(M, dtype=np.complex128)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"expected an array of numbers ({exc})") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
@@ -153,14 +156,8 @@ def gate_singular_values(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) ->
 
 
 def hermitian_from_basis(Vh: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """V·diag(d)·V† for V = Vh† and real d, Hermitian bit for bit."""
-    VD = Vh.conj().T
-    VD *= d
-    P = VD @ Vh
-    # hermitian_part in place: two n×n temporaries fewer per product
-    P += P.conj().T
-    P /= 2
-    return P
+    """V·diag(d)·V† for V = Vh† and real d, made Hermitian bit for bit by hermitian_part."""
+    return hermitian_part((Vh.conj().T * d) @ Vh)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import chain
 from pathlib import Path
 
@@ -91,7 +92,8 @@ def _number_pairs(value):
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix document from ``path``; an OSError from opening it propagates."""
+    """Read a matrix document from a str, bytes or os.PathLike ``path``; an OSError propagates."""
+    path = os.fsdecode(path)
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -107,7 +109,7 @@ def save_matrix(path, M) -> None:
     document = matrix_document(M)
     if not np.isfinite(document["entries"]).all():
         raise ParseError("matrix entries must be finite to be saved")
-    Path(path).write_text(dumps(document) + "\n", encoding="utf-8")
+    Path(os.fsdecode(path)).write_text(dumps(document) + "\n", encoding="utf-8")
 
 
 def dumps(payload) -> str:

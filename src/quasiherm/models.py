@@ -10,6 +10,7 @@ together with their generating data.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Integral, Number, Real
 from sys import float_info
@@ -60,7 +61,9 @@ def _require_spread(value, name: str, error) -> None:
     """``error`` unless ``value`` is a real number (not a bool) in [1, float64 max]."""
     top = float_info.max
     if isinstance(value, bool) or not isinstance(value, Real) or not 1.0 <= value <= top:
-        raise error(f"{name} must be a real number in [1, {top:.6g}], got {value!r}")
+        huge = isinstance(value, int) and abs(value) > top  # its repr may be too long to write
+        shown = "an int beyond float64" if huge else repr(value)
+        raise error(f"{name} must be a real number in [1, {top:.6g}], got {shown}")
 
 
 def _require_finite(value, name: str) -> complex:
@@ -69,8 +72,8 @@ def _require_finite(value, name: str) -> complex:
         raise InvalidModelParameters(f"{name} must be a number, got {value!r}")
     try:
         z = complex(value)
-    except OverflowError:  # an integer beyond float64's range
-        z = complex(cmath.inf)
+    except OverflowError:  # an integer beyond float64's range, maybe too long to write
+        raise InvalidModelParameters(f"{name} must be finite, got an int beyond float64") from None
     if not cmath.isfinite(z):
         raise InvalidModelParameters(f"{name} must be finite, got {value!r}")
     return z
@@ -176,17 +179,19 @@ def random_diagonalizable(
 def build_model(spec: ModelSpec) -> np.ndarray:
     """Realize a ModelSpec as a matrix: the one place a spec is checked.
 
-    An :class:`InvalidModelParameters` names the field or parameter refused:
-    a ``kind`` not in ``MODEL_KINDS``, a ``dim`` that is not an integer (a
-    bool is not) or not in the kind's range, a name the kind does not take,
-    a ``cond_bound`` above ``SPEC_COND_CAP``, or a value the kind's builder
-    refuses. The builders refuse a value that is not a number (a bool is
-    not), so a builder called directly takes the rules a spec takes.
+    An :class:`InvalidModelParameters` names the field or parameter refused: a ``kind``
+    not in ``MODEL_KINDS``, ``parameters`` not a mapping, a ``dim`` that is not an integer
+    (a bool is not) or not in the kind's range, a name the kind does not take, a
+    ``cond_bound`` above ``SPEC_COND_CAP``, or a value the kind's builder refuses. The
+    builders refuse a value that is not a number (a bool is not), so a builder called
+    directly takes the rules a spec takes.
     """
     if not isinstance(spec.kind, str) or spec.kind not in MODEL_KINDS:
         raise InvalidModelParameters(
             f"kind {spec.kind!r} is not a model; expected one of {', '.join(MODEL_KINDS)}"
         )
+    if not isinstance(spec.parameters, Mapping):
+        raise InvalidModelParameters(f"parameters must be a mapping, not {type(spec.parameters)}")
     defaults = MODEL_KINDS[spec.kind]
     for name in spec.parameters:
         if name not in defaults:

@@ -42,7 +42,6 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .symmetry import _certified_commutant, metric_from_symmetry, sample_positiv
 
 DEFAULT_MAX_DIM = 512
 MAX_SAMPLES = 1000  # the most members one run draws, so that every run ends
-_PATHS = (str, bytes, os.PathLike)  # what ``out`` may be
+_PATHS = (str, bytes, os.PathLike)  # what ``source`` and ``out`` may be as a path
 
 _EXIT_CODES = {"pass": 0, "error": 1, "fail": 2}
 
@@ -203,16 +202,16 @@ def _member_from_payload(document, where: str) -> FamilyMemberSummary:
 
 
 def _resolve_input(source, max_dim: int):
-    """Turn a path, ModelSpec, or array into (H, descriptor)."""
+    """Turn a ModelSpec, a path (``_PATHS``) or an array into (H, descriptor)."""
     if isinstance(source, ModelSpec):
         # gate before building: a model allocates its full dim x dim matrix,
         # and only an integer dim can be compared with max_dim
         _check_dim(_require_integer(source.dim, "dim", 1), max_dim)
         H = build_model(source)
         descriptor = describe_model(source)
-    elif isinstance(source, (str, Path)):
+    elif isinstance(source, _PATHS):
         H = load_matrix(source)
-        descriptor = {"path": str(source)}
+        descriptor = {"path": os.fsdecode(source)}
     else:
         try:
             H = as_matrix(source)
@@ -239,7 +238,11 @@ def _error_payload(exc: Exception) -> dict:
 
 
 def _record_stages(fields, command, source, tol, samples, seed, spread, out, max_dim) -> None:
-    """Run the stages ``command`` selects, recording their results in ``fields``."""
+    """Run the stages ``command`` selects, recording their results in ``fields``; a ``tol``
+    that is not a Tolerances is refused first, so the report keeps DEFAULT_TOLERANCES."""
+    if not isinstance(tol, Tolerances):
+        raise ParseError(f"tol must be a Tolerances, got {type(tol).__name__}")
+    fields["tolerances"] = dataclasses.asdict(tol)
     for name, value in (("samples", samples), ("seed", seed), ("max_dim", max_dim)):
         _require_integer(value, name, 0, ParseError)
     # each member's seed is written too; Python ints, as a numpy int's sum may overflow
@@ -249,7 +252,7 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, out, max
     _require_integer(seed + max(samples - 1, 0), "the last member's seed", 0, ParseError)
     _require_spread(spread, "spread", ParseError)
     if out is not None and not isinstance(out, _PATHS):  # an int would be a file descriptor
-        raise ParseError(f"out must be a str, bytes or os.PathLike path, got {out!r}")
+        raise ParseError(f"out must be a str, bytes or os.PathLike path, got {type(out).__name__}")
     H, fields["input"] = _resolve_input(source, max_dim)
 
     if command == "spectrum":
@@ -312,7 +315,7 @@ def _run(
     fields = {
         "command": command,
         "input": {},
-        "tolerances": dataclasses.asdict(tol),
+        "tolerances": dataclasses.asdict(DEFAULT_TOLERANCES),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "residuals": {},
         "family": [],

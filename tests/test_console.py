@@ -64,6 +64,14 @@ def test_an_error_report_exits_one_with_its_message(tmp_path, content, argv):
     assert stderr == f"error: {json.loads(stdout)['error']['message']}\n"
 
 
+def test_a_complex_value_for_a_real_parameter_is_an_error_report(tmp_path):
+    # a model flag reads any number, and build_model refuses a complex d
+    code, stdout, stderr = run_console(tmp_path, "spectrum", "--model", "two_level", "--d", "1j")
+    error = json.loads(stdout)["error"]
+    assert (code, error["type"]) == (1, "InvalidModelParameters")
+    assert stderr == f"error: {error['message']}\n"
+
+
 @pytest.mark.parametrize(
     "argv, env",
     [(("bogus",), None),

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from quasiherm import (
     commutant_basis,
     full_pipeline,
     load_matrix,
+    metric_from_symmetry,
     random_diagonalizable,
     run_analyze,
     run_family,
@@ -32,7 +34,7 @@ from quasiherm import (
     two_level,
 )
 from quasiherm import matrixio, symmetry
-from quasiherm.linalg import DEFAULT_TOLERANCES
+from quasiherm.linalg import DEFAULT_TOLERANCES, Tolerances
 from quasiherm.matrixio import dumps, matrix_from_payload, matrix_to_payload
 from quasiherm.models import MODEL_KINDS
 from quasiherm.report import (
@@ -243,9 +245,12 @@ def test_analyze_model_spec_input():
          "cond_bound"),
         (ModelSpec("random_diagonalizable", {"seed": -1}, dim=4), "seed"),
         (ModelSpec("random_diagonalizable", {"seed": 1.5}, dim=4), "seed"),
+        (ModelSpec("two_level", {"b": 10**5000}), "b"),
+        *((ModelSpec("two_level", p), "parameters") for p in (5, None, ["b"], "bc")),
     ],
     ids=["omega-nan", "alpha-inf", "d-nan", "b-inf", "c-inf", "cond-bound-nan",
-         "seed-negative", "seed-fractional"],
+         "seed-negative", "seed-fractional", "b-10**5000", "parameters-int", "parameters-None",
+         "parameters-list", "parameters-str"],
 )
 def test_a_non_finite_or_bad_model_parameter_is_an_error_report(spec, name):
     report = run_analyze(spec, samples=1)
@@ -305,6 +310,68 @@ def test_analyze_file_input(tmp_path):
     report = run_analyze(path, samples=1)
     assert report.verdict == "pass"
     assert report.input == {"path": str(path)}
+
+
+class PathLike:
+    """An os.PathLike that is neither a str, bytes nor a pathlib path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
+# each type a path may have, made from a str
+PATH_TYPES = {
+    "str": str,
+    "bytes": os.fsencode,
+    "Path": pathlib.Path,
+    "PurePosixPath": pathlib.PurePosixPath,
+    "PathLike": PathLike,
+}
+
+
+@pytest.mark.parametrize("path_type", PATH_TYPES.values(), ids=PATH_TYPES)
+def test_every_path_type_is_a_source_an_out_and_a_matrix_file(tmp_path, path_type):
+    H = two_level(1, 4, 0)
+    matrix, out = str(tmp_path / "h.json"), str(tmp_path / "r.json")
+    save_matrix(path_type(matrix), H)
+    npt.assert_array_equal(load_matrix(path_type(matrix)), H)
+    report = run_family(path_type(matrix), samples=1, out=path_type(out))
+    assert report.verdict == "pass", report.error
+    assert report.input == {"path": matrix}  # the descriptor a str source records
+    with open(out, encoding="utf-8") as f:
+        assert f.read() == report.to_json() + "\n"
+
+
+@pytest.mark.parametrize(
+    "tol", [None, 1e-8, "x", {"residual_tol": 1e-8}, Tolerances, 10**5000],
+    ids=["None", "float", "str", "dict", "the-class", "10**5000"],
+)
+@pytest.mark.parametrize("run", [run_analyze, run_family, run_spectrum])
+def test_a_tol_that_is_not_tolerances_is_refused_first(run, tol):
+    # refused before the input is read: the report keeps the default
+    # tolerances, which from_payload restores
+    report = run(ModelSpec("two_level", "bc"), tol)
+    assert report.error == {
+        "type": "ParseError", "message": f"tol must be a Tolerances, got {type(tol).__name__}"
+    }
+    assert report.tolerances == dataclasses.asdict(DEFAULT_TOLERANCES)
+    assert report.input == {}
+    text = report.to_json()
+    assert VerificationReport.from_payload(json.loads(text)).to_json() == text
+
+
+@pytest.mark.parametrize(
+    "source", [{}, object(), [[1, {}], [0, 1]], [[10**5000, 0], [0, 1]]],
+    ids=["dict", "object", "list-holding-a-dict", "list-holding-10**5000"],
+)
+def test_an_in_memory_source_that_is_not_numbers_is_a_parse_error(source):
+    for run in (run_analyze, run_family, run_spectrum):
+        report = run(source)
+        assert report.error["type"] == "ParseError", report.error
+        assert report.error["message"].startswith("expected an array of numbers")
 
 
 def test_report_round_trip_preserves_residuals():
@@ -465,7 +532,7 @@ _ARGUMENT_LAYERS = {
 }
 _REFUSED_VALUES = {
     "seed": [10**5000, True, -1, 1.5, "3", None],
-    "spread": [10**400, True, 0.5, float("nan"), float("inf"), "10", 2 + 0j],
+    "spread": [10**400, 10**5000, -(10**5000), True, 0.5, float("nan"), float("inf"), "10", 2 + 0j],
     **{argument: ["1", True, None] for argument in _ARGUMENT_LAYERS if " " in argument},
     # cond_bound is also a real number >= 1 that fits float64
     "random_diagonalizable cond_bound": ["5", True, None, 10**400, 0.5, float("inf")],
@@ -475,7 +542,8 @@ _REFUSED_VALUES = {
 @pytest.mark.parametrize(
     "argument, value",
     [(argument, value) for argument, values in _REFUSED_VALUES.items() for value in values],
-    ids=lambda v: f"10**{math.floor(math.log10(v))}" if type(v) is int and v > 10**9 else None,
+    ids=lambda v: f"{'-' * (v < 0)}10**{math.floor(math.log10(abs(v)))}"
+    if type(v) is int and abs(v) > 10**9 else None,
 )
 def test_every_layer_that_takes_an_argument_refuses_the_same_values(argument, value):
     # one rule per argument: a value one layer refuses is refused by every
@@ -960,6 +1028,24 @@ def test_to_json_peak_memory_is_linear_in_output():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+def test_a_family_member_peaks_below_sixteen_matrices():
+    # members 2 to 5 of a run find rho_inv formed by the first: measured
+    # here, a member peaks at 15.5 complex n×n matrices (the first at 16.5)
+    n = 128
+    H = random_diagonalizable(n, 0)[0]
+    pair = full_pipeline(H)
+    cb = commutant_basis(pair.h, pair.spectral.clusters)
+    metric_from_symmetry(pair.metric, sample_positive_symmetry(cb, 0), H)
+    generator = sample_positive_symmetry(cb, 1)
+    tracemalloc.start()
+    try:
+        metric_from_symmetry(pair.metric, generator, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n * np.dtype(np.complex128).itemsize
 
 
 def test_unwritable_out_is_an_error_report(tmp_path):

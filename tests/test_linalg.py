@@ -37,6 +37,15 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize(
+    "M", [{}, object(), [[1, {}], [0, 1]], [[10**5000, 0], [0, 1]]],
+    ids=["dict", "object", "list-holding-a-dict", "list-holding-10**5000"],
+)
+def test_as_matrix_refuses_what_is_not_an_array_of_numbers(M):
+    with pytest.raises(ValueError, match="expected an array of numbers"):
+        as_matrix(M)
+
+
 def test_frobenius_norm_matches_numpy(rng):
     M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     assert np.isclose(frobenius_norm(M), np.linalg.norm(M, "fro"))

@@ -8,10 +8,12 @@ A table of scales from 1e-280 to 1e280 pins each verdict to its input.
 One strategy per ``MODEL_KINDS`` entry draws each parameter over many
 decades of either sign; each ``run_analyze`` report must also render, be
 restored byte for byte by ``from_payload`` and exit with its verdict's code.
-The run arguments ``samples``, ``seed``, ``spread``, ``max_dim`` and ``out``
-are drawn over every kind of value, with the same demands on the report.
+The run arguments ``source``, ``tol``, ``samples``, ``seed``, ``spread``,
+``max_dim`` and ``out`` are drawn over every kind of value, with the same
+demands on the report.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -32,11 +34,13 @@ from quasiherm import (
     swanson,
     two_level,
 )
-from quasiherm.linalg import DEFAULT_TOLERANCES, haar_unitary
+from quasiherm.linalg import DEFAULT_TOLERANCES, Tolerances, haar_unitary
+from quasiherm.matrixio import save_matrix
 from quasiherm.metric import verify_pseudo_hermitian
 from quasiherm.models import MODEL_KINDS
-from quasiherm.report import MAX_SAMPLES
+from quasiherm.report import _PATHS, MAX_SAMPLES
 from quasiherm.symmetry import FAMILY_IDENTITIES
+from test_io_report import PATH_TYPES
 
 TOL = DEFAULT_TOLERANCES.residual_tol
 _FAIL_NAMES = re.compile(
@@ -279,16 +283,43 @@ def _powers_of_ten(low):
     return st.builds(lambda sign, exponent: sign * 10**exponent, sign, st.integers(low, 5000))
 
 
+_NOT_A_NUMBER = st.none() | st.text(max_size=3) | st.builds(dict) | st.builds(object)
+
+
+def _sources(matrix_file):
+    """The ``two_level(1, 4, 0)`` file as every path type and a missing file;
+    any run argument, or a 2×2 list holding a non-number, in memory; and
+    ModelSpecs whose kind, parameters or dim has the wrong type."""
+    missing = os.path.join(os.path.dirname(matrix_file), "missing", "h.json")
+    return (
+        st.sampled_from([make(matrix_file) for make in PATH_TYPES.values()] + [missing])
+        | _RUN_ARGUMENT | st.builds(dict) | st.builds(object)
+        | _NOT_A_NUMBER.map(lambda x: [[1, x], [0, 1]])
+        | st.builds(ModelSpec, _RUN_ARGUMENT | st.lists(st.text(max_size=3), max_size=2))
+        | st.builds(
+            ModelSpec, st.just("two_level"),
+            _RUN_ARGUMENT | st.lists(st.text(max_size=2), max_size=2)
+            | st.dictionaries(st.sampled_from("bcdx"), _NOT_A_NUMBER | _powers_of_ten(309)),
+        )
+        | st.builds(ModelSpec, st.just("two_level"), st.just({}), _RUN_ARGUMENT)
+    )
+
+
 def _run_arguments(tmp_path, write_end):
     """A strategy per run argument. A run draws ``samples`` members, so its
     ints are small, above ``MAX_SAMPLES`` or too long to write. ``open``
     takes an int or a bool as a file descriptor, so ``out``'s ints are the
     test's own pipe end and ones no process has, and its strings name files
-    under ``tmp_path``."""
+    under ``tmp_path``. A ``tol`` is anything but a Tolerances."""
+    matrix_file = os.path.join(tmp_path, "h.json")
+    save_matrix(matrix_file, two_level(1, 4, 0))
     # no "/": os.path.join takes a name from "/" on as an absolute path
     name = st.text(st.characters(exclude_characters="/"), max_size=3) | st.just("missing/r.json")
     path = name.map(lambda name: os.path.join(tmp_path, name))
     return {
+        "source": _sources(matrix_file),
+        "tol": _RUN_OTHER | st.dictionaries(st.text(max_size=3), _RUN_OTHER, max_size=2)
+        | st.just(dataclasses.asdict(DEFAULT_TOLERANCES)) | st.just(Tolerances),
         "samples": st.integers(-2, 3) | st.integers(MAX_SAMPLES + 1, 10**4300)
         | _powers_of_ten(4300) | _RUN_OTHER,
         "seed": _RUN_ARGUMENT,
@@ -311,7 +342,7 @@ def test_run_arguments_end_typed_and_restore(tmp_path, data):
         strategies = _run_arguments(tmp_path, write_end)
         drawn = data.draw(st.sets(st.sampled_from(sorted(strategies)), max_size=2), label="drawn")
         arguments = {name: data.draw(strategies[name], label=name) for name in sorted(drawn)}
-        report = run_family(two_level(1, 4, 0), **{"samples": 2, **arguments})
+        report = run_family(**{"source": two_level(1, 4, 0), "samples": 2, **arguments})
         os.write(write_end, b"open")  # the run neither wrote into the pipe nor closed it
         assert os.read(read_end, 64) == b"open"
     finally:
@@ -330,7 +361,10 @@ def test_run_arguments_end_typed_and_restore(tmp_path, data):
         assert report.error["type"] in ERROR_TYPES | _error_types(OSError), report.error
     text = report.to_json()
     assert VerificationReport.from_payload(json.loads(text)).to_json() == text
+    if report.verdict == "pass" and isinstance(arguments.get("source"), _PATHS):
+        # the one file that passes is recorded by its decoded path, whatever its type
+        assert report.input == {"path": os.path.join(tmp_path, "h.json")}
     out = arguments.get("out")
-    if isinstance(out, (str, bytes, os.PathLike)) and os.path.isfile(out):
+    if isinstance(out, _PATHS) and os.path.isfile(out):
         with open(out, encoding="utf-8") as f:
             assert f.read() == text + "\n"

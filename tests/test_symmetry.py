@@ -12,6 +12,7 @@ from quasiherm import (
     IllConditioned,
     NotHermitian,
     NotPositiveDefinite,
+    ParseError,
     ResidualExceeded,
     cluster_degeneracies,
     commutant_basis,
@@ -308,6 +309,15 @@ def test_symmetry_from_coefficients_validation():
     with pytest.raises(ValueError):
         # a NaN mixer has no finite unitarity defect
         symmetry_from_coefficients(cb, np.ones(2), {0: np.full((1, 1), np.nan)})
+
+
+def test_a_generator_whose_norms_overflow_is_a_parse_error():
+    # S = diag(1.7e308, 1) is finite, halved before it is made Hermitian;
+    # only the product of its norm with h's overflows
+    h = np.diag([1.0, 2.0]).astype(complex)
+    cb = commutant_basis(h, [[0], [1]])
+    with pytest.raises(ParseError, match="a product of Frobenius norms overflows"):
+        symmetry_from_coefficients(cb, [1.7e308, 1.0])
 
 
 def test_one_product_generator_matches_per_cluster_sum():
