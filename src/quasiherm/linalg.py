@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import IllConditioned, ParseError, SingularTransform
+from .errors import IllConditioned, ParseError, ResidualExceeded, SingularTransform
 
 # Frobenius norms below this are indistinguishable from zero in double precision.
 ZERO_NORM_FLOOR = 1e-300
@@ -38,7 +38,7 @@ class Tolerances:
         to count as real, rho = max|lambda|: relative with a floor of 1 at
         rho >= 1, and never absolute for a small H.
     residual_tol
-        Relative bound on every certified operator-identity residual.
+        Relative bound on every certified residual; equality passes (:func:`gate_residual`).
     degeneracy_cluster_tol
         Bound on an eigenvalue gap / max(spread, min(rho, 1)) below which
         two eigenvalues share a cluster.
@@ -123,6 +123,13 @@ def relative_residual(numerator: float, denominator: float) -> float:
     if denominator == np.inf:
         raise ParseError(f"a product of Frobenius norms overflows (numerator {numerator:.3e})")
     return numerator if denominator <= ZERO_NORM_FLOOR else numerator / denominator
+
+
+def gate_residual(identity: str, value: float, tol: Tolerances) -> float:
+    """``value`` if at most ``residual_tol``, else ResidualExceeded naming ``identity``."""
+    if not value <= tol.residual_tol:  # a NaN trips too
+        raise ResidualExceeded(identity, value, tol.residual_tol)
+    return value
 
 
 def adjoint_defect(P: np.ndarray) -> float:

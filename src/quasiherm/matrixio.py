@@ -91,9 +91,21 @@ def _number_pairs(value):
         return np.array([np.inf])
 
 
+def decode_path(path, name: str) -> str:
+    """``path``, a str, bytes or os.PathLike, as a str; else a ParseError naming ``name``."""
+    try:
+        decoded = os.fsdecode(path)  # a TypeError: not a path, or __fspath__ gave neither
+    except TypeError:
+        got = type(path).__name__  # an int or a bool would be a file descriptor to open()
+        raise ParseError(f"{name} must be a str, bytes or os.PathLike path, got {got}") from None
+    if "\0" in decoded:  # no file has the name, and open() would raise a ValueError
+        raise ParseError(f"{name}: embedded null byte")
+    return decoded
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a matrix document from a str, bytes or os.PathLike ``path``; an OSError propagates."""
-    path = os.fsdecode(path)
+    path = decode_path(path, "path")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -109,7 +121,7 @@ def save_matrix(path, M) -> None:
     document = matrix_document(M)
     if not np.isfinite(document["entries"]).all():
         raise ParseError("matrix entries must be finite to be saved")
-    Path(os.fsdecode(path)).write_text(dumps(document) + "\n", encoding="utf-8")
+    Path(decode_path(path, "path")).write_text(dumps(document) + "\n", encoding="utf-8")
 
 
 def dumps(payload) -> str:

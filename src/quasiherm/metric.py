@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResidualExceeded
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint_defect,
     as_matrix,
     frobenius_norm,
+    gate_residual,
     gate_singular_values,
     hermitian_part,
     relative_residual,
@@ -97,10 +97,7 @@ def hermitian_equivalent(
     similarity_residual = relative_residual(
         frobenius_norm(rho @ A - h @ rho), frobenius_norm(rho) * frobenius_norm(A)
     )
-    if similarity_residual > tol.residual_tol:
-        raise ResidualExceeded("H=H", similarity_residual, tol.residual_tol)
-
-    return EquivalencePair(h=h, metric=metric, similarity_residual=similarity_residual)
+    return EquivalencePair(h, metric, gate_residual("H=H", similarity_residual, tol))
 
 
 def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
@@ -116,9 +113,8 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     A = as_matrix(H)
     spectral = eig_decompose(A, tol)
     metric = spectral.metric
-    ph = metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A, metric.eta)
-    if ph > tol.residual_tol:
-        raise ResidualExceeded("ph", ph, tol.residual_tol)
+    metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A, metric.eta)
+    gate_residual("ph", metric.pseudo_hermiticity_residual, tol)
     pair = hermitian_equivalent(A, metric, spectral.eigenvalues.real, tol)
     pair.spectral = spectral
     return pair

@@ -136,12 +136,12 @@ def swanson(dim: int, omega: float, alpha: float, beta: float) -> np.ndarray:
     return H
 
 
-def _random_transform(n: int, seed: int, cond_bound: float):
-    """Sorted spectrum D, transform T₀ and H = T₀⁻¹·D·T₀ of the random ensemble."""
+def _random_transform(n: int, seed: int, cond_bound: float, cap: float = np.inf):
+    """Sorted spectrum D, T₀ and H = T₀⁻¹·D·T₀ of the ensemble, cond_bound in [1, cap]."""
     _require_integer(n, "dim", 1)
     cond_bound = _require_real(cond_bound, "cond_bound")
-    if cond_bound < 1.0:
-        raise InvalidModelParameters(f"cond_bound must be >= 1, got {cond_bound!r}")
+    if not 1.0 <= cond_bound <= cap:
+        raise InvalidModelParameters(f"cond_bound must be in [1, {cap}], got {cond_bound!r}")
     _require_integer(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
@@ -205,12 +205,7 @@ def build_model(spec: ModelSpec) -> np.ndarray:
         return two_level(p["b"], p["c"], p["d"])
     if spec.kind == "swanson":
         return swanson(spec.dim, p["omega"], p["alpha"], p["beta"])
-    cond_bound = _require_real(p["cond_bound"], "cond_bound")
-    if cond_bound > SPEC_COND_CAP:
-        raise InvalidModelParameters(
-            f"requested condition bound {cond_bound} exceeds the cap {SPEC_COND_CAP}"
-        )
-    return _random_transform(spec.dim, p["seed"], cond_bound)[2]
+    return _random_transform(spec.dim, p["seed"], p["cond_bound"], SPEC_COND_CAP)[2]
 
 
 def describe_model(spec: ModelSpec) -> dict:

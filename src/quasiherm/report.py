@@ -53,7 +53,8 @@ from .errors import (
     ResidualExceeded,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm
-from .matrixio import dumps, load_matrix, matrix_document, matrix_from_payload, matrix_to_payload
+from .matrixio import decode_path, dumps, load_matrix, matrix_document, matrix_from_payload
+from .matrixio import matrix_to_payload
 from .metric import full_pipeline
 from .models import ModelSpec, _require_integer, _require_spread, build_model, describe_model
 from .spectral import eig_decompose
@@ -61,7 +62,7 @@ from .symmetry import _certified_commutant, metric_from_symmetry, sample_positiv
 
 DEFAULT_MAX_DIM = 512
 MAX_SAMPLES = 1000  # the most members one run draws, so that every run ends
-_PATHS = (str, bytes, os.PathLike)  # what ``source`` and ``out`` may be as a path
+_PATHS = (str, bytes, os.PathLike)  # a ``source`` read as a path, as decode_path reads it
 
 _EXIT_CODES = {"pass": 0, "error": 1, "fail": 2}
 
@@ -210,8 +211,8 @@ def _resolve_input(source, max_dim: int):
         H = build_model(source)
         descriptor = describe_model(source)
     elif isinstance(source, _PATHS):
-        H = load_matrix(source)
-        descriptor = {"path": os.fsdecode(source)}
+        descriptor = {"path": decode_path(source, "source")}
+        H = load_matrix(descriptor["path"])
     else:
         try:
             H = as_matrix(source)
@@ -251,8 +252,8 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, out, max
         raise ParseError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     _require_integer(seed + max(samples - 1, 0), "the last member's seed", 0, ParseError)
     _require_spread(spread, "spread", ParseError)
-    if out is not None and not isinstance(out, _PATHS):  # an int would be a file descriptor
-        raise ParseError(f"out must be a str, bytes or os.PathLike path, got {type(out).__name__}")
+    if out is not None:  # refused before any input is read
+        decode_path(out, "out")
     H, fields["input"] = _resolve_input(source, max_dim)
 
     if command == "spectrum":
@@ -333,14 +334,13 @@ def _run(
         fields["error"] = _error_payload(exc)
 
     report = VerificationReport(**fields)
-    if isinstance(out, _PATHS):
+    if out is not None:
         try:
-            with open(out, "w", encoding="utf-8") as f:
+            with open(decode_path(out, "out"), "w", encoding="utf-8") as f:
                 print(report.to_json(), file=f)  # as the CLI prints it: no text + "\n" copy
-        except (OSError, ValueError) as exc:  # open() refuses a NUL byte with a ValueError
+        except (OSError, ParseError) as exc:
             if report.error is None:  # else the error that ended the run stays
-                error = exc if isinstance(exc, OSError) else ParseError(f"out: {exc}")
-                return dataclasses.replace(report, error=_error_payload(error))
+                return dataclasses.replace(report, error=_error_payload(exc))
     return report
 
 

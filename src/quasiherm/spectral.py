@@ -34,7 +34,6 @@ from .errors import (
     IllConditioned,
     NonDiagonalizable,
     ParseError,
-    ResidualExceeded,
     SingularTransform,
 )
 from .linalg import (
@@ -42,6 +41,7 @@ from .linalg import (
     Tolerances,
     as_matrix,
     frobenius_norm,
+    gate_residual,
     gate_singular_values,
     hermitian_from_basis,
     relative_residual,
@@ -192,9 +192,7 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     cond_T = _gated_condition(s, tol, "normalized transform rows")
 
     commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
-    relative = relative_residual(commutation, frobenius_norm(A) * frobenius_norm(T))
-    if relative > tol.residual_tol:
-        raise ResidualExceeded("eig", relative, tol.residual_tol)
+    gate_residual("eig", relative_residual(commutation, frobenius_norm(A) * frobenius_norm(T)), tol)
 
     return SpectralData(
         eigenvalues=eigenvalues,

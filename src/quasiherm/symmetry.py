@@ -65,13 +65,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositiveDefinite, ResidualExceeded
+from .errors import NotHermitian, NotPositiveDefinite
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint_defect,
     as_matrix,
     frobenius_norm,
+    gate_residual,
     gate_singular_values,
     haar_unitary,
     hermitian_from_basis,
@@ -199,9 +200,7 @@ def _certified_commutant(h, eigenvalues, W, clusters, tol: Tolerances) -> Commut
     if flat != list(range(n)) or not all(clusters):
         raise ValueError("clusters must partition the index range of h")
 
-    completeness = frobenius_norm(W.conj().T @ W - np.eye(n))
-    if completeness > tol.residual_tol:
-        raise ResidualExceeded("projector completeness", completeness, tol.residual_tol)
+    gate_residual("projector completeness", frobenius_norm(W.conj().T @ W - np.eye(n)), tol)
 
     norm_h = frobenius_norm(h)
     R = h @ W - W * eigenvalues
@@ -209,8 +208,7 @@ def _certified_commutant(h, eigenvalues, W, clusters, tol: Tolerances) -> Commut
         values = eigenvalues[cluster]
         spread = float(values.max() - values.min())
         certificate = relative_residual(spread + 2.0 * frobenius_norm(R[:, cluster]), norm_h)
-        if certificate > tol.residual_tol:
-            raise ResidualExceeded(f"sym[cluster {k}]", certificate, tol.residual_tol)
+        gate_residual(f"sym[cluster {k}]", certificate, tol)
 
     return CommutantBasis(
         h=h,
@@ -261,9 +259,7 @@ def symmetry_from_coefficients(
     Qh = Q.conj().T
     S = hermitian_from_basis(Qh, spectrum)
     sigma = hermitian_from_basis(Qh, np.sqrt(spectrum))
-    commutation = verify_pseudo_hermitian(cb.h, S)
-    if commutation > tol.residual_tol:
-        raise ResidualExceeded("sym", commutation, tol.residual_tol)
+    gate_residual("sym", verify_pseudo_hermitian(cb.h, S), tol)
 
     return SymmetryGenerator(matrix=S, sqrt=sigma, h=cb.h, eigenvalues=spectrum, eigenvectors=Q)
 
@@ -396,6 +392,5 @@ def intertwiner_from_metrics(
         A, metric.rho, _gated_hermitian(h, tol), _gated_hermitian(h_prime, tol), metric_prime.eta
     )
     for name in ("sim", "sym", "A-ph", "eta-prime"):
-        if residuals[name] > tol.residual_tol:
-            raise ResidualExceeded(name, residuals[name], tol.residual_tol)
+        gate_residual(name, residuals[name], tol)
     return A, S

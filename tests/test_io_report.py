@@ -345,6 +345,31 @@ def test_every_path_type_is_a_source_an_out_and_a_matrix_file(tmp_path, path_typ
         assert f.read() == report.to_json() + "\n"
 
 
+# paths no file can have, made from a folder: a path-like whose __fspath__
+# returns an int, and a str or bytes path holding a NUL byte
+REFUSED_PATHS = {
+    "fspath-int": lambda folder: PathLike(3),
+    "str-NUL": lambda folder: os.path.join(folder, "a\0b.json"),
+    "bytes-NUL": lambda folder: os.fsencode(os.path.join(folder, "a\0b.json")),
+}
+
+
+@pytest.mark.parametrize("make", REFUSED_PATHS.values(), ids=REFUSED_PATHS)
+@pytest.mark.parametrize("run", [run_analyze, run_family, run_spectrum])
+def test_a_path_no_file_can_have_is_a_parse_error_naming_the_argument(tmp_path, run, make):
+    matrix = str(tmp_path / "h.json")
+    save_matrix(matrix, two_level(1, 4, 0))
+    for name, source, out in [("source", make(tmp_path), None), ("out", matrix, make(tmp_path))]:
+        report = run(source, out=out)
+        assert report.error["type"] == "ParseError", report.error
+        assert report.error["message"].startswith(name), report.error
+        assert report.input == {}  # refused before the source is read
+    for call in (load_matrix, lambda path: save_matrix(path, np.eye(2))):
+        with pytest.raises(ParseError, match="^path"):
+            call(make(tmp_path))
+    assert os.listdir(tmp_path) == ["h.json"]
+
+
 @pytest.mark.parametrize(
     "tol", [None, 1e-8, "x", {"residual_tol": 1e-8}, Tolerances, 10**5000],
     ids=["None", "float", "str", "dict", "the-class", "10**5000"],
@@ -580,7 +605,7 @@ def test_an_out_that_is_not_a_path_is_refused_before_any_input_is_read(monkeypat
     report = run_family(spec, samples=1, out=os.fsencode(path))
     assert report.verdict == "pass"
     assert path.read_text(encoding="utf-8") == report.to_json() + "\n"
-    # a path open() refuses for a NUL byte is an error report, not its ValueError
+    # a path holding a NUL byte, which open() would refuse with a ValueError, is an error report
     report = run_family(spec, samples=1, out=os.path.join(tmp_path, "a\0"))
     assert report.error == {"type": "ParseError", "message": "out: embedded null byte"}
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,21 +11,30 @@ from quasiherm import (
     IllConditioned,
     NotHermitian,
     ParseError,
+    ResidualExceeded,
     SingularTransform,
     Tolerances,
     commutant_basis,
+    eig_decompose,
+    full_pipeline,
+    hermitian_equivalent,
+    intertwiner_from_metrics,
+    metric_from_symmetry,
     metric_from_T,
+    random_diagonalizable,
 )
 from quasiherm.linalg import (
     ZERO_NORM_FLOOR,
     as_matrix,
     frobenius_norm,
+    gate_residual,
     gate_singular_values,
     haar_unitary,
     hermitian_part,
     hermiticity_defect,
     relative_residual,
 )
+from quasiherm.symmetry import _certified_commutant, symmetry_from_coefficients
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -72,6 +83,77 @@ def test_frobenius_norm_and_relative_residual_refuse_overflow():
         frobenius_norm(1.5e308 * np.eye(2))
     with pytest.raises(ParseError, match="product of Frobenius norms overflows"):
         relative_residual(1.0, 1e300 * 1e300)
+
+
+def test_gate_residual_passes_up_to_the_bound_and_trips_above_it_or_on_nan():
+    tol = Tolerances(residual_tol=1e-8)
+    assert gate_residual("x", 5e-9, tol) == 5e-9
+    assert gate_residual("x", 1e-8, tol) == 1e-8
+    for value in (np.nextafter(1e-8, 1.0), np.nan):
+        with pytest.raises(ResidualExceeded) as caught:
+            gate_residual("x", value, tol)
+        assert (caught.value.identity, caught.value.bound) == ("x", 1e-8)
+        npt.assert_equal(caught.value.value, value)
+
+
+@functools.cache
+def _certified_chain():
+    H = random_diagonalizable(6, 3)[0]
+    pair = full_pipeline(H)
+    cb = commutant_basis(pair.h, pair.spectral.clusters)
+    generator = symmetry_from_coefficients(cb, np.linspace(1.0, 2.0, 6))
+    return H, pair, cb, metric_from_symmetry(pair.metric, generator, H)
+
+
+def _gate_runs(monkeypatch):
+    """Per gate, named by its identity, a call in which it is the first to
+    read residual_tol (the intertwiner's loop by its first check, sim)."""
+    H, pair, cb, member = _certified_chain()
+    spectral, metric = pair.spectral, pair.metric
+    levels = spectral.eigenvalues.real
+    # ph is full_pipeline's second gate: the patch skips the first, eig
+    monkeypatch.setattr("quasiherm.metric.eig_decompose", lambda A, tol: spectral)
+    split = np.array([1.0, 1.0 + 1e-9, 3.0])  # one cluster spread by 1e-9, exact W = I
+    return {
+        "eig": lambda tol: eig_decompose(H, tol),
+        "ph": lambda tol: full_pipeline(H, tol),
+        "H=H": lambda tol: hermitian_equivalent(H, metric, levels, tol),
+        "projector completeness": lambda tol: _certified_commutant(
+            pair.h, levels, metric.unitary.conj().T, spectral.clusters, tol
+        ),
+        "sym[cluster 0]": lambda tol: _certified_commutant(
+            np.diag(split).astype(complex), split, np.eye(3, dtype=complex), [[0, 1], [2]], tol
+        ),
+        "sym": lambda tol: symmetry_from_coefficients(cb, np.linspace(1.0, 2.0, 6), None, tol),
+        "sim": lambda tol: intertwiner_from_metrics(
+            metric, member.eta_prime, pair.h, member.h_prime, tol
+        ),
+    }
+
+
+def _tripped(run, residual_tol):
+    """The ResidualExceeded ``run`` raises at ``residual_tol``, or None."""
+    try:
+        run(Tolerances(residual_tol=residual_tol))
+    except ResidualExceeded as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "identity",
+    ["eig", "ph", "H=H", "projector completeness", "sym[cluster 0]", "sym", "sim"],
+)
+def test_each_gate_trips_just_below_the_value_it_reads_and_passes_at_it(monkeypatch, identity):
+    run = _gate_runs(monkeypatch)[identity]
+    first = _tripped(run, 1e-300)
+    assert first is not None and first.identity == identity, first
+    value = first.value
+    below = _tripped(run, float(np.nextafter(value, 0.0)))
+    assert below is not None, identity
+    assert (below.identity, below.value) == (identity, value)
+    at = _tripped(run, value)  # a later gate may trip there, never this one
+    assert at is None or at.identity != identity, at
 
 
 def test_hermitian_part_and_defect(rng):

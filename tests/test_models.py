@@ -155,6 +155,25 @@ def test_build_model_gates():
         build_model(ModelSpec("swanson", {}, dim=0))
 
 
+def test_cond_bound_is_checked_once_with_one_message():
+    def spec(cond_bound, dim=4):
+        return ModelSpec("random_diagonalizable", {"seed": 1, "cond_bound": cond_bound}, dim=dim)
+
+    # a ModelSpec's cond_bound is capped at SPEC_COND_CAP, a direct call's is not
+    for value in (0.5, 500.0):
+        message = rf"^cond_bound must be in \[1, 100\.0\], got {value}$"
+        with pytest.raises(InvalidModelParameters, match=message):
+            build_model(spec(value))
+    message = r"^cond_bound must be in \[1, inf\], got 0\.5$"
+    with pytest.raises(InvalidModelParameters, match=message):
+        random_diagonalizable(4, seed=1, cond_bound=0.5)
+    npt.assert_array_equal(build_model(spec(100.0)), random_diagonalizable(4, 1, 100.0)[0])
+    random_diagonalizable(4, seed=1, cond_bound=500.0)
+    # the dim is read before the cond_bound
+    with pytest.raises(InvalidModelParameters, match="^dim must be an integer >= 1, got 0$"):
+        build_model(spec(500.0, dim=0))
+
+
 def test_describe_model_serializes_complex_parameters():
     spec = ModelSpec("two_level", {"b": 1 + 2j, "c": 1 - 2j, "d": 0.5}, dim=2)
     desc = describe_model(spec)

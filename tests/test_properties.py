@@ -40,7 +40,7 @@ from quasiherm.metric import verify_pseudo_hermitian
 from quasiherm.models import MODEL_KINDS
 from quasiherm.report import _PATHS, MAX_SAMPLES
 from quasiherm.symmetry import FAMILY_IDENTITIES
-from test_io_report import PATH_TYPES
+from test_io_report import PATH_TYPES, REFUSED_PATHS
 
 TOL = DEFAULT_TOLERANCES.residual_tol
 _FAIL_NAMES = re.compile(
@@ -286,13 +286,29 @@ def _powers_of_ten(low):
 _NOT_A_NUMBER = st.none() | st.text(max_size=3) | st.builds(dict) | st.builds(object)
 
 
+def _refused_paths(folder):
+    return st.sampled_from([make(folder) for make in REFUSED_PATHS.values()])
+
+
+def _no_file_can_have(path) -> bool:
+    """Whether ``path`` is a path-like whose ``__fspath__`` returns neither str
+    nor bytes, or a str, bytes or path-like path holding a NUL byte."""
+    try:
+        return isinstance(path, _PATHS) and "\0" in os.fsdecode(path)
+    except TypeError:
+        return True
+
+
 def _sources(matrix_file):
-    """The ``two_level(1, 4, 0)`` file as every path type and a missing file;
-    any run argument, or a 2×2 list holding a non-number, in memory; and
-    ModelSpecs whose kind, parameters or dim has the wrong type."""
-    missing = os.path.join(os.path.dirname(matrix_file), "missing", "h.json")
+    """The ``two_level(1, 4, 0)`` file as every path type, a missing file and
+    paths no file can have; any run argument, or a 2×2 list holding a
+    non-number, in memory; and ModelSpecs whose kind, parameters or dim has
+    the wrong type."""
+    folder = os.path.dirname(matrix_file)
+    missing = os.path.join(folder, "missing", "h.json")
     return (
         st.sampled_from([make(matrix_file) for make in PATH_TYPES.values()] + [missing])
+        | _refused_paths(folder)
         | _RUN_ARGUMENT | st.builds(dict) | st.builds(object)
         | _NOT_A_NUMBER.map(lambda x: [[1, x], [0, 1]])
         | st.builds(ModelSpec, _RUN_ARGUMENT | st.lists(st.text(max_size=3), max_size=2))
@@ -310,7 +326,7 @@ def _run_arguments(tmp_path, write_end):
     ints are small, above ``MAX_SAMPLES`` or too long to write. ``open``
     takes an int or a bool as a file descriptor, so ``out``'s ints are the
     test's own pipe end and ones no process has, and its strings name files
-    under ``tmp_path``. A ``tol`` is anything but a Tolerances."""
+    under ``tmp_path`` or no file at all. A ``tol`` is anything but a Tolerances."""
     matrix_file = os.path.join(tmp_path, "h.json")
     save_matrix(matrix_file, two_level(1, 4, 0))
     # no "/": os.path.join takes a name from "/" on as an absolute path
@@ -326,7 +342,7 @@ def _run_arguments(tmp_path, write_end):
         "spread": _RUN_ARGUMENT,
         "max_dim": _RUN_ARGUMENT,
         "out": st.none() | st.floats() | st.just(write_end) | _powers_of_ten(12)
-        | path | path.map(os.fsencode) | path.map(pathlib.Path),
+        | path | path.map(os.fsencode) | path.map(pathlib.Path) | _refused_paths(tmp_path),
     }
 
 
@@ -356,6 +372,9 @@ def test_run_arguments_end_typed_and_restore(tmp_path, data):
         # that cannot be opened leaves that ParseError in place
         assert report.error["type"] == "ParseError", report.error
         assert (report.input, report.family) == ({}, [])
+    if any(_no_file_can_have(arguments.get(name)) for name in ("source", "out")):
+        # refused before anything is read or opened
+        assert report.error["type"] == "ParseError", report.error
     if report.verdict == "error":
         # an out that cannot be opened is the error open() raised
         assert report.error["type"] in ERROR_TYPES | _error_types(OSError), report.error
@@ -365,6 +384,6 @@ def test_run_arguments_end_typed_and_restore(tmp_path, data):
         # the one file that passes is recorded by its decoded path, whatever its type
         assert report.input == {"path": os.path.join(tmp_path, "h.json")}
     out = arguments.get("out")
-    if isinstance(out, _PATHS) and os.path.isfile(out):
+    if isinstance(out, _PATHS) and not _no_file_can_have(out) and os.path.isfile(out):
         with open(out, encoding="utf-8") as f:
             assert f.read() == text + "\n"

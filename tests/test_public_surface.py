@@ -1,4 +1,5 @@
-"""The package's public surface: ``quasiherm.__all__`` and the kernels' home."""
+"""The package's public surface: ``quasiherm.__all__``, the kernels' home
+and the one function behind each shared rule."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ KERNELS = (
     "DEFAULT_TOLERANCES",
     "as_matrix",
     "frobenius_norm",
+    "gate_residual",
     "gate_singular_values",
     "haar_unitary",
     "hermitian_from_basis",
@@ -69,3 +71,21 @@ def test_kernels_import_from_linalg_only():
     for name in KERNELS:
         assert hasattr(linalg, name), name
     assert not set(KERNELS) & set(quasiherm.__all__)
+
+
+def _callers(callee: str) -> set[tuple[str, str]]:
+    """(module, top-level function or class) of each call to a name or an
+    attribute ``callee`` in ``src/quasiherm``."""
+    found = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "quasiherm").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if callee in (getattr(func, "attr", None), getattr(func, "id", None)):
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_function_trips_every_certificate_and_one_decodes_every_path():
+    assert _callers("ResidualExceeded") == {("linalg", "gate_residual")}
+    assert _callers("fsdecode") == {("matrixio", "decode_path")}
