@@ -31,7 +31,8 @@ RESCALED_NORM_BELOW = 1e-140
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical gates shared across the pipeline.
+    """Numerical gates shared across the pipeline, each an int or a float (not
+    a bool), finite and strictly positive, else a ValueError naming it.
 
     spectral_reality_tol
         Bound on |Im lambda| / max(|lambda|, min(rho, 1)) for an eigenvalue
@@ -62,7 +63,9 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (np.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):  # what JSON writes
+                raise ValueError(f"{f.name} must be an int or a float, got {type(value).__name__}")
+            if not 0 < value <= float(np.finfo(np.float64).max):  # an int past float64 too
                 raise ValueError(f"{f.name} must be finite and strictly positive")
         if self.condition_cap <= 1:
             raise ValueError("condition_cap must exceed 1")

@@ -32,13 +32,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
+from .linalg import as_matrix
 
 
 def matrix_document(M) -> dict:
-    """The matrix document of ``M`` with ``entries`` as an ``(n², 2)`` float64 view."""
-    A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParseError(f"expected a square matrix, got shape {A.shape}")
+    """The document of ``M`` by ``as_matrix``'s rule, ``entries`` an ``(n², 2)`` float64 view."""
+    try:
+        A = as_matrix(M)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     entries = np.ascontiguousarray(A).view(np.float64).reshape(-1, 2)
     return {"dim": int(A.shape[0]), "entries": entries}
 
@@ -98,6 +100,8 @@ def decode_path(path, name: str) -> str:
     except TypeError:
         got = type(path).__name__  # an int or a bool would be a file descriptor to open()
         raise ParseError(f"{name} must be a str, bytes or os.PathLike path, got {got}") from None
+    except Exception as exc:  # __fspath__ itself raised
+        raise ParseError(f"{name}: __fspath__ raised {exc!r}") from exc
     if "\0" in decoded:  # no file has the name, and open() would raise a ValueError
         raise ParseError(f"{name}: embedded null byte")
     return decoded
@@ -117,10 +121,8 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, M) -> None:
-    """Write a matrix document to ``path``; a non-finite ``M`` raises ParseError."""
+    """Write :func:`matrix_document` of ``M`` to ``path``; its ParseError comes first."""
     document = matrix_document(M)
-    if not np.isfinite(document["entries"]).all():
-        raise ParseError("matrix entries must be finite to be saved")
     Path(decode_path(path, "path")).write_text(dumps(document) + "\n", encoding="utf-8")
 
 

@@ -103,10 +103,10 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     Two eigenvalues share a cluster iff their gap is at most
     ``degeneracy_cluster_tol * max(spread, min(rho, 1))`` with
     ``rho = max|lambda|``, so below unit scale the bound follows the
-    spectrum; the partition is the transitive closure of that relation,
-    so on sorted input it reduces to walking adjacent gaps. A non-finite
-    value is a ``ValueError``, and a spread of finite values that overflows
-    float64 a :class:`ParseError`; below it no gap overflows.
+    spectrum; on sorted input the transitive closure of that relation is
+    the runs between gaps above the bound. A non-finite value is a
+    ``ValueError``, and a spread of finite values that overflows float64
+    a :class:`ParseError`; below it no gap overflows.
     """
     values = np.real(np.asarray(eigenvalues)).astype(np.float64)
     if values.ndim != 1 or values.size == 0:
@@ -121,13 +121,8 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
         )
     radius = float(np.abs(values).max())
     gap_tol = tol.degeneracy_cluster_tol * max(spread, min(radius, 1.0))
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] <= gap_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+    breaks = np.flatnonzero(np.diff(values) > gap_tol) + 1
+    return [run.tolist() for run in np.split(np.arange(values.size), breaks)]
 
 
 def _gated_condition(s: np.ndarray, tol: Tolerances, rows: str) -> float:

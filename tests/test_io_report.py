@@ -78,6 +78,20 @@ def test_save_matrix_refuses_a_matrix_that_is_not_square(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "M, match",
+    [(np.zeros((0, 0)), "^matrix must have positive dimension$"),
+     ([[1, {}], [0, 1]], "^expected an array of numbers")],
+    ids=["empty", "non-number"],
+)
+def test_save_matrix_refuses_what_load_matrix_would_not_read(tmp_path, M, match):
+    # an empty matrix would be written as dim 0, which load_matrix refuses
+    path = tmp_path / "m.json"
+    with pytest.raises(ParseError, match=match):
+        save_matrix(path, M)
+    assert not path.exists()
+
+
 def test_matrix_payload_of_a_noncontiguous_matrix():
     M = np.arange(9.0).reshape(3, 3) - 1j * np.arange(9.0).reshape(3, 3) ** 2
     expected = [[float(z.real), float(z.imag)] for z in M.T.ravel()]
@@ -345,10 +359,18 @@ def test_every_path_type_is_a_source_an_out_and_a_matrix_file(tmp_path, path_typ
         assert f.read() == report.to_json() + "\n"
 
 
+class RaisingPathLike:
+    """An os.PathLike whose __fspath__ raises."""
+
+    def __fspath__(self):
+        raise RuntimeError("boom")
+
+
 # paths no file can have, made from a folder: a path-like whose __fspath__
-# returns an int, and a str or bytes path holding a NUL byte
+# returns an int or raises, and a str or bytes path holding a NUL byte
 REFUSED_PATHS = {
     "fspath-int": lambda folder: PathLike(3),
+    "fspath-raises": lambda folder: RaisingPathLike(),
     "str-NUL": lambda folder: os.path.join(folder, "a\0b.json"),
     "bytes-NUL": lambda folder: os.fsencode(os.path.join(folder, "a\0b.json")),
 }
@@ -368,6 +390,13 @@ def test_a_path_no_file_can_have_is_a_parse_error_naming_the_argument(tmp_path, 
         with pytest.raises(ParseError, match="^path"):
             call(make(tmp_path))
     assert os.listdir(tmp_path) == ["h.json"]
+
+
+def test_a_raising_fspath_is_a_parse_error_naming_what_it_raised():
+    message = r"^path: __fspath__ raised RuntimeError\('boom'\)$"
+    with pytest.raises(ParseError, match=message) as info:
+        load_matrix(RaisingPathLike())
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 @pytest.mark.parametrize(
@@ -972,6 +1001,7 @@ _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
         (_edited(tolerances=lambda d: 5), "key 'tolerances'"),
         (_edited(tolerances=lambda d: {"residual_tol": 1e-8}), "key 'tolerances'"),
         (_edited(tolerances=lambda d: {**d["tolerances"], "residual_tol": -1.0}), "'tolerances'"),
+        (_edited(tolerances=lambda d: {**d["tolerances"], "residual_tol": True}), "'tolerances'"),
         (
             _edited(tolerances=lambda d: {**d["tolerances"], "positivity_floor": 1e-10}),
             "'tolerances'",
@@ -996,7 +1026,7 @@ _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
         "empty", "not-an-object", "member-without-spread", "verdict", "matrices", "family",
         "pass-with-a-failure", "fail-over-a-clean-table", "failure-not-the-worst",
         "tolerances-not-an-object", "tolerances-partial", "tolerances-out-of-range",
-        "tolerances-with-a-removed-field",
+        "tolerances-bool", "tolerances-with-a-removed-field",
         "member-without-residuals", "member-max-residual", "nan-residual", "string-residual",
         "fractional-seed", "bool-seed", "string-spread", "nan-spread", "spread-below-one",
     ],

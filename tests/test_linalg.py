@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -403,3 +405,17 @@ def test_tolerances_validation():
         Tolerances(condition_cap=0.5)
     t = Tolerances(residual_tol=1e-6)
     assert t.residual_tol == 1e-6
+
+
+@pytest.mark.parametrize(
+    "value", [True, "1e-8", None, Fraction(1, 10**8), np.int64(10)],
+    ids=["bool", "str", "None", "Fraction", "np.int64"],
+)
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+def test_a_tolerance_that_is_not_an_int_or_a_float_is_a_value_error_naming_it(name, value):
+    # an int or a float is what a report's JSON writes and from_payload reads back
+    with pytest.raises(ValueError, match=f"^{name} must be an int or a float, got "):
+        Tolerances(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive$"):
+        Tolerances(**{name: 10**400})  # an int beyond float64
+    assert getattr(Tolerances(**{name: np.float64(2.0)}), name) == 2.0

@@ -291,11 +291,11 @@ def _refused_paths(folder):
 
 
 def _no_file_can_have(path) -> bool:
-    """Whether ``path`` is a path-like whose ``__fspath__`` returns neither str
-    nor bytes, or a str, bytes or path-like path holding a NUL byte."""
+    """Whether ``path`` is a path-like whose ``__fspath__`` raises or returns
+    neither str nor bytes, or a str, bytes or path-like path holding a NUL byte."""
     try:
         return isinstance(path, _PATHS) and "\0" in os.fsdecode(path)
-    except TypeError:
+    except Exception:  # os.fsdecode's TypeError, or what __fspath__ raised
         return True
 
 

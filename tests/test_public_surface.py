@@ -89,3 +89,14 @@ def _callers(callee: str) -> set[tuple[str, str]]:
 def test_one_function_trips_every_certificate_and_one_decodes_every_path():
     assert _callers("ResidualExceeded") == {("linalg", "gate_residual")}
     assert _callers("fsdecode") == {("matrixio", "decode_path")}
+
+
+def test_every_file_parses_with_the_grammar_of_the_oldest_supported_python():
+    # feature_version refuses newer syntax such as except*, but not every
+    # construct (a *tuple[...] annotation passes) and no call to a newer
+    # library function, which only a run on that Python can show
+    root = Path(__file__).parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^requires-python = "(.*)"$', pyproject, re.M) == [">=3.10"]
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -13,7 +13,7 @@ from quasiherm import (
     run_family,
     two_level,
 )
-from quasiherm.linalg import haar_unitary
+from quasiherm.linalg import frobenius_norm, haar_unitary, hermitian_part
 
 
 def test_cluster_singletons_for_distinct_values():
@@ -149,6 +149,24 @@ def test_degenerate_similarity_clusters_and_certifies():
     for cluster in data.clusters:
         block = data.T[cluster]
         npt.assert_allclose(block @ block.conj().T, np.eye(len(cluster)), atol=1e-10)
+
+
+def test_degenerate_hermitian_input_has_identity_metric_and_orthonormal_clusters():
+    # H = U·diag(lambda)·U† with levels repeated 1-3 times: each cluster's
+    # eig rows span its eigenspace in no particular basis, so only their
+    # orthonormalization makes T unitary and the metric the identity
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        repeats = rng.integers(1, 4, size=rng.integers(4, 9))  # n in 4-24
+        levels = np.cumsum(rng.uniform(0.5, 2.0, repeats.size)) - 5.0
+        n = int(repeats.sum())
+        U = haar_unitary(n, rng)
+        pair = full_pipeline(hermitian_part((U * np.repeat(levels, repeats)) @ U.conj().T))
+        assert [len(c) for c in pair.spectral.clusters] == repeats.tolist()
+        assert frobenius_norm(pair.metric.eta - np.eye(n)) <= 1e-10
+        for cluster in pair.spectral.clusters:
+            block = pair.spectral.T[cluster]
+            npt.assert_allclose(block @ block.conj().T, np.eye(len(cluster)), atol=1e-10)
 
 
 def test_scaled_rotation_lists_both_complex_eigenvalues():
