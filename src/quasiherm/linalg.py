@@ -74,6 +74,16 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+def require_tolerances(tol, error=ValueError) -> Tolerances:
+    """``tol`` if it is a Tolerances, else ``error`` naming its type. Every
+    tolerance read goes through here, so a building block refuses a bad
+    ``tol`` at its first read, ``eig_decompose`` after its ``eig``: for a
+    caller's programming error, less code than a check in every function."""
+    if not isinstance(tol, Tolerances):
+        raise error(f"tol must be a Tolerances, got {type(tol).__name__}")
+    return tol
+
+
 def as_matrix(M) -> np.ndarray:
     """Coerce to a square complex128 matrix of finite numbers, or raise a ValueError."""
     try:
@@ -130,8 +140,9 @@ def relative_residual(numerator: float, denominator: float) -> float:
 
 def gate_residual(identity: str, value: float, tol: Tolerances) -> float:
     """``value`` if at most ``residual_tol``, else ResidualExceeded naming ``identity``."""
-    if not value <= tol.residual_tol:  # a NaN trips too
-        raise ResidualExceeded(identity, value, tol.residual_tol)
+    bound = require_tolerances(tol).residual_tol
+    if not value <= bound:  # a NaN trips too
+        raise ResidualExceeded(identity, value, bound)
     return value
 
 
@@ -142,6 +153,11 @@ def adjoint_defect(P: np.ndarray) -> float:
     ||Y†·X − X·Y|| is this defect of the one product P = X·Y.
     """
     return frobenius_norm(P - P.conj().T)
+
+
+def unitarity_defect(U: np.ndarray) -> float:
+    """||U†U - I||_F of a square U."""
+    return frobenius_norm(U.conj().T @ U - np.eye(len(U)))
 
 
 def hermiticity_defect(M: np.ndarray) -> float:
@@ -160,9 +176,9 @@ def gate_singular_values(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) ->
     floor = max(ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax)
     if smin <= floor:
         raise SingularTransform(f"smallest singular value {smin:.3e} at roundoff, ≤ {floor:.3e}")
-    cond = smax / smin
-    if cond > tol.condition_cap:
-        raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
+    cond, cap = smax / smin, require_tolerances(tol).condition_cap
+    if cond > cap:
+        raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {cap:.3e}")
 
 
 def hermitian_from_basis(Vh: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ from .errors import (
     QuasiHermError,
     ResidualExceeded,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm, require_tolerances
 from .matrixio import decode_path, dumps, load_matrix, matrix_document, matrix_from_payload
 from .matrixio import matrix_to_payload
 from .metric import full_pipeline
@@ -241,9 +241,7 @@ def _error_payload(exc: Exception) -> dict:
 def _record_stages(fields, command, source, tol, samples, seed, spread, out, max_dim) -> None:
     """Run the stages ``command`` selects, recording their results in ``fields``; a ``tol``
     that is not a Tolerances is refused first, so the report keeps DEFAULT_TOLERANCES."""
-    if not isinstance(tol, Tolerances):
-        raise ParseError(f"tol must be a Tolerances, got {type(tol).__name__}")
-    fields["tolerances"] = dataclasses.asdict(tol)
+    fields["tolerances"] = dataclasses.asdict(require_tolerances(tol, ParseError))
     for name, value in (("samples", samples), ("seed", seed), ("max_dim", max_dim)):
         _require_integer(value, name, 0, ParseError)
     # each member's seed is written too; Python ints, as a numpy int's sum may overflow

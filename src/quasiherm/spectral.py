@@ -45,6 +45,7 @@ from .linalg import (
     gate_singular_values,
     hermitian_from_basis,
     relative_residual,
+    require_tolerances,
 )
 
 @dataclass
@@ -120,7 +121,7 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
             f"the eigenvalue spread overflows float64 ({values[0]:.3e} to {values[-1]:.3e})"
         )
     radius = float(np.abs(values).max())
-    gap_tol = tol.degeneracy_cluster_tol * max(spread, min(radius, 1.0))
+    gap_tol = require_tolerances(tol).degeneracy_cluster_tol * max(spread, min(radius, 1.0))
     breaks = np.flatnonzero(np.diff(values) > gap_tol) + 1
     return [run.tolist() for run in np.split(np.arange(values.size), breaks)]
 
@@ -162,7 +163,8 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
 
     magnitudes = np.abs(eigenvalues)
     scale = np.maximum(magnitudes, min(magnitudes.max(), 1.0))
-    offenders = np.flatnonzero(np.abs(eigenvalues.imag) > tol.spectral_reality_tol * scale)
+    bound = require_tolerances(tol).spectral_reality_tol * scale
+    offenders = np.flatnonzero(np.abs(eigenvalues.imag) > bound)
     if offenders.size:
         bad = [complex(eigenvalues[i]) for i in offenders]
         raise ComplexSpectrum(

@@ -27,8 +27,14 @@ For every E = W_k·X·W_k† in that cluster's block of the commutant,
 
 and each entry of [X, Λ_k] is X_ij·(λ_j − λ_i) with |λ_j − λ_i| ≤ δ_k, so
 ‖[E, h]‖_F / (‖E‖_F·‖h‖_F) is at most the certificate, up to factors
-1 + O(residual_tol) from the unitarity of W. The per-cluster bound thus
-implies the commutator check on every element of the commutant.
+1 + O(residual_tol) from the unitarity of W. That holds in one cluster's
+block only. For E = Σ_k W_k·X_k·W_k† over K clusters the same algebra,
+with the whole residual R, gives
+
+    ‖[E, h]‖_F / (‖E‖_F·‖h‖_F) ≤ (max_k δ_k + 2‖R‖_F) / ‖h‖_F,
+
+up to √K times the largest ``sym[cluster k]``, since ‖R‖_F² = Σ_k ‖R_k‖_F².
+So :func:`symmetry_from_coefficients` keeps its own ``sym`` gate.
 
 For each family member the whole identity chain is verified numerically:
 
@@ -79,6 +85,8 @@ from .linalg import (
     hermitian_part,
     hermiticity_defect,
     relative_residual,
+    require_tolerances,
+    unitarity_defect,
 )
 from .metric import MetricOperator, hermitian_equivalent, metric_from_T, verify_pseudo_hermitian
 from .models import _require_integer, _require_spread
@@ -108,9 +116,11 @@ class CommutantBasis:
     clusters k of W_k·X_k·W_k†, X_k a Hermitian block of the cluster's size
     and W_k the cluster's columns of ``eigenvectors``. Each cluster has passed
     (spread_k + 2‖h·W_k − W_k·Λ_k‖_F) / ‖h‖_F ≤ residual_tol, which bounds
-    ‖[E, h]‖ / (‖E‖·‖h‖) for every E in the cluster's block (see the module
-    docstring), so every commutant element commutes with h within the
-    tolerance. ``real_dimension``, the sum of squared cluster sizes, is the
+    ‖[E, h]‖ / (‖E‖·‖h‖) for every E in the cluster's block. An E over
+    several clusters is bounded by (max_k spread_k + 2‖h·W − W·Λ‖_F) / ‖h‖_F,
+    up to √K times the largest cluster's for K clusters (see the module
+    docstring), so each generator is gated by its own ``sym``.
+    ``real_dimension``, the sum of squared cluster sizes, is the
     dimension of this certified approximate commutant: eigenvalues the
     cluster rule merges form one block, so ``two_level(5e-10, 5e-10, 1.0)``
     (gap 1e-9, one cluster of 2) counts 4, and ``two_level(1, 4, 0)`` 2.
@@ -169,9 +179,9 @@ class MetricFamilyMember:
 def _gated_hermitian(h, tol: Tolerances) -> np.ndarray:
     """Hermitian part of h; :class:`NotHermitian` beyond ``residual_tol`` asymmetry."""
     h = as_matrix(h)
-    defect = hermiticity_defect(h)
-    if defect > tol.residual_tol:
-        raise NotHermitian(f"relative asymmetry {defect:.3e} exceeds {tol.residual_tol:.3e}")
+    defect, bound = hermiticity_defect(h), require_tolerances(tol).residual_tol
+    if defect > bound:
+        raise NotHermitian(f"relative asymmetry {defect:.3e} exceeds {bound:.3e}")
     return hermitian_part(h)
 
 
@@ -200,7 +210,7 @@ def _certified_commutant(h, eigenvalues, W, clusters, tol: Tolerances) -> Commut
     if flat != list(range(n)) or not all(clusters):
         raise ValueError("clusters must partition the index range of h")
 
-    gate_residual("projector completeness", frobenius_norm(W.conj().T @ W - np.eye(n)), tol)
+    gate_residual("projector completeness", unitarity_defect(W), tol)
 
     norm_h = frobenius_norm(h)
     R = h @ W - W * eigenvalues
@@ -250,7 +260,7 @@ def symmetry_from_coefficients(
         d = len(clusters[k])
         V = np.asarray(V, dtype=np.complex128)
         # `not <=` refuses NaN entries too
-        if V.shape != (d, d) or not np.linalg.norm(V.conj().T @ V - np.eye(d)) <= tol.residual_tol:
+        if V.shape != (d, d) or not unitarity_defect(V) <= require_tolerances(tol).residual_tol:
             raise ValueError("cluster mixer must be a unitary of the cluster size")
         Q[:, clusters[k]] = cb.eigenvectors[:, clusters[k]] @ V
     if not np.all((spectrum > 0) & (spectrum < np.inf)):  # NaN fails both
@@ -350,16 +360,13 @@ def metric_from_symmetry(
     B = rho @ U
 
     nrm = frobenius_norm
-    n = A_H.shape[0]
     _, intertwined = _intertwiner_residuals(A, rho, h, h_prime, eta_prime)
     residuals = {
         "ph": member_metric.pseudo_hermiticity_residual,
         "H=H": prime_pair.similarity_residual,
         **intertwined,
         # U is the polar factor X†, not A·sigma⁻¹, so both halves are checked
-        "A=US": max(
-            nrm(U.conj().T @ U - np.eye(n)), relative_residual(nrm(A - U @ sigma), nrm(A))
-        ),
+        "A=US": max(unitarity_defect(U), relative_residual(nrm(A - U @ sigma), nrm(A))),
         "B-ph": relative_residual(nrm(B.conj().T - sigma @ B @ sigma_inv), nrm(B)),
         "eta=BB": relative_residual(nrm(B @ B.conj().T - eta), nrm(eta)),
         "eta-form": relative_residual(nrm(eta_prime - rho @ S @ rho), nrm(eta_prime)),

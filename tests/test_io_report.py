@@ -1103,6 +1103,23 @@ def test_a_family_member_peaks_below_sixteen_matrices():
     assert peak <= 16 * n * n * np.dtype(np.complex128).itemsize
 
 
+def test_a_whole_analyze_peaks_below_thirty_six_matrices(tmp_path):
+    # the render, not a member, sets the op's peak: the report text (about
+    # 15.7 complex n×n matrices) beside its pieces or its encoded copy;
+    # measured here at 34.6 matrices, and 34.5 at n=256. A first run's lazy
+    # imports add about 3 at n=128, so a small run takes them first.
+    n = 128
+    spec = ModelSpec("random_diagonalizable", {"seed": 0}, dim=n)
+    run_analyze(two_level(1, 4, 0), samples=1, out=tmp_path / "first.json")
+    tracemalloc.start()
+    try:
+        run_analyze(spec, samples=5, seed=7, out=tmp_path / "r.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * n * n * np.dtype(np.complex128).itemsize
+
+
 def test_unwritable_out_is_an_error_report(tmp_path):
     report = run_analyze(two_level(1, 4, 0), samples=1, out=tmp_path / "missing" / "r.json")
     assert report.verdict == "error"

@@ -3,10 +3,21 @@ and the one function behind each shared rule."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import quasiherm
+from quasiherm import (
+    commutant_basis,
+    full_pipeline,
+    metric_from_symmetry,
+    sample_positive_symmetry,
+    two_level,
+)
+from quasiherm.symmetry import symmetry_from_coefficients
 
 KERNELS = (
     "DEFAULT_TOLERANCES",
@@ -18,6 +29,8 @@ KERNELS = (
     "hermitian_from_basis",
     "hermitian_part",
     "hermiticity_defect",
+    "require_tolerances",
+    "unitarity_defect",
 )
 
 
@@ -73,15 +86,21 @@ def test_kernels_import_from_linalg_only():
     assert not set(KERNELS) & set(quasiherm.__all__)
 
 
-def _callers(callee: str) -> set[tuple[str, str]]:
+def _callers(callee: str, argument: str | None = None) -> set[tuple[str, str]]:
     """(module, top-level function or class) of each call to a name or an
-    attribute ``callee`` in ``src/quasiherm``."""
+    attribute ``callee`` in ``src/quasiherm``, with a name ``argument`` among
+    its arguments' names when one is given."""
     found = set()
     for path in sorted((Path(__file__).parents[1] / "src" / "quasiherm").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 func = node.func if isinstance(node, ast.Call) else None
-                if callee in (getattr(func, "attr", None), getattr(func, "id", None)):
+                if callee not in (getattr(func, "attr", None), getattr(func, "id", None)):
+                    continue
+                names = {
+                    n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)
+                }
+                if argument is None or argument in names:
                     found.add((path.stem, getattr(top, "name", "<module>")))
     return found
 
@@ -89,6 +108,71 @@ def _callers(callee: str) -> set[tuple[str, str]]:
 def test_one_function_trips_every_certificate_and_one_decodes_every_path():
     assert _callers("ResidualExceeded") == {("linalg", "gate_residual")}
     assert _callers("fsdecode") == {("matrixio", "decode_path")}
+
+
+def test_one_function_checks_every_tol_and_one_measures_every_unitarity():
+    assert _callers("isinstance", "Tolerances") == {("linalg", "require_tolerances")}
+    assert _callers("eye") == {("linalg", "unitarity_defect")}
+
+
+def _tol_entry_points() -> dict:
+    """Every public function with a ``tol`` parameter, read off the
+    signatures, and the generator's assembly, which sampling reaches."""
+    public = {name: getattr(quasiherm, name) for name in quasiherm.__all__}
+    found = {
+        name: obj
+        for name, obj in public.items()
+        if inspect.isfunction(obj) and "tol" in inspect.signature(obj).parameters
+    }
+    return {**found, "symmetry_from_coefficients": symmetry_from_coefficients}
+
+
+def _arguments_by_name() -> dict:
+    """A valid value for each required parameter of an entry point, by name."""
+    H = two_level(1, 4, 0)
+    pair = full_pipeline(H)
+    cb = commutant_basis(pair.h, pair.spectral.clusters)
+    generator = sample_positive_symmetry(cb, 0)
+    member = metric_from_symmetry(pair.metric, generator, H)
+    return {
+        "source": H,
+        "H": H,
+        "eigenvalues": pair.spectral.eigenvalues.real,
+        "T": pair.spectral.T,
+        "metric": pair.metric,
+        "K": pair.spectral.eigenvalues.real,
+        "h": pair.h,
+        "clusters": pair.spectral.clusters,
+        "cb": cb,
+        "seed": 0,
+        "generator": generator,
+        "values": generator.eigenvalues,
+        "metric_prime": member.eta_prime,
+        "h_prime": member.h_prime,
+    }
+
+
+@pytest.mark.parametrize("tol", [None, "x"], ids=["None", "str"])
+@pytest.mark.parametrize("name", sorted(_tol_entry_points()))
+def test_every_function_taking_tol_refuses_anything_but_tolerances(name, tol):
+    # a runner records a ParseError before reading its input, a building
+    # block raises a ValueError at its first tolerance read
+    function = _tol_entry_points()[name]
+    available = _arguments_by_name()
+    required = [
+        p.name
+        for p in inspect.signature(function).parameters.values()
+        if p.default is inspect.Parameter.empty
+    ]
+    arguments = {param: available[param] for param in required}
+    message = f"tol must be a Tolerances, got {type(tol).__name__}"
+    if name.startswith("run_"):
+        report = function(**arguments, tol=tol)
+        assert report.error == {"type": "ParseError", "message": message}
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            function(**arguments, tol=tol)
+        assert caught.type is ValueError
 
 
 def test_every_file_parses_with_the_grammar_of_the_oldest_supported_python():
