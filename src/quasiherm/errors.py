@@ -19,12 +19,20 @@ class NotPositiveDefinite(QuasiHermError):
     """A value required to be strictly positive (a symmetry coefficient) is not."""
 
 
-class SingularTransform(QuasiHermError):
-    """Matrix is singular at roundoff: σ_min ≤ max(ZERO_NORM_FLOOR, ε·σ_max)."""
+class _RefusedFactor(QuasiHermError):
+    """A factor failed the singular-value gate; ``cond`` is its σ_max/σ_min, inf at σ_min = 0."""
+
+    def __init__(self, message: str, cond: float):
+        super().__init__(message)
+        self.cond = cond
 
 
-class IllConditioned(QuasiHermError):
-    """Condition-number estimate exceeds the configured cap."""
+class SingularTransform(_RefusedFactor):
+    """Factor singular at roundoff, σ_min ≤ max(ZERO_NORM_FLOOR, ε·σ_max); ``cond`` may be inf."""
+
+
+class IllConditioned(_RefusedFactor):
+    """Condition number σ_max/σ_min (``cond``) exceeds the configured cap."""
 
 
 class ComplexSpectrum(QuasiHermError):
@@ -38,15 +46,8 @@ class ComplexSpectrum(QuasiHermError):
         self.eigenvalues = list(eigenvalues) if eigenvalues is not None else []
 
 
-class NonDiagonalizable(QuasiHermError):
-    """Eigenvector matrix is numerically defective.
-
-    ``cond`` holds the condition-number estimate that tripped the gate.
-    """
-
-    def __init__(self, message: str, cond: float | None = None):
-        super().__init__(message)
-        self.cond = cond
+class NonDiagonalizable(_RefusedFactor):
+    """Eigenvector rows are numerically defective; ``cond`` is the rows' σ_max/σ_min."""
 
 
 class ResidualExceeded(QuasiHermError):

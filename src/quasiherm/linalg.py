@@ -2,13 +2,14 @@
 
 Arithmetic, norms and the singular-value gate, all on square complex128
 arrays. These are the primitives everything else in the package composes.
-Every metric is one SVD of its factor M = W·Σ·V†, its Σ gated
-(:func:`gate_singular_values`), held with the polar unitary W·V†
-(:class:`~quasiherm.spectral.MetricOperator`): the metric V·Σ²·V†, its
-root V·Σ·V† and the root's inverse V·Σ⁻¹·V† are formed from Σ and V†, so
-no inverse is applied through a linear solve. Each Hermitian factor is
-made Hermitian bit for bit (:func:`hermitian_from_basis`), which lets a
-commutator with it be read off one product P as P − P†.
+Every metric is built by one function, :func:`~quasiherm.spectral.metric_from_T`:
+one SVD of its factor M = W·Σ·V†, its Σ gated (:func:`gate_singular_values`),
+held with the polar unitary W·V† (:class:`~quasiherm.spectral.MetricOperator`):
+the metric V·Σ²·V†, its root V·Σ·V† and the root's inverse V·Σ⁻¹·V† are
+formed from Σ and V†, so no inverse is applied through a linear solve.
+Each Hermitian factor, sigma⁻¹ included, is V·diag(d)·V† made Hermitian
+bit for bit (:func:`hermitian_from_basis`), which lets a commutator with
+it be read off one product P as P − P†.
 
 All residual checks are relative to operand norms; a matrix whose Frobenius
 norm is below ``ZERO_NORM_FLOOR`` is treated as zero and checked absolutely.
@@ -171,14 +172,17 @@ def gate_singular_values(s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) ->
     :class:`SingularTransform` when M is singular at roundoff, σ_min at or
     below max(``ZERO_NORM_FLOOR``, ε·σ_max); otherwise
     :class:`IllConditioned` when σ_max/σ_min exceeds ``condition_cap``.
+    Either carries σ_max/σ_min as ``cond``, inf when σ_min is 0.
     """
     smax, smin = float(s.max()), float(s.min())
+    cond = smax / smin if smin > 0 else np.inf  # Python floats: an overflow reads inf
     floor = max(ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax)
     if smin <= floor:
-        raise SingularTransform(f"smallest singular value {smin:.3e} at roundoff, ≤ {floor:.3e}")
-    cond, cap = smax / smin, require_tolerances(tol).condition_cap
+        message = f"smallest singular value {smin:.3e} at roundoff, ≤ {floor:.3e}"
+        raise SingularTransform(message, cond)
+    cap = require_tolerances(tol).condition_cap
     if cond > cap:
-        raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {cap:.3e}")
+        raise IllConditioned(f"condition estimate {cond:.3e} exceeds cap {cap:.3e}", cond)
 
 
 def hermitian_from_basis(Vh: np.ndarray, d: np.ndarray) -> np.ndarray:

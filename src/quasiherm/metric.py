@@ -4,8 +4,8 @@ The existence construction: diagonalize H with row transform T, set
 ``eta = T†T`` (Hermitian positive-definite), ``rho = sqrt(eta)``, and
 ``h = rho · H · rho⁻¹`` is Hermitian and isospectral with H. The metric
 is T's one SVD, from which eta, rho, rho⁻¹ and the polar unitary U of
-``T = U·rho`` come (:class:`~quasiherm.spectral.MetricOperator`); in the
-pipeline it is the spectral stage's SVD, which gates ``cond(T)`` once.
+``T = U·rho`` come (:func:`~quasiherm.spectral.metric_from_T`, importable here
+too); in the pipeline it is the spectral stage's call, which gates ``cond(T)`` once.
 Since ``T·H = H_d·T``, ``rho·H·rho⁻¹ = U†·H_d·U``, and h is built that
 way: Hermitian and isospectral with ``H_d`` by construction, certified by
 the similarity residual ``rho·H = h·rho``.
@@ -24,11 +24,10 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     gate_residual,
-    gate_singular_values,
     hermitian_part,
     relative_residual,
 )
-from .spectral import MetricOperator, SpectralData, eig_decompose
+from .spectral import MetricOperator, SpectralData, eig_decompose, metric_from_T  # noqa: F401
 
 
 @dataclass
@@ -58,20 +57,6 @@ def verify_pseudo_hermitian(H, eta) -> float:
     else:
         defect = frobenius_norm(A.conj().T @ E - E @ A)
     return relative_residual(defect, frobenius_norm(E) * frobenius_norm(A))
-
-
-def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES) -> MetricOperator:
-    """Metric ``eta = T†T`` of an invertible factor T, with ``rho = sqrt(eta)``.
-
-    One SVD T = W·Σ·V†, whose singular values are gated
-    (:func:`~quasiherm.linalg.gate_singular_values`), not those of the
-    squared eta, is the :class:`MetricOperator`: the polar unitary
-    X = W·V† of T = X·rho with Σ and V†, from which eta = V·Σ²·V†,
-    rho = V·Σ·V† and rho⁻¹ = V·Σ⁻¹·V† are formed when read.
-    """
-    W, s, Vh = np.linalg.svd(as_matrix(T))
-    gate_singular_values(s, tol)
-    return MetricOperator(W @ Vh, s, Vh)
 
 
 def hermitian_equivalent(

@@ -233,7 +233,7 @@ def _error_payload(exc: Exception) -> dict:
     payload = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ComplexSpectrum) and exc.eigenvalues is not None:
         payload["eigenvalues"] = _complex_pairs(exc.eigenvalues)
-    if isinstance(exc, NonDiagonalizable) and exc.cond is not None:
+    if isinstance(exc, NonDiagonalizable):
         payload["cond"] = float(exc.cond)
     return payload
 

@@ -17,9 +17,10 @@ fixes *which* metric the pipeline produces out of the whole family. Row
 phases need none: for a diagonal unitary D, (D·T)†(D·T) = T†T, so the
 metric, its root and the Hermitian equivalent do not depend on them.
 
-One SVD of the normalized T gives its condition number, gated here, once,
-as :class:`NonDiagonalizable`, and T's metric (``SpectralData.metric``, a
-:class:`MetricOperator` held as that SVD): no later stage factorizes T again.
+T's metric (``SpectralData.metric``) is :func:`metric_from_T` of the
+normalized T, the one constructor of every :class:`MetricOperator`: its
+one SVD is gated here, once, as :class:`NonDiagonalizable`, carrying the
+gate's ``cond``, and gives ``cond_T``. No later stage factorizes T again.
 """
 
 from __future__ import annotations
@@ -98,6 +99,17 @@ class SpectralData:
     metric: MetricOperator | None = field(default=None, repr=False)
 
 
+def metric_from_T(T, tol: Tolerances = DEFAULT_TOLERANCES) -> MetricOperator:
+    """Metric ``eta = T†T`` of an invertible factor T, the one constructor of a MetricOperator.
+
+    One SVD T = W·Σ·V†, its Σ gated (:func:`~quasiherm.linalg.gate_singular_values`),
+    not the squared eta's, held with the polar unitary X = W·V† of T = X·rho.
+    """
+    W, s, Vh = np.linalg.svd(as_matrix(T))
+    gate_singular_values(s, tol)
+    return MetricOperator(W @ Vh, s, Vh)
+
+
 def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> list[list[int]]:
     """Partition ascending real eigenvalues into degeneracy clusters.
 
@@ -126,15 +138,12 @@ def cluster_degeneracies(eigenvalues, tol: Tolerances = DEFAULT_TOLERANCES) -> l
     return [run.tolist() for run in np.split(np.arange(values.size), breaks)]
 
 
-def _gated_condition(s: np.ndarray, tol: Tolerances, rows: str) -> float:
-    """s[0]/s[-1] of ``rows``; their factor gate's trip is :class:`NonDiagonalizable`."""
-    with np.errstate(over="ignore", divide="ignore"):
-        cond = float(s[0] / s[-1])
+def _gated_rows(rows: str, gate, *args):
+    """``gate(*args)``; a refused factor is :class:`NonDiagonalizable` naming ``rows``."""
     try:
-        gate_singular_values(s, tol)
+        return gate(*args)
     except (SingularTransform, IllConditioned) as exc:
-        raise NonDiagonalizable(f"{rows} are numerically defective: {exc}", cond=cond) from exc
-    return cond
+        raise NonDiagonalizable(f"{rows} are numerically defective: {exc}", exc.cond) from exc
 
 
 def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
@@ -144,12 +153,12 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     H's rows come out orthonormal to roundoff, its metric the identity.
     Raises :class:`ComplexSpectrum` when any eigenvalue fails the reality
     gate ``|Im lambda| <= spectral_reality_tol * max(|lambda|, min(rho, 1))``
-    with ``rho = max|lambda|``, and :class:`NonDiagonalizable` when the
-    singular values of the normalized T (from the SVD that gives ``metric``)
-    or, before a cluster's rows are orthonormalized, of the raw rows fail
-    the factor gate. The certificate ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)``
-    beyond ``residual_tol`` is a residual failure,
-    :class:`ResidualExceeded` naming ``"eig"``.
+    with ``rho = max|lambda|``, and :class:`NonDiagonalizable`, carrying the
+    gate's ``cond``, when the singular values of the normalized T (from
+    :func:`metric_from_T`, which gives ``metric``) or, before a cluster's
+    rows are orthonormalized, of the raw rows fail the factor gate. The
+    certificate ``‖T·H − H_d·T‖_F / (‖H‖_F·‖T‖_F)`` beyond ``residual_tol``
+    is a residual failure, :class:`ResidualExceeded` naming ``"eig"``.
     """
     A = as_matrix(H)
     # rows of T = left eigenvectors = conjugated right eigenvectors of H†
@@ -180,13 +189,13 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
         # (Jordan block) produces nearly parallel rows that orthonormalization
         # would silently repair. With singleton clusters only, the normalized
         # T is the raw rows: same singular values.
-        _gated_condition(np.linalg.svd(T, compute_uv=False), tol, "raw eigenvector rows")
+        s = np.linalg.svd(T, compute_uv=False)
+        _gated_rows("raw eigenvector rows", gate_singular_values, s, tol)
     for idx in merged:
         q, _ = np.linalg.qr(T[idx].conj().T)
         T[idx] = q.conj().T
 
-    W, s, Vh = np.linalg.svd(T)
-    cond_T = _gated_condition(s, tol, "normalized transform rows")
+    metric = _gated_rows("normalized transform rows", metric_from_T, T, tol)
 
     commutation = frobenius_norm(T @ A - eigenvalues.real[:, None] * T)
     gate_residual("eig", relative_residual(commutation, frobenius_norm(A) * frobenius_norm(T)), tol)
@@ -194,7 +203,7 @@ def eig_decompose(H, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     return SpectralData(
         eigenvalues=eigenvalues,
         T=T,
-        cond_T=cond_T,
+        cond_T=float(metric.singular_values[0] / metric.singular_values[-1]),
         clusters=clusters,
-        metric=MetricOperator(W @ Vh, s, Vh),
+        metric=metric,
     )

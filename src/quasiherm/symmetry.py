@@ -60,8 +60,9 @@ every ``sym``, the generator's and each member's, is
 :func:`~quasiherm.metric.verify_pseudo_hermitian` (h, S), the check
 behind each ``ph``. ``A-ph`` (rho·A† = A·rho) is read off its one product
 P = A·rho as ‖P − P†‖, exact because rho = V·Σ·V† equals its adjoint bit
-for bit. ``eta-prime`` reuses that A·rho: (A·rho)†(A·rho) = rho·A†A·rho,
-compared with the eta' of the SVD, which is a separate path.
+for bit, as S, sigma and sigma⁻¹ do (``hermitian_from_basis``). ``eta-prime``
+reuses that A·rho: (A·rho)†(A·rho) = rho·A†A·rho, compared with the eta'
+of the SVD, which is a separate path.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def metric_from_symmetry(
 
     eta' = (sigma·rho)†(sigma·rho) is the metric of the factor sigma·rho, so
     one SVD of that factor gives eta', rho' and the polar unitary X of
-    sigma·rho = X·rho' (:func:`~quasiherm.metric.metric_from_T`); rho'⁻¹
+    sigma·rho = X·rho' (:func:`~quasiherm.spectral.metric_from_T`); rho'⁻¹
     is never read, so never formed.
     Then A = rho'·rho⁻¹ = X†·sigma, so U = X† is unitary by construction
     and B = rho·U; every identity residual is recorded by name. h is the
@@ -332,9 +333,9 @@ def metric_from_symmetry(
     from. Since sigma·rho·H = sigma·h·rho = h·sigma·rho, h' = X†·h·X =
     U·h·U† (:func:`~quasiherm.metric.hermitian_equivalent` with K = h), so
     a generator of another h trips its ``H=H`` gate. sigma⁻¹ =
-    Q·diag(1/√s)·Q† comes from the generator's spectral data, gated on
-    cond(sigma) = √(s_max/s_min). The other residuals are reported, not
-    gated: the verdict belongs to the caller.
+    Q·diag(1/√s)·Q† is :func:`~quasiherm.linalg.hermitian_from_basis` of the
+    generator's spectral data, gated on cond(sigma) = √(s_max/s_min). The
+    other residuals are reported, not gated: the verdict belongs to the caller.
     """
     A_H = as_matrix(H)
     rho = metric.rho
@@ -345,8 +346,7 @@ def metric_from_symmetry(
 
     root = np.sqrt(generator.eigenvalues)
     gate_singular_values(root, tol)
-    Q = generator.eigenvectors
-    sigma_inv = (Q / root) @ Q.conj().T
+    sigma_inv = hermitian_from_basis(generator.eigenvectors.conj().T, 1 / root)
 
     sigma_rho = sigma @ rho
     member_metric = metric_from_T(sigma_rho, tol)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,8 @@ def test_the_condition_cap_alone_bounds_a_factor_above_roundoff():
 
 
 @example(s=np.array([1.0, 5e-11]), cap=1e12)
+@example(s=np.array([0.0]), cap=10.0)
+@example(s=np.array([1e300, 1e-20]), cap=10.0)
 @given(
     s=hnp.arrays(
         np.float64, st.integers(1, 64), elements=st.floats(0.0, np.finfo(np.float64).max)
@@ -339,16 +342,22 @@ def test_the_condition_cap_alone_bounds_a_factor_above_roundoff():
 )
 @settings(max_examples=300, deadline=None)
 def test_gate_singular_values_is_roundoff_then_the_cap(s, cap):
-    smax, smin = s.max(), s.min()
+    # each refusal carries σ_max/σ_min as ``cond``, inf at σ_min = 0, with no
+    # warning: Python floats, as a float64 quotient warns on overflow
+    smax, smin = float(s.max()), float(s.min())
     tol = Tolerances(condition_cap=cap)
-    if smin <= max(ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax):
-        with pytest.raises(SingularTransform):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if smin <= max(ZERO_NORM_FLOOR, np.finfo(np.float64).eps * smax):
+            with pytest.raises(SingularTransform) as caught:
+                gate_singular_values(s, tol)
+        elif smax / smin > cap:
+            with pytest.raises(IllConditioned) as caught:
+                gate_singular_values(s, tol)
+        else:
             gate_singular_values(s, tol)
-    elif smax / smin > cap:
-        with pytest.raises(IllConditioned):
-            gate_singular_values(s, tol)
-    else:
-        gate_singular_values(s, tol)
+            return
+    assert caught.value.cond == (smax / smin if smin > 0 else np.inf)
 
 
 def test_solve_right_inverts_from_the_right(rng):

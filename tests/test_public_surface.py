@@ -110,6 +110,15 @@ def test_one_function_trips_every_certificate_and_one_decodes_every_path():
     assert _callers("fsdecode") == {("matrixio", "decode_path")}
 
 
+def test_one_function_builds_every_metric():
+    assert _callers("MetricOperator") == {("spectral", "metric_from_T")}
+
+
+def test_one_translation_refuses_every_defective_T_with_the_gates_cond():
+    # _gated_rows wraps the gate and passes on its exception's cond
+    assert _callers("NonDiagonalizable") == {("spectral", "_gated_rows")}
+
+
 def test_one_function_checks_every_tol_and_one_measures_every_unitarity():
     assert _callers("isinstance", "Tolerances") == {("linalg", "require_tolerances")}
     assert _callers("eye") == {("linalg", "unitarity_defect")}
@@ -175,12 +184,92 @@ def test_every_function_taking_tol_refuses_anything_but_tolerances(name, tol):
         assert caught.type is ValueError
 
 
+def _python_files() -> list[Path]:
+    root = Path(__file__).parents[1]
+    parts = ("src", "tests", "perfbench")
+    return sorted(path for part in parts for path in (root / part).rglob("*.py"))
+
+
 def test_every_file_parses_with_the_grammar_of_the_oldest_supported_python():
     # feature_version refuses newer syntax such as except*, but not every
-    # construct (a *tuple[...] annotation passes) and no call to a newer
-    # library function, which only a run on that Python can show
-    root = Path(__file__).parents[1]
-    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    # construct (a *tuple[...] annotation passes) and no newer library
+    # name, which the next test looks for
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r'^requires-python = "(.*)"$', pyproject, re.M) == [">=3.10"]
-    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+    for path in _python_files():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# Standard-library names added in Python 3.11: modules and builtins bare,
+# module attributes dotted, and a method, any attribute of that name, after
+# a dot. Each fails only when run on 3.10, which this suite may never be.
+NEWER_NAMES = (
+    "tomllib",
+    "ExceptionGroup",
+    "BaseExceptionGroup",
+    ".add_note",
+    "datetime.UTC",
+    "typing.Self",
+    "typing.Never",
+    "typing.LiteralString",
+    "typing.assert_never",
+    "typing.reveal_type",
+    "enum.StrEnum",
+    "asyncio.TaskGroup",
+    "asyncio.timeout",
+    "hashlib.file_digest",
+    "math.cbrt",
+    "math.exp2",
+    "operator.call",
+    "contextlib.chdir",
+)
+
+
+def _newer_names(source: str) -> set[str]:
+    """The names above that ``source`` imports, reads bare, reads off an
+    imported module (through its alias too), or reads as an attribute."""
+    tree = ast.parse(source)
+    used, modules = set(), {}  # modules: local name -> dotted origin
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                used.add(alias.name)
+                local = alias.asname or alias.name.partition(".")[0]
+                modules[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            used.add(node.module)
+            for alias in node.names:
+                used.add(f"{node.module}.{alias.name}")
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(f".{node.attr}")
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                used.add(f"{modules[node.value.id]}.{node.attr}")
+    return used & set(NEWER_NAMES)
+
+
+def test_no_file_uses_a_library_name_newer_than_the_oldest_supported_python():
+    for path in _python_files():
+        assert not _newer_names(path.read_text(encoding="utf-8")), path
+
+
+def _uses_of_newer_names():
+    for name in NEWER_NAMES:
+        module, dot, attribute = name.rpartition(".")
+        if module:
+            yield f"import {module}\n{name}"
+            yield f"import {module} as m\nm.{attribute}"
+            yield f"from {module} import {attribute} as x"
+        elif dot:
+            yield f"error{name}('x')"
+        else:
+            yield from (f"import {name}", name)
+
+
+def test_the_newer_name_scan_sees_each_use_and_passes_older_names():
+    assert [source for source in _uses_of_newer_names() if not _newer_names(source)] == []
+    older = "import datetime\nfrom typing import Any\ndatetime.timezone.utc\nerror.args"
+    assert not _newer_names(older)

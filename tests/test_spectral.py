@@ -11,6 +11,7 @@ from quasiherm import (
     full_pipeline,
     random_diagonalizable,
     run_family,
+    run_spectrum,
     two_level,
 )
 from quasiherm.linalg import frobenius_norm, haar_unitary, hermitian_part
@@ -126,7 +127,9 @@ def test_jordan_block_rejected():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NonDiagonalizable) as exc_info:
         eig_decompose(jordan)
-    assert exc_info.value.cond is None or exc_info.value.cond > 1e8
+    assert exc_info.value.cond > 1e8
+    # the error report carries the exception's number
+    assert run_spectrum(jordan).error["cond"] == exc_info.value.cond
 
 
 def test_larger_defective_matrix_rejected():
