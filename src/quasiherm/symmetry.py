@@ -6,8 +6,8 @@ and conversely any second metric arises this way. The commutant of h is
 spanned, block-wise in its eigenbasis, by Hermitian matrices supported on
 the degeneracy clusters, so the positive commutant is exhausted by positive
 coefficients per cluster plus intra-cluster unitary mixers: S = Q·diag(s)·Q†,
-Q = W·blockdiag(V_k) for an eigenbasis W of h, with s in eigenvalue-index
-order and V_k keyed by cluster index k (:func:`symmetry_from_coefficients`).
+Q = W·blockdiag(V_k) for an eigenbasis W of h. The pair (s, Q), s in Q's
+column order, is the whole generator (:func:`symmetry_from_coefficients`).
 
 The commutant is therefore kept as an eigenbasis W of h, its eigenvalues
 and the clusters, in O(n²) memory. The pipeline builds h = X†·H_d·X from
@@ -67,7 +67,6 @@ of the SVD, which is a separate path.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,15 +140,10 @@ class CommutantBasis:
 class SymmetryGenerator:
     """Positive-definite S with [S, h] = 0 and its positive square root.
 
-    ``eigenvalues`` s and ``eigenvectors`` Q = W·blockdiag(V_k) hold the
-    positive spectral values and intra-cluster unitary mixers V_k that
-    assembled S, laid out over the whole space: cluster k's values are
-    ``eigenvalues[cluster]`` and its columns W_k·V_k are
-    ``eigenvectors[:, cluster]``. Together these parametrize the whole
-    positive commutant. S = Q·diag(s)·Q†, sigma = ``sqrt`` =
-    Q·diag(√s)·Q†, and ``h`` is the Hermitian equivalent the generator
-    commutes with. ``symmetry_from_coefficients(cb, eigenvalues, mixers)``,
-    ``mixers`` mapping each mixed cluster's index k to V_k, rebuilds it.
+    ``eigenvalues`` s and ``eigenvectors`` Q, an eigenbasis of h, are the
+    whole generator: S = Q·diag(s)·Q†, sigma = ``sqrt`` = Q·diag(√s)·Q†,
+    and ``h`` is the Hermitian equivalent the generator commutes with.
+    ``symmetry_from_coefficients(cb, eigenvalues, eigenvectors)`` rebuilds it.
     """
 
     matrix: np.ndarray
@@ -232,38 +226,31 @@ def _certified_commutant(h, eigenvalues, W, clusters, tol: Tolerances) -> Commut
 def symmetry_from_coefficients(
     cb: CommutantBasis,
     values,
-    mixers=None,
+    eigenvectors=None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SymmetryGenerator:
-    """Assemble S = Q·diag(s)·Q† in h's eigenbasis W, Q = W·blockdiag(V_k).
+    """Assemble S = Q·diag(s)·Q† from n positive coefficients s and an eigenbasis Q of h.
 
-    ``values`` holds the n positive coefficients s in eigenvalue-index
-    order, the layout of :attr:`SymmetryGenerator.eigenvalues`: cluster k's
-    are ``values[cluster]``. ``mixers`` maps a cluster index k to its
-    intra-cluster unitary V_k, checked by ‖V†V − I‖_F (||v|² − 1| at d = 1);
-    a mixed cluster's columns of Q are W_k·V_k, and a cluster left out
-    keeps W's. S and sigma = Q·diag(√s)·Q† take one product each, so the
-    root is exact up to roundoff. S is certified by its ``sym``,
-    verify_pseudo_hermitian(h, S). ``symmetry_from_coefficients(cb,
-    gen.eigenvalues, mixers)`` rebuilds a generator from its own fields.
+    ``values`` holds s in the column order of Q. ``eigenvectors`` Q defaults
+    to the commutant's certified W; a Q that is given is copied and must be
+    n×n with ‖Q†Q − I‖_F within ``residual_tol`` (a ValueError). Whether its
+    columns are eigenvectors of h is left to S's ``sym``,
+    verify_pseudo_hermitian(h, S). S and sigma = Q·diag(√s)·Q† take one
+    product each, so the root is exact up to roundoff.
+    ``symmetry_from_coefficients(cb, gen.eigenvalues, gen.eigenvectors)``
+    rebuilds a generator from its own fields.
     """
-    n, clusters = cb.h.shape[0], cb.clusters
+    n = cb.h.shape[0]
     spectrum = np.array(values, dtype=np.float64)
     if spectrum.shape != (n,):
         raise ValueError(f"values must have shape ({n},), got {spectrum.shape}")
-    Q = np.array(cb.eigenvectors, dtype=np.complex128)
-    if not (mixers is None or isinstance(mixers, Mapping)):
-        raise ValueError(f"mixers must map cluster indices to unitaries, not {type(mixers)}")
-    for k, V in ({} if mixers is None else mixers).items():
-        is_index = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-        if not (is_index and 0 <= k < len(clusters)):
-            raise ValueError(f"mixer key {k!r} is not a cluster index in [0, {len(clusters)})")
-        d = len(clusters[k])
-        V = np.asarray(V, dtype=np.complex128)
+    if eigenvectors is None:  # W, certified by ``projector completeness``
+        Q = np.asarray(cb.eigenvectors, dtype=np.complex128)
+    else:
+        Q = np.array(eigenvectors, dtype=np.complex128)
         # `not <=` refuses NaN entries too
-        if V.shape != (d, d) or not unitarity_defect(V) <= require_tolerances(tol).residual_tol:
-            raise ValueError("cluster mixer must be a unitary of the cluster size")
-        Q[:, clusters[k]] = cb.eigenvectors[:, clusters[k]] @ V
+        if Q.shape != (n, n) or not unitarity_defect(Q) <= require_tolerances(tol).residual_tol:
+            raise ValueError(f"eigenvectors must be a {n}×{n} unitary")
     if not np.all((spectrum > 0) & (spectrum < np.inf)):  # NaN fails both
         raise NotPositiveDefinite("symmetry coefficients must be finite and strictly positive")
 
@@ -284,20 +271,23 @@ def sample_positive_symmetry(
     """Draw a random positive-definite symmetry generator of h.
 
     Spectral coefficients are log-uniform on [1/spread, spread], and the
-    intra-cluster mixers Haar unitaries (the identity for a singleton). The
-    seed and spread take the report runners' rules, as a ValueError: an
-    integer seed >= 0 that ``str`` can write and a real spread in
-    [1, float64 max], a bool being neither. One seeded generator draws all
-    n coefficients in one uniform(size=n), in eigenvalue-index order, then
-    one mixer per cluster of size > 1, in cluster order. Identical (seed,
-    spread) reproduce S bit for bit.
+    intra-cluster mixers Haar unitaries. The seed and spread take the report
+    runners' rules, as a ValueError: an integer seed >= 0 that ``str`` can
+    write and a real spread in [1, float64 max], a bool being neither. One
+    seeded generator draws all n coefficients in one uniform(size=n), in
+    eigenvalue-index order, then, in cluster order, one mixer V_k per
+    cluster of size > 1, whose columns of Q = W·blockdiag(V_k) are W_k·V_k;
+    a singleton keeps W's. Identical (seed, spread) reproduce S bit for bit.
     """
     _require_integer(seed, "seed", 0, ValueError)
     _require_spread(spread, "spread", ValueError)
     rng = np.random.default_rng(seed)
     logs = rng.uniform(np.log(1.0 / spread), np.log(float(spread)), size=cb.h.shape[0])
-    mixers = {k: haar_unitary(len(c), rng) for k, c in enumerate(cb.clusters) if len(c) > 1}
-    return symmetry_from_coefficients(cb, np.exp(logs), mixers, tol)
+    mixed = [c for c in cb.clusters if len(c) > 1]
+    Q = np.array(cb.eigenvectors, dtype=np.complex128) if mixed else None
+    for c in mixed:
+        Q[:, c] = cb.eigenvectors[:, c] @ haar_unitary(len(c), rng)
+    return symmetry_from_coefficients(cb, np.exp(logs), Q, tol)
 
 
 def _intertwiner_residuals(A, rho, h, h_prime, eta_prime):

@@ -474,6 +474,30 @@ def test_non_diagonalizable_error_report():
     assert report.error.get("cond", 1e30) > 1e8
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "rows, cond",
+    [
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], None),  # the raw rows' σ_min is exactly 0
+        ([[0, 1], [0, 0]], 9.979201547673601e291),
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 2]], 9007199254740992.0),
+    ],
+)
+def test_a_refused_eigenbasis_writes_strict_json(rows, cond):
+    report = run_spectrum(np.array(rows, dtype=complex))
+    assert report.exit_code == 1
+    document = _strict_json(report.to_json())
+    assert document["error"]["type"] == "NonDiagonalizable"
+    assert document["error"]["cond"] == cond
+    assert VerificationReport.from_payload(document).error == report.error
+
+
 def test_dimension_cap_enforced():
     report = run_analyze(np.eye(5), max_dim=4)
     assert report.verdict == "error"

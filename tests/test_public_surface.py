@@ -114,6 +114,12 @@ def test_one_function_builds_every_metric():
     assert _callers("MetricOperator") == {("spectral", "metric_from_T")}
 
 
+def test_one_function_builds_every_generator_and_two_draw_every_mixer():
+    assert _callers("SymmetryGenerator") == {("symmetry", "symmetry_from_coefficients")}
+    samplers = {("symmetry", "sample_positive_symmetry"), ("models", "_random_transform")}
+    assert _callers("haar_unitary") == samplers
+
+
 def test_one_translation_refuses_every_defective_T_with_the_gates_cond():
     # _gated_rows wraps the gate and passes on its exception's cond
     assert _callers("NonDiagonalizable") == {("spectral", "_gated_rows")}

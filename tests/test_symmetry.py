@@ -312,21 +312,21 @@ def test_symmetry_from_coefficients_validation():
     for values in ([1.0], np.ones(3), [[1.0], [1.0]], 1.0):
         with pytest.raises(ValueError, match=r"values must have shape \(2,\)"):
             symmetry_from_coefficients(cb, values)
-    # a key is a cluster index: -1 would otherwise mix the last cluster
-    for key in (-1, 2, True, np.bool_(False), 0.0, "0", None):
-        with pytest.raises(ValueError, match=r"is not a cluster index in \[0, 2\)"):
-            symmetry_from_coefficients(cb, np.ones(2), {key: np.eye(1)})
-    # mixers map a cluster index to its unitary: not the per-cluster list of old
-    with pytest.raises(ValueError, match="mixers must map cluster indices to unitaries"):
-        symmetry_from_coefficients(cb, np.ones(2), [np.eye(1), np.eye(1)])
-    gen = symmetry_from_coefficients(cb, np.ones(2), {np.int64(1): -np.eye(1)})
+    # a phase on one eigenvector leaves Q an eigenbasis of h
+    gen = symmetry_from_coefficients(cb, np.ones(2), _per_cluster_layout(cb, {1: -np.eye(1)}))
     npt.assert_array_equal(gen.eigenvectors[:, 1], -cb.eigenvectors[:, 1])
-    for V in (2 * np.eye(1), np.eye(2)):  # not unitary, or not of the cluster's size
-        with pytest.raises(ValueError, match="unitary of the cluster size"):
-            symmetry_from_coefficients(cb, np.ones(2), {0: V})
-    with pytest.raises(ValueError):
-        # a NaN mixer has no finite unitarity defect
-        symmetry_from_coefficients(cb, np.ones(2), {0: np.full((1, 1), np.nan)})
+    # Q is an n×n unitary: not of another shape, not scaled, and a NaN
+    # entry has no finite unitarity defect
+    nan_entry = cb.eigenvectors.copy()
+    nan_entry[0, 0] = np.nan
+    for Q in (np.eye(3), cb.eigenvectors[:, :1], cb.eigenvectors[0], 1.1 * np.eye(2), nan_entry):
+        with pytest.raises(ValueError, match="eigenvectors must be a 2×2 unitary"):
+            symmetry_from_coefficients(cb, [1.0, 2.0], Q)
+    # a unitary that is not an eigenbasis of h is refused by the paper's
+    # identity, [S, h] = 0
+    with pytest.raises(ResidualExceeded) as exc_info:
+        symmetry_from_coefficients(cb, [1.0, 2.0], haar_unitary(2, np.random.default_rng(0)))
+    assert exc_info.value.identity == "sym"
 
 
 def test_a_generator_whose_norms_overflow_is_a_parse_error():
@@ -564,6 +564,31 @@ def test_intertwiner_recovery_round_trip(monkeypatch):
     assert tables == [{k: member.residuals[k] for k in ("sim", "sym", "eta-prime", "A-ph")}]
 
 
+@pytest.mark.parametrize(
+    "H, sizes",
+    [(random_diagonalizable(8, seed=0)[0], [1] * 8), (clustered_hamiltonian(), [3, 1, 2])],
+    ids=["singletons-8", "clustered-6"],
+)
+def test_the_converse_closes_through_the_constructor(H, sizes):
+    # the S that intertwiner_from_metrics recovers from a member's metric,
+    # taken apart by eigh, is a generator again, and that generator's member
+    # has the same eta'. Its sym and that eta' residual stayed under 1e-14
+    # (worst 9.7e-15) over 5 members of 20 random n=8 matrices and 50 of the
+    # clustered one, so 1e-13 is the bound.
+    pair = full_pipeline(H)
+    cb = commutant_basis(pair.h, pair.spectral.clusters)
+    assert [len(c) for c in cb.clusters] == sizes
+    tight = dataclasses.replace(DEFAULT_TOLERANCES, residual_tol=1e-13)  # for its sym gate
+    for seed in range(3):
+        member = metric_from_symmetry(pair.metric, sample_positive_symmetry(cb, seed), H)
+        _, S = intertwiner_from_metrics(pair.metric, member.eta_prime, pair.h, member.h_prime)
+        s, Q = np.linalg.eigh(S)
+        gen = symmetry_from_coefficients(cb, s, Q, tight)
+        again = metric_from_symmetry(pair.metric, gen, H).eta_prime.eta
+        eta_prime = member.eta_prime.eta
+        assert np.linalg.norm(again - eta_prime) <= 1e-13 * np.linalg.norm(eta_prime)
+
+
 def test_intertwiner_trivial_and_sqrt_cases():
     H, _ = random_diagonalizable(4, seed=30)
     pair = full_pipeline(H)
@@ -737,7 +762,8 @@ def test_sampler_draws_the_per_cluster_stream(sizes, seed, spread):
     # all coefficients drawn first, then the mixers
     cb = _layout_basis(sizes)
     gen = sample_positive_symmetry(cb, seed, spread)
-    ref = symmetry_from_coefficients(cb, *_per_cluster_sample(cb, seed, spread))
+    spectrum, mixers = _per_cluster_sample(cb, seed, spread)
+    ref = symmetry_from_coefficients(cb, spectrum, _per_cluster_layout(cb, mixers))
     for name in ("matrix", "sqrt", "eigenvalues", "eigenvectors"):
         npt.assert_array_equal(getattr(gen, name), getattr(ref, name), err_msg=name)
 
@@ -791,7 +817,8 @@ def test_layouts_with_no_cluster_after_a_mixer_keep_the_cluster_order_draws(size
     cb = _layout_basis(sizes)
     for seed in range(3):
         gen = sample_positive_symmetry(cb, seed)
-        ref = symmetry_from_coefficients(cb, *_cluster_order_sample(cb, seed))
+        spectrum, mixers = _cluster_order_sample(cb, seed)
+        ref = symmetry_from_coefficients(cb, spectrum, _per_cluster_layout(cb, mixers))
         same = [
             np.array_equal(getattr(gen, name), getattr(ref, name))
             for name in ("matrix", "sqrt", "eigenvalues", "eigenvectors")
@@ -807,29 +834,30 @@ def test_singleton_phase_mixers_match_the_per_cluster_loop():
     # the clusters are contiguous, so their values concatenate in index order
     spectrum = np.concatenate([rng.uniform(0.5, 2.0, size=d) for d in sizes])
     mixers = {k: haar_unitary(d, rng) for k, d in enumerate(sizes)}  # 1×1: a unit phase
-    gen = symmetry_from_coefficients(cb, spectrum, mixers)
-    npt.assert_array_equal(gen.eigenvectors, _per_cluster_layout(cb, mixers))
+    Q = _per_cluster_layout(cb, mixers)
+    gen = symmetry_from_coefficients(cb, spectrum, Q)
+    npt.assert_array_equal(gen.eigenvectors, Q)
     npt.assert_array_equal(gen.eigenvalues, spectrum)
     with pytest.raises(ValueError, match=r"shape \(5,\)"):  # six coefficients for five
         symmetry_from_coefficients(cb, np.ones(6))
-    with pytest.raises(ValueError):  # |v|² − 1 = 0.21 for a 1×1 mixer
-        symmetry_from_coefficients(cb, spectrum, {**mixers, 0: 1.1 * np.eye(1)})
+    scaled = _per_cluster_layout(cb, {**mixers, 0: 1.1 * np.eye(1)})
+    with pytest.raises(ValueError):  # |v|² − 1 = 0.21 for one column of Q
+        symmetry_from_coefficients(cb, spectrum, scaled)
     with pytest.raises(NotPositiveDefinite):
         symmetry_from_coefficients(cb, [1.0, 1.0, 1.0, -1.0, 1.0])
 
 
 def test_a_generator_is_rebuilt_from_its_own_fields():
-    # the sampled spectrum and the sampler's mixers, replayed, give the
-    # sampled generator bit for bit; an explicit identity mixer rewrites its
-    # cluster's columns as W_k·I, equal to W_k but in the sign of a zero
-    cb = _layout_basis([2, 1, 3])
-    gen = sample_positive_symmetry(cb, seed=6)
-    _, mixers = _per_cluster_sample(cb, 6)
-    for replay in (mixers, {**mixers, 1: np.eye(1)}):
-        ref = symmetry_from_coefficients(cb, gen.eigenvalues, replay)
+    # its coefficients and its eigenbasis give the sampled generator bit
+    # for bit, whether its clusters mix or not
+    for sizes in ([2, 1, 3], [1] * 5):
+        cb = _layout_basis(sizes)
+        gen = sample_positive_symmetry(cb, seed=6)
+        ref = symmetry_from_coefficients(cb, gen.eigenvalues, gen.eigenvectors)
         for name in ("matrix", "sqrt", "eigenvalues", "eigenvectors"):
-            npt.assert_array_equal(getattr(ref, name), getattr(gen, name), err_msg=name)
-    assert ref.eigenvalues is not gen.eigenvalues  # a copy, not a view
+            assert getattr(ref, name).tobytes() == getattr(gen, name).tobytes(), name
+        assert ref.eigenvalues is not gen.eigenvalues  # copies, not views
+        assert ref.eigenvectors is not gen.eigenvectors
 
 
 def _relative(defect, *norms):
