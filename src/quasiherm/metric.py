@@ -7,8 +7,9 @@ is T's one SVD, from which eta, rho, rho⁻¹ and the polar unitary U of
 ``T = U·rho`` come (:func:`~quasiherm.spectral.metric_from_T`, importable here
 too); in the pipeline it is the spectral stage's call, which gates ``cond(T)`` once.
 Since ``T·H = H_d·T``, ``rho·H·rho⁻¹ = U†·H_d·U``, and h is built that
-way: Hermitian and isospectral with ``H_d`` by construction, certified by
-the similarity residual ``rho·H = h·rho``.
+way, as X†·K·X with K = ``H_d`` as a matrix (:func:`hermitian_equivalent`,
+each family member's h' too): Hermitian and isospectral with ``H_d`` by
+construction, certified by the similarity residual ``rho·H = h·rho``.
 """
 
 from __future__ import annotations
@@ -68,15 +69,15 @@ def hermitian_equivalent(
     """Hermitian equivalent ``h = rho·H·rho⁻¹``, built as ``h = X†·K·X``.
 
     K is the Hermitian matrix that the metric's factor M = X·rho
-    intertwines H with, M·H = K·M: ``H_d`` for M = T, given as its diagonal
-    (a 1-D array λ, so h = (X†·λ)·X is one product), the generator's h for
-    M = sigma·rho. Then rho·H·rho⁻¹ = X†·K·X, Hermitian and isospectral
-    with K by construction. The similarity ``rho·H = h·rho`` is certified
-    (``H=H``); it fails when X is not unitary or K is not intertwined.
+    intertwines H with, M·H = K·M, taking :func:`~quasiherm.linalg.as_matrix`'s
+    rule: ``H_d`` for M = T, the generator's h for M = sigma·rho. Then
+    rho·H·rho⁻¹ = X†·K·X, Hermitian and isospectral with K by construction.
+    The similarity ``rho·H = h·rho`` is certified (``H=H``); it fails when
+    X is not unitary or K is not intertwined.
     """
     A = as_matrix(H)
     X = metric.unitary
-    h = hermitian_part((X.conj().T * K if np.ndim(K) == 1 else X.conj().T @ as_matrix(K)) @ X)
+    h = hermitian_part(X.conj().T @ as_matrix(K) @ X)
 
     rho = metric.rho
     similarity_residual = relative_residual(
@@ -100,6 +101,6 @@ def full_pipeline(H, tol: Tolerances = DEFAULT_TOLERANCES) -> EquivalencePair:
     metric = spectral.metric
     metric.pseudo_hermiticity_residual = verify_pseudo_hermitian(A, metric.eta)
     gate_residual("ph", metric.pseudo_hermiticity_residual, tol)
-    pair = hermitian_equivalent(A, metric, spectral.eigenvalues.real, tol)
+    pair = hermitian_equivalent(A, metric, np.diag(spectral.eigenvalues.real), tol)
     pair.spectral = spectral
     return pair

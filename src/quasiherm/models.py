@@ -171,7 +171,7 @@ def random_diagonalizable(
         eigenvalues=D.astype(np.complex128),
         T=T,
         cond_T=float(singular[0] / singular[-1]),
-        clusters=cluster_degeneracies(D.astype(np.complex128)),
+        clusters=cluster_degeneracies(D),
     )
     return H, ground_truth
 
@@ -187,8 +187,10 @@ def build_model(spec: ModelSpec) -> np.ndarray:
     directly takes the rules a spec takes.
     """
     if not isinstance(spec.kind, str) or spec.kind not in MODEL_KINDS:
+        # another type is named, not written: an int's repr may be too long to write
+        kind = repr(spec.kind) if isinstance(spec.kind, str) else f"of type {type(spec.kind)}"
         raise InvalidModelParameters(
-            f"kind {spec.kind!r} is not a model; expected one of {', '.join(MODEL_KINDS)}"
+            f"kind {kind} is not a model; expected one of {', '.join(MODEL_KINDS)}"
         )
     if not isinstance(spec.parameters, Mapping):
         raise InvalidModelParameters(f"parameters must be a mapping, not {type(spec.parameters)}")

@@ -231,7 +231,7 @@ def _check_dim(dim: int, max_dim: int) -> None:
 
 def _error_payload(exc: Exception) -> dict:
     payload = {"type": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, ComplexSpectrum) and exc.eigenvalues is not None:
+    if isinstance(exc, ComplexSpectrum):
         payload["eigenvalues"] = _complex_pairs(exc.eigenvalues)
     if isinstance(exc, NonDiagonalizable):  # inf, from σ_min = 0, is not JSON
         payload["cond"] = float(exc.cond) if math.isfinite(exc.cond) else None

@@ -231,9 +231,11 @@ def symmetry_from_coefficients(
 ) -> SymmetryGenerator:
     """Assemble S = Q·diag(s)·Q† from n positive coefficients s and an eigenbasis Q of h.
 
-    ``values`` holds s in the column order of Q. ``eigenvectors`` Q defaults
-    to the commutant's certified W; a Q that is given is copied and must be
-    n×n with ‖Q†Q − I‖_F within ``residual_tol`` (a ValueError). Whether its
+    ``values`` holds s in the column order of Q, n real numbers (else a
+    ValueError naming ``values``). ``eigenvectors`` Q defaults to the
+    commutant's certified W; a Q that is given takes
+    :func:`~quasiherm.linalg.as_matrix`'s rule, is copied, and must be n×n
+    with ‖Q†Q − I‖_F within ``residual_tol``, each a ValueError. Whether its
     columns are eigenvectors of h is left to S's ``sym``,
     verify_pseudo_hermitian(h, S). S and sigma = Q·diag(√s)·Q† take one
     product each, so the root is exact up to roundoff.
@@ -241,14 +243,16 @@ def symmetry_from_coefficients(
     rebuilds a generator from its own fields.
     """
     n = cb.h.shape[0]
-    spectrum = np.array(values, dtype=np.float64)
+    try:
+        spectrum = np.array(values, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"values must be an array of real numbers ({exc})") from None
     if spectrum.shape != (n,):
         raise ValueError(f"values must have shape ({n},), got {spectrum.shape}")
     if eigenvectors is None:  # W, certified by ``projector completeness``
         Q = np.asarray(cb.eigenvectors, dtype=np.complex128)
     else:
-        Q = np.array(eigenvectors, dtype=np.complex128)
-        # `not <=` refuses NaN entries too
+        Q = as_matrix(eigenvectors).copy()
         if Q.shape != (n, n) or not unitarity_defect(Q) <= require_tolerances(tol).residual_tol:
             raise ValueError(f"eigenvectors must be a {n}×{n} unitary")
     if not np.all((spectrum > 0) & (spectrum < np.inf)):  # NaN fails both

@@ -289,11 +289,13 @@ def test_a_non_finite_or_bad_model_parameter_is_an_error_report(spec, name):
         (ModelSpec("swanson", {}, dim=True), "dim"),
         (ModelSpec("swanson", {}, dim="x"), "dim"),
         (ModelSpec("nope", {}, dim=4), "kind"),
+        (ModelSpec(-(10**4300), {}, dim=4), "kind"),
         (ModelSpec("swanson", {}, dim=10**9), "dimension"),
     ],
     ids=["unknown-name", "cond-bound-str", "alpha-str", "b-none", "omega-bool",
          "omega-huge-int", "seed-2**53+1", "seed-10**400", "seed-10**5000",
-         "dim-fractional", "dim-bool", "dim-str", "unknown-kind", "dim-past-max-dim"],
+         "dim-fractional", "dim-bool", "dim-str", "unknown-kind", "kind-huge-int",
+         "dim-past-max-dim"],
 )
 def test_a_model_parameter_is_refused_by_name_or_recorded_exactly(monkeypatch, spec, name):
     # name None: the spec is valid, and its integer seed must be recorded as is;

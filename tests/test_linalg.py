@@ -120,7 +120,7 @@ def _gate_runs(monkeypatch):
     return {
         "eig": lambda tol: eig_decompose(H, tol),
         "ph": lambda tol: full_pipeline(H, tol),
-        "H=H": lambda tol: hermitian_equivalent(H, metric, levels, tol),
+        "H=H": lambda tol: hermitian_equivalent(H, metric, np.diag(levels), tol),
         "projector completeness": lambda tol: _certified_commutant(
             pair.h, levels, metric.unitary.conj().T, spectral.clusters, tol
         ),

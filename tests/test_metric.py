@@ -106,14 +106,16 @@ def test_hermitian_equivalent_rejects_a_non_unitary_polar_factor():
     [random_diagonalizable(64, 0)[0], swanson(40, 2, 0.3, 0.5), two_level(1, 4, 0)],
     ids=["random-64", "swanson-40", "two_level"],
 )
-def test_hermitian_equivalent_of_a_diagonal_is_the_dense_product(H):
-    # (X†·λ)·X is X†·diag(λ)·X without the products by zero: the same values
+def test_hermitian_equivalent_takes_K_only_as_a_matrix(H):
+    # H_d is passed as diag(λ), the pipeline's own form, to the same bits;
+    # its diagonal alone is not a square matrix
     spectral = eig_decompose(H)
     eigenvalues = spectral.eigenvalues.real
-    dense = hermitian_equivalent(H, spectral.metric, np.diag(eigenvalues))
-    diagonal = hermitian_equivalent(H, spectral.metric, eigenvalues)
-    npt.assert_array_equal(diagonal.h, dense.h)
-    assert diagonal.similarity_residual == dense.similarity_residual
+    pair = hermitian_equivalent(H, spectral.metric, np.diag(eigenvalues))
+    npt.assert_array_equal(pair.h, full_pipeline(H).h)
+    n = len(eigenvalues)
+    with pytest.raises(ValueError, match=rf"expected a square matrix, got shape \({n},\)"):
+        hermitian_equivalent(H, spectral.metric, eigenvalues)
 
 
 def test_full_pipeline_random_ensemble_properties():

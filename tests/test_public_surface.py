@@ -7,6 +7,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quasiherm
@@ -116,6 +117,8 @@ def test_one_function_builds_every_metric():
 
 def test_one_function_builds_every_generator_and_two_draw_every_mixer():
     assert _callers("SymmetryGenerator") == {("symmetry", "symmetry_from_coefficients")}
+    # a given eigenbasis takes the shared matrix rule, not a conversion of its own
+    assert _callers("as_matrix", "eigenvectors") == {("symmetry", "symmetry_from_coefficients")}
     samplers = {("symmetry", "sample_positive_symmetry"), ("models", "_random_transform")}
     assert _callers("haar_unitary") == samplers
 
@@ -155,7 +158,7 @@ def _arguments_by_name() -> dict:
         "eigenvalues": pair.spectral.eigenvalues.real,
         "T": pair.spectral.T,
         "metric": pair.metric,
-        "K": pair.spectral.eigenvalues.real,
+        "K": np.diag(pair.spectral.eigenvalues.real),
         "h": pair.h,
         "clusters": pair.spectral.clusters,
         "cb": cb,

@@ -312,15 +312,27 @@ def test_symmetry_from_coefficients_validation():
     for values in ([1.0], np.ones(3), [[1.0], [1.0]], 1.0):
         with pytest.raises(ValueError, match=r"values must have shape \(2,\)"):
             symmetry_from_coefficients(cb, values)
+    # not numbers: a ValueError, as each other refusal of an argument is
+    diagonal = commutant_basis(np.diag([1.0, 2.0]), [[0], [1]])
+    with pytest.raises(ValueError, match="values must be an array of real numbers"):
+        symmetry_from_coefficients(diagonal, {})
+    with pytest.raises(ValueError, match="expected an array of numbers"):
+        symmetry_from_coefficients(diagonal, [1.0, 2.0], {})
     # a phase on one eigenvector leaves Q an eigenbasis of h
     gen = symmetry_from_coefficients(cb, np.ones(2), _per_cluster_layout(cb, {1: -np.eye(1)}))
     npt.assert_array_equal(gen.eigenvectors[:, 1], -cb.eigenvectors[:, 1])
-    # Q is an n×n unitary: not of another shape, not scaled, and a NaN
-    # entry has no finite unitarity defect
+    # Q takes as_matrix's rule (square, finite), then is an n×n unitary:
+    # not of another size and not scaled
     nan_entry = cb.eigenvectors.copy()
     nan_entry[0, 0] = np.nan
-    for Q in (np.eye(3), cb.eigenvectors[:, :1], cb.eigenvectors[0], 1.1 * np.eye(2), nan_entry):
-        with pytest.raises(ValueError, match="eigenvectors must be a 2×2 unitary"):
+    for Q, message in (
+        (np.eye(3), "eigenvectors must be a 2×2 unitary"),
+        (1.1 * np.eye(2), "eigenvectors must be a 2×2 unitary"),
+        (cb.eigenvectors[:, :1], r"expected a square matrix, got shape \(2, 1\)"),
+        (cb.eigenvectors[0], r"expected a square matrix, got shape \(2,\)"),
+        (nan_entry, "matrix entries must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
             symmetry_from_coefficients(cb, [1.0, 2.0], Q)
     # a unitary that is not an eigenbasis of h is refused by the paper's
     # identity, [S, h] = 0
