@@ -1,7 +1,8 @@
 """Dense complex matrix kernels.
 
 Arithmetic, norms and the singular-value gate, all on square complex128
-arrays. These are the primitives everything else in the package composes.
+arrays, and one rule per kind of scalar argument, :func:`require_integer`
+or :func:`require_real`. These are the primitives everything else composes.
 Every metric is built by one function, :func:`~quasiherm.spectral.metric_from_T`:
 one SVD of its factor M = W·Σ·V†, its Σ gated (:func:`gate_singular_values`),
 held with the polar unitary W·V† (:class:`~quasiherm.spectral.MetricOperator`):
@@ -62,14 +63,35 @@ class Tolerances:
     condition_cap: float = 1e8
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):  # what JSON writes
-                raise ValueError(f"{f.name} must be an int or a float, got {type(value).__name__}")
-            if not 0 < value <= float(np.finfo(np.float64).max):  # an int past float64 too
-                raise ValueError(f"{f.name} must be finite and strictly positive")
+        for f in fields(self):  # strictly positive: 5e-324 is the least positive float64
+            require_real(getattr(self, f.name), f.name, 5e-324)
         if self.condition_cap <= 1:
             raise ValueError("condition_cap must exceed 1")
+
+
+def require_integer(value, name: str, low: int, error=ValueError):
+    """``value``, an int or np.integer (not a bool) >= ``low`` that str can write, or ``error``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        try:
+            str(value)  # past sys.get_int_max_str_digits(), no report could record it
+        except ValueError:
+            raise error(f"{name} has more digits than Python writes") from None
+        if value >= low:
+            return value
+    raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_real(value, name: str, low: float, error=ValueError):
+    """``value``, an int or a float (not a bool), what a report's JSON writes, in
+    [``low``, float64 max], or ``error``, which writes no digits of an int past float64."""
+    top = float(np.finfo(np.float64).max)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be an int or a float, got {type(value).__name__}")
+    if not low <= value <= top:  # a NaN fails too
+        huge = isinstance(value, int) and abs(value) > top
+        raise error(f"{name} must be in [{low:.6g}, {top:.6g}], got "
+                    + ("an int beyond float64" if huge else repr(value)))
+    return value
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -89,7 +111,7 @@ def as_matrix(M) -> np.ndarray:
     """Coerce to a square complex128 matrix of finite numbers, or raise a ValueError."""
     try:
         A = np.asarray(M, dtype=np.complex128)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # a ValueError: a string, say
         raise ValueError(f"expected an array of numbers ({exc})") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -114,7 +136,7 @@ def frobenius_norm(M) -> float:
         if not RESCALED_NORM_BELOW <= norm < np.inf:
             parts = (np.real(M), np.imag(M))  # a complex division could read 0/0
             scale = max(float(np.abs(part).max()) for part in parts)
-            if scale > 0:
+            if 0 < scale < np.inf:  # an inf entry: inf/inf would read NaN
                 norm = scale * float(np.hypot(*(np.linalg.norm(part / scale) for part in parts)))
     if norm == np.inf:
         raise ParseError(f"a Frobenius norm overflows (‖M‖_F above {np.finfo(float).max:.3e})")

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .linalg import as_matrix
+from .linalg import as_matrix, require_integer
 
 
 def matrix_document(M) -> dict:
@@ -57,14 +57,11 @@ def matrix_from_payload(payload) -> np.ndarray:
     if missing:
         raise ParseError(f"missing required field(s): {sorted(missing)}")
 
-    dim = payload["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"'dim' must be a positive integer, got {dim!r}")
-
+    dim = int(require_integer(payload["dim"], "'dim'", 1, ParseError))
     entries = payload["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
-        raise ParseError(f"'entries' must hold dim^2 = {dim * dim} pairs, got {got}")
+        raise ParseError(f"'entries' must hold dim^2 pairs, got {got}")  # str may not write dim²
 
     flat = _number_pairs(entries)
     if flat is None or not np.isfinite(flat).all():

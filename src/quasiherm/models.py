@@ -12,13 +12,12 @@ from __future__ import annotations
 import cmath
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from numbers import Integral, Number, Real
-from sys import float_info
+from numbers import Integral, Number
 
 import numpy as np
 
 from .errors import InvalidModelParameters
-from .linalg import haar_unitary
+from .linalg import haar_unitary, require_integer
 from .spectral import SpectralData, cluster_degeneracies
 
 # Each model kind with the parameters it takes and their defaults (None: required).
@@ -43,27 +42,6 @@ class ModelSpec:
     kind: str
     parameters: dict = field(default_factory=dict)
     dim: int = 2
-
-
-def _require_integer(value, name: str, low: int, error=InvalidModelParameters):
-    """``value``, an int or np.integer (not a bool) >= ``low`` that str can write, or ``error``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        try:
-            str(value)  # past sys.get_int_max_str_digits(), no report could record it
-        except ValueError:
-            raise error(f"{name} has more digits than Python writes") from None
-        if value >= low:
-            return value
-    raise error(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _require_spread(value, name: str, error) -> None:
-    """``error`` unless ``value`` is a real number (not a bool) in [1, float64 max]."""
-    top = float_info.max
-    if isinstance(value, bool) or not isinstance(value, Real) or not 1.0 <= value <= top:
-        huge = isinstance(value, int) and abs(value) > top  # its repr may be too long to write
-        shown = "an int beyond float64" if huge else repr(value)
-        raise error(f"{name} must be a real number in [1, {top:.6g}], got {shown}")
 
 
 def _require_finite(value, name: str) -> complex:
@@ -120,7 +98,7 @@ def swanson(dim: int, omega: float, alpha: float, beta: float) -> np.ndarray:
     eigenvalues of the result are physically meaningful. ``dim`` is an
     integer >= 4: a float or a bool is refused, not coerced.
     """
-    _require_integer(dim, "dim", 4)
+    require_integer(dim, "dim", 4, InvalidModelParameters)
     omega = _require_real(omega, "omega")
     if omega <= 0:
         raise InvalidModelParameters("omega must be positive")
@@ -138,11 +116,11 @@ def swanson(dim: int, omega: float, alpha: float, beta: float) -> np.ndarray:
 
 def _random_transform(n: int, seed: int, cond_bound: float, cap: float = np.inf):
     """Sorted spectrum D, T₀ and H = T₀⁻¹·D·T₀ of the ensemble, cond_bound in [1, cap]."""
-    _require_integer(n, "dim", 1)
+    require_integer(n, "dim", 1, InvalidModelParameters)
     cond_bound = _require_real(cond_bound, "cond_bound")
     if not 1.0 <= cond_bound <= cap:
         raise InvalidModelParameters(f"cond_bound must be in [1, {cap}], got {cond_bound!r}")
-    _require_integer(seed, "seed", 0)
+    require_integer(seed, "seed", 0, InvalidModelParameters)
 
     rng = np.random.default_rng(seed)
     D = np.sort(rng.uniform(-5.0, 5.0, size=n))
@@ -202,7 +180,7 @@ def build_model(spec: ModelSpec) -> np.ndarray:
             )
     p = {**defaults, **spec.parameters}
     if spec.kind == "two_level":
-        if _require_integer(spec.dim, "dim", 2) != 2:
+        if require_integer(spec.dim, "dim", 2, InvalidModelParameters) != 2:
             raise InvalidModelParameters(f"dim must be 2 for two_level, got {spec.dim!r}")
         return two_level(p["b"], p["c"], p["d"])
     if spec.kind == "swanson":

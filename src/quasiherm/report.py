@@ -47,16 +47,18 @@ import numpy as np
 
 from .errors import (
     ComplexSpectrum,
+    InvalidModelParameters,
     NonDiagonalizable,
     ParseError,
     QuasiHermError,
     ResidualExceeded,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm, require_tolerances
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frobenius_norm, require_integer
+from .linalg import require_real, require_tolerances
 from .matrixio import decode_path, dumps, load_matrix, matrix_document, matrix_from_payload
 from .matrixio import matrix_to_payload
 from .metric import full_pipeline
-from .models import ModelSpec, _require_integer, _require_spread, build_model, describe_model
+from .models import ModelSpec, build_model, describe_model
 from .spectral import eig_decompose
 from .symmetry import _certified_commutant, metric_from_symmetry, sample_positive_symmetry
 
@@ -197,8 +199,8 @@ def _member_from_payload(document, where: str) -> FamilyMemberSummary:
         raise ParseError(f"{where} key 'residuals' is empty")
     if document.get("max_residual") != member.max_residual:
         raise ParseError(f"{where} key 'max_residual' is not the largest of its residuals")
-    _require_integer(member.seed, f"{where} key 'seed'", 0, ParseError)
-    _require_spread(member.spread, f"{where} key 'spread'", ParseError)
+    require_integer(member.seed, f"{where} key 'seed'", 0, ParseError)
+    require_real(member.spread, f"{where} key 'spread'", 1.0, ParseError)
     return member
 
 
@@ -207,7 +209,7 @@ def _resolve_input(source, max_dim: int):
     if isinstance(source, ModelSpec):
         # gate before building: a model allocates its full dim x dim matrix,
         # and only an integer dim can be compared with max_dim
-        _check_dim(_require_integer(source.dim, "dim", 1), max_dim)
+        _check_dim(require_integer(source.dim, "dim", 1, InvalidModelParameters), max_dim)
         H = build_model(source)
         descriptor = describe_model(source)
     elif isinstance(source, _PATHS):
@@ -243,13 +245,13 @@ def _record_stages(fields, command, source, tol, samples, seed, spread, out, max
     that is not a Tolerances is refused first, so the report keeps DEFAULT_TOLERANCES."""
     fields["tolerances"] = dataclasses.asdict(require_tolerances(tol, ParseError))
     for name, value in (("samples", samples), ("seed", seed), ("max_dim", max_dim)):
-        _require_integer(value, name, 0, ParseError)
+        require_integer(value, name, 0, ParseError)
     # each member's seed is written too; Python ints, as a numpy int's sum may overflow
     seed, samples = int(seed), int(samples)
     if samples > MAX_SAMPLES:
         raise ParseError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
-    _require_integer(seed + max(samples - 1, 0), "the last member's seed", 0, ParseError)
-    _require_spread(spread, "spread", ParseError)
+    require_integer(seed + max(samples - 1, 0), "the last member's seed", 0, ParseError)
+    require_real(spread, "spread", 1.0, ParseError)
     if out is not None:  # refused before any input is read
         decode_path(out, "out")
     H, fields["input"] = _resolve_input(source, max_dim)

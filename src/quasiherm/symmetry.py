@@ -85,11 +85,12 @@ from .linalg import (
     hermitian_part,
     hermiticity_defect,
     relative_residual,
+    require_integer,
+    require_real,
     require_tolerances,
     unitarity_defect,
 )
 from .metric import MetricOperator, hermitian_equivalent, metric_from_T, verify_pseudo_hermitian
-from .models import _require_integer, _require_spread
 
 # Residuals attached to every family member, keyed by identity name.
 FAMILY_IDENTITIES = (
@@ -245,7 +246,7 @@ def symmetry_from_coefficients(
     n = cb.h.shape[0]
     try:
         spectrum = np.array(values, dtype=np.float64)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"values must be an array of real numbers ({exc})") from None
     if spectrum.shape != (n,):
         raise ValueError(f"values must have shape ({n},), got {spectrum.shape}")
@@ -277,14 +278,14 @@ def sample_positive_symmetry(
     Spectral coefficients are log-uniform on [1/spread, spread], and the
     intra-cluster mixers Haar unitaries. The seed and spread take the report
     runners' rules, as a ValueError: an integer seed >= 0 that ``str`` can
-    write and a real spread in [1, float64 max], a bool being neither. One
+    write and an int or float spread in [1, float64 max], a bool neither. One
     seeded generator draws all n coefficients in one uniform(size=n), in
     eigenvalue-index order, then, in cluster order, one mixer V_k per
     cluster of size > 1, whose columns of Q = W·blockdiag(V_k) are W_k·V_k;
     a singleton keeps W's. Identical (seed, spread) reproduce S bit for bit.
     """
-    _require_integer(seed, "seed", 0, ValueError)
-    _require_spread(spread, "spread", ValueError)
+    require_integer(seed, "seed", 0)
+    require_real(spread, "spread", 1.0)
     rng = np.random.default_rng(seed)
     logs = rng.uniform(np.log(1.0 / spread), np.log(float(spread)), size=cb.h.shape[0])
     mixed = [c for c in cb.clusters if len(c) > 1]

@@ -149,7 +149,7 @@ def test_a_variable_naming_no_tolerance_exits_one_with_no_report(capsys, monkeyp
 @pytest.mark.parametrize(
     "env, flags, message",
     [({"QUASIHERM_CONDITION_CAP": "1"}, (), "error: condition_cap must exceed 1"),
-     ({}, ("--tol", "-1"), "error: residual_tol must be finite and strictly positive")],
+     ({}, ("--tol", "-1"), "error: residual_tol must be in [4.94066e-324, 1.79769e+308], got -1.0")],
     ids=["condition-cap-1", "tol-negative"],
 )
 def test_invalid_tolerances_exit_one_with_no_report(capsys, monkeypatch, env, flags, message):

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -612,7 +613,9 @@ _ARGUMENT_LAYERS = {
 }
 _REFUSED_VALUES = {
     "seed": [10**5000, True, -1, 1.5, "3", None],
-    "spread": [10**400, 10**5000, -(10**5000), True, 0.5, float("nan"), float("inf"), "10", 2 + 0j],
+    "spread": [10**400, 10**5000, -(10**5000), True, 0.5, float("nan"), float("inf"), "10", 2 + 0j,
+               # numbers a report's JSON cannot write
+               np.int64(3), Fraction(3), np.float32(3.0)],
     **{argument: ["1", True, None] for argument in _ARGUMENT_LAYERS if " " in argument},
     # cond_bound is also a real number >= 1 that fits float64
     "random_diagonalizable cond_bound": ["5", True, None, 10**400, 0.5, float("inf")],
@@ -1047,6 +1050,8 @@ _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
         (_member_with(spread="x"), "family member 0 key 'spread'"),
         (_member_with(spread=math.nan), "family member 0 key 'spread'"),
         (_member_with(spread=0.5), "family member 0 key 'spread'"),
+        (_edited(matrices=lambda d: {"eta": {"dim": 10**5000, "entries": []}}), "'dim' has more"),
+        (_edited(matrices=lambda d: {"eta": {"dim": 10**2200, "entries": []}}), r"dim\^2 pairs"),
     ],
     ids=[
         "empty", "not-an-object", "member-without-spread", "verdict", "matrices", "family",
@@ -1055,6 +1060,7 @@ _PH_FAILS = {"identity": "ph", "value": 1e-3, "bound": 1e-8}
         "tolerances-bool", "tolerances-with-a-removed-field",
         "member-without-residuals", "member-max-residual", "nan-residual", "string-residual",
         "fractional-seed", "bool-seed", "string-spread", "nan-spread", "spread-below-one",
+        "eta-dim-10**5000", "eta-dim-10**2200",
     ],
 )
 def test_from_payload_refuses_a_malformed_document(make, match):

@@ -273,7 +273,11 @@ _RUN_INTEGER = st.builds(
     lambda sign, exponent, offset: sign * (10**exponent + offset),
     st.sampled_from([-1, 1]), st.integers(0, 5000), st.sampled_from([-1, 0, 1]),
 )
-_RUN_OTHER = st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+_RUN_OTHER = (
+    st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.floats(width=32).map(np.float32)
+    | st.fractions()
+)
 _RUN_ARGUMENT = _RUN_INTEGER | _RUN_OTHER
 
 

@@ -30,6 +30,8 @@ KERNELS = (
     "hermitian_from_basis",
     "hermitian_part",
     "hermiticity_defect",
+    "require_integer",
+    "require_real",
     "require_tolerances",
     "unitarity_defect",
 )
@@ -131,6 +133,18 @@ def test_one_translation_refuses_every_defective_T_with_the_gates_cond():
 def test_one_function_checks_every_tol_and_one_measures_every_unitarity():
     assert _callers("isinstance", "Tolerances") == {("linalg", "require_tolerances")}
     assert _callers("eye") == {("linalg", "unitarity_defect")}
+
+
+def test_one_rule_takes_each_kind_of_scalar():
+    # an integer and a real bound each have one rule, in linalg; a model
+    # parameter, passed as a complex, keeps its own
+    rules = {("linalg", "require_integer"), ("linalg", "require_real")}
+    assert _callers("isinstance", "bool") == rules | {("models", "_require_finite")}
+    source = (Path(__file__).parents[1] / "src" / "quasiherm" / "symmetry.py").read_text("utf-8")
+    assert not any(
+        isinstance(node, ast.ImportFrom) and node.module == "models"
+        for node in ast.walk(ast.parse(source))
+    )
 
 
 def _tol_entry_points() -> dict:

@@ -314,8 +314,9 @@ def test_symmetry_from_coefficients_validation():
             symmetry_from_coefficients(cb, values)
     # not numbers: a ValueError, as each other refusal of an argument is
     diagonal = commutant_basis(np.diag([1.0, 2.0]), [[0], [1]])
-    with pytest.raises(ValueError, match="values must be an array of real numbers"):
-        symmetry_from_coefficients(diagonal, {})
+    for values in ({}, ["a", 1.0]):
+        with pytest.raises(ValueError, match="values must be an array of real numbers"):
+            symmetry_from_coefficients(diagonal, values)
     with pytest.raises(ValueError, match="expected an array of numbers"):
         symmetry_from_coefficients(diagonal, [1.0, 2.0], {})
     # a phase on one eigenvector leaves Q an eigenbasis of h
